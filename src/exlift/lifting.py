@@ -381,7 +381,7 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     q = rc.h
     bP = rc.result[0, 1]
 
-    f, u, p, q_urw = unit_regular_witness(ring, ideal, bP, guards)
+    f, u, p, _ = unit_regular_witness(ring, ideal, bP, guards)
     uinv = ring.inverse(u)
 
     a3 = apply_elem_word(rc.result, ElemWord(2, tuple(sigma_inv_word_left(ring))))
@@ -426,8 +426,8 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     if replay != a7:
         raise AssertionError("diagonalization words do not replay")
 
-    trace = {"h": rr.h, "q": q, "p": p, "q_urw": q_urw, "f": f, "v": v,
-             "t": t, "z_prime": z_prime, "b_prime": bP}
+    trace = {"q": q, "p": p, "f": f, "v": v, "t": t, "z_prime": z_prime,
+             "b_prime": bP}
     return DiagonalizationResult(ring, ideal, alpha, gamma, beta, epsilon,
                                  u, a_prime, rr, rc, trace)
 

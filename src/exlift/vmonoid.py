@@ -8,19 +8,20 @@ truncation map to a distinguished absorbing overflow element, which all
 checkers exclude from their quantifier ranges: every verdict is relative to
 the K-ball and says nothing beyond it.
 
-Equivalence is decided by an exact criterion: e ~ f iff some x in e*M*f
-multiplies the column module f*R^d bijectively onto e*R^d.  Candidates are
-drawn from e*f, permutation conjugates, and finally the full additive closure
-of e*M*f, so exhaustion genuinely refutes equivalence.  Two fast paths
-(rank over a prime field for matrix rings over zmod(p), componentwise
-recursion for product rings) are cross-checked against the generic search in
-the test suite.
+This is the only module that decides classes, and it does so with one exact
+invariant, ``class_key``: the sizes of the column module of E over
+R/J(R), one per simple component.  The witness search (some x in e*M*f
+mapping f*R^d bijectively onto e*R^d, drawn from the full additive closure of
+e*M*f so that exhaustion refutes equivalence) stays for building explicit
+witnesses; ``equivalence_witness`` exposes it and the tests use it as the
+oracle for the key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,8 +30,7 @@ from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
                      NotDownwardClosed)
 from .matrices import RMatrix, decode_matrix
-from .rings import (FiniteRing, Ideal, MatrixSpec, ProductSpec, ZmodSpec,
-                    build_ring)
+from .rings import FiniteRing, Ideal, quotient_by
 
 
 # ---------------------------------------------------------------------------
@@ -185,90 +185,109 @@ def validate_order_ideal(m: FinMonoid, s: OrderIdeal) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rank fast path for M_b(Z/n) rings
+# The class key
 #
-# Z/n splits by CRT into local rings Z/p^k, over which finitely generated
-# projectives are free; an idempotent's class is therefore determined by the
-# tuple of ranks of its reduction mod p, one per prime p | n.  Block
-# flattening extends this to matrix rings over zmod (and nestings thereof).
-# The test suite cross-checks this shortcut against the generic search.
+# Finite rings are semiperfect, so idempotent matrices over R are equivalent
+# iff their images over S = R/J(R) are (projective covers).  S is semisimple:
+# one simple component c_i*S per primitive central idempotent c_i, and a
+# projective S-module P is determined up to isomorphism by the sizes of its
+# components c_i*P.  So (|c_i * Ebar * S^d|)_i is a complete invariant of the
+# idempotent E in M_d(R), and the key of E (+) F is the componentwise product.
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n: int) -> tuple:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+_CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
 
 
-def _zflatten_info(spec) -> Optional[tuple]:
-    """(n, b) if the ring is M_b(Z/n) compatibly with its entry structure."""
-    if isinstance(spec, ZmodSpec):
-        return (spec.n, 1)
-    if isinstance(spec, MatrixSpec):
-        sub = _zflatten_info(spec.base)
-        if sub is not None:
-            return (sub[0], sub[1] * spec.k)
-    return None
-
-
-def _entry_blocks(ring: FiniteRing, b: int) -> np.ndarray:
-    """(size, b, b) table expanding each element to its Z/n block."""
-    key = ("entry_blocks", b)
-    got = ring._cache.get(key)
-    if got is not None:
-        return got
-    spec = ring.spec
-    if isinstance(spec, ZmodSpec):
-        out = np.arange(ring.size, dtype=np.int64).reshape(-1, 1, 1)
-    else:
-        base = build_ring(spec.base)
-        sub = _entry_blocks(base, b // spec.k)
-        k, c = spec.k, b // spec.k
-        out = np.zeros((ring.size, b, b), dtype=np.int64)
-        codes = np.arange(ring.size)
-        digits = np.empty((ring.size, k * k), dtype=np.int64)
-        tmp = codes.copy()
-        for pos in reversed(range(k * k)):
-            digits[:, pos] = tmp % base.size
-            tmp //= base.size
-        for i in range(k):
-            for j in range(k):
-                out[:, i * c:(i + 1) * c, j * c:(j + 1) * c] = \
-                    sub[digits[:, i * k + j]]
-    ring._cache[key] = out
+def _digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
+    """(n, width) base-``base`` digits of codes, most significant first."""
+    out = np.empty((len(codes), width), dtype=np.int64)
+    tmp = np.array(codes, dtype=np.int64)
+    for p in reversed(range(width)):
+        out[:, p] = tmp % base
+        tmp //= base
     return out
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    m = a % p
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p) if p > 2 else int(m[rank, col])
-        m[rank] = (m[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def jacobson_radical(ring: FiniteRing) -> Ideal:
+    """J(R) = {x : 1 - r*x is a unit for every r}, cached on the ring.
+
+    Scans rows r in chunks against the columns x that have survived so far,
+    so no |R| x |R| temporary is ever built.
+    """
+    got = ring._cache.get("radical")
+    if got is None:
+        unit = np.zeros(ring.size, dtype=bool)
+        unit[list(ring.units())] = True
+        one_minus = ring.npadd[ring.one][ring.npneg]   # y -> 1 - y
+        cand = np.arange(ring.size)
+        lo = 0
+        while lo < ring.size and len(cand) > 1:
+            hi = min(ring.size, lo + max(1, _CHUNK // len(cand)))
+            cand = cand[unit[one_minus[ring.npmul[lo:hi][:, cand]]].all(axis=0)]
+            lo = hi
+        members = tuple(int(x) for x in cand)
+        # generated by all its members, so R/J's spec is a faithful recipe
+        got = ring._cache["radical"] = Ideal(ring, frozenset(members), members)
+    return got
+
+
+def _semisimple_quotient(ring: FiniteRing) -> tuple:
+    """(R -> S = R/J(R) as a QuotientMap, primitive central idempotents of S)."""
+    got = ring._cache.get("semisimple")
+    if got is None:
+        qmap = quotient_by(ring, jacobson_radical(ring))
+        S = qmap.target
+        central = [e for e in S.idempotents()
+                   if np.array_equal(S.npmul[e], S.npmul[:, e])]
+        primitive = tuple(c for c in central if c != S.zero and all(
+            S.mul(c, e) in (S.zero, c) for e in central))
+        got = ring._cache["semisimple"] = (qmap, primitive)
+    return got
+
+
+def _class_keys(ring: FiniteRing, ent: np.ndarray, guards: Guards) -> list:
+    """Class keys of the idempotents in an (n, d, d) array of entries of R."""
+    qmap, comps = _semisimple_quotient(ring)
+    S = qmap.target
+    n, d = ent.shape[0], ent.shape[1]
+    nv = S.size ** d
+    if nv > guards.enumeration:
+        raise GuardExceeded(
+            f"|R/J|^{d} = {nv} vectors exceed the enumeration guard")
+    V = _digits(np.arange(nv), S.size, d)
+    weights = S.size ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    ent = qmap.image[ent]
+    out = []
+    step = max(1, _CHUNK // (nv * d))
+    for lo in range(0, n, step):
+        E = ent[lo:lo + step]
+        # W[m, v] = Ebar_m * v for every vector v of S^d
+        W = np.full((len(E), nv, d), S.zero, dtype=np.int64)
+        for i in range(d):
+            for l in range(d):
+                W[:, :, i] = S.npadd[W[:, :, i],
+                                     S.npmul[E[:, i, l][:, None], V[None, :, l]]]
+        sizes = []
+        for c in comps:
+            enc = S.npmul[c][W] @ weights
+            enc.sort(axis=1)
+            sizes.append((np.diff(enc, axis=1) != 0).sum(axis=1) + 1)
+        out.extend(tuple(int(v) for v in row) for row in zip(*sizes))
+    return out
+
+
+def _key_sum(a: tuple, b: tuple) -> tuple:
+    """Key of a direct sum."""
+    return tuple(x * y for x, y in zip(a, b))
+
+
+def class_key(ring: FiniteRing, *parts: RMatrix,
+              guards: Guards = DEFAULT) -> tuple:
+    """Complete Murray-von Neumann invariant of the direct sum of the given
+    idempotent matrices, computed part by part."""
+    keys = [_class_keys(ring, np.array(A.entries, dtype=np.int64)[None],
+                        guards)[0] for A in parts]
+    return functools.reduce(_key_sum, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +307,13 @@ class _Idem:
 
 
 class _Engine:
-    def __init__(self, ring: FiniteRing, guards: Guards,
-                 force_generic: bool = False):
+    """Witness search: some x in e*M*f mapping f*R^d bijectively onto e*R^d."""
+
+    def __init__(self, ring: FiniteRing, guards: Guards):
         self.ring = ring
         self.guards = guards
         self.mul = ring.npmul.astype(np.int64)
         self.add = ring.npadd.astype(np.int64)
-        self.zflat = None if force_generic else _zflatten_info(ring.spec)
-        self.primes = _prime_factors(self.zflat[0]) if self.zflat else ()
-        if isinstance(ring.spec, ProductSpec) and not force_generic:
-            self.left = _Engine(build_ring(ring.spec.left), guards)
-            self.right = _Engine(build_ring(ring.spec.right), guards)
-        else:
-            self.left = self.right = None
-        # rank tuples are a complete invariant over M_b(Z/n), and products of
-        # rings with complete keys again have complete keys
-        if self.zflat is not None:
-            self.keys_decide = True
-        elif self.left is not None:
-            self.keys_decide = self.left.keys_decide and self.right.keys_decide
-        else:
-            self.keys_decide = False
         self._vec_cache: dict = {}
 
     # -- vector spaces ------------------------------------------------------
@@ -319,12 +324,7 @@ class _Engine:
             if n > self.guards.enumeration:
                 raise GuardExceeded(
                     f"|R|^{d} = {n} vectors exceed the enumeration guard")
-            got = np.empty((n, d), dtype=np.int64)
-            tmp = np.arange(n)
-            for p in reversed(range(d)):
-                got[:, p] = tmp % self.ring.size
-                tmp //= self.ring.size
-            self._vec_cache[d] = got
+            got = self._vec_cache[d] = _digits(np.arange(n), self.ring.size, d)
         return got
 
     def _encode_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -370,26 +370,14 @@ class _Engine:
         V = self._vectors(d)
         col = np.unique(self._encode_rows(self._matvec(arr, V)))
         row = len(np.unique(self._encode_rows(self._vecmat(V, arr))))
-        return _Idem(arr, d, len(col), row, col, self._decode(col, d))
-
-    def idem_with_sizes(self, arr: np.ndarray, d: int, col_size: int,
-                        row_size: int) -> _Idem:
-        return _Idem(arr, d, col_size, row_size)
+        return _Idem(arr, d, len(col), row, col, _digits(col, self.ring.size, d))
 
     def ensure_cols(self, h: _Idem) -> None:
         if h.col_dig is not None:
             return
         V = self._vectors(h.d)
         h.col_enc = np.unique(self._encode_rows(self._matvec(h.arr, V)))
-        h.col_dig = self._decode(h.col_enc, h.d)
-
-    def _decode(self, enc: np.ndarray, d: int) -> np.ndarray:
-        out = np.empty((len(enc), d), dtype=np.int64)
-        tmp = enc.copy()
-        for p in reversed(range(d)):
-            out[:, p] = tmp % self.ring.size
-            tmp //= self.ring.size
-        return out
+        h.col_dig = _digits(h.col_enc, self.ring.size, h.d)
 
     def idem_pad(self, h: _Idem, d: int) -> _Idem:
         if h.d == d:
@@ -420,114 +408,7 @@ class _Engine:
             dig, enc = None, None
         return _Idem(arr, d, size, h1.row_size * h2.row_size, enc, dig)
 
-    # -- invariants -----------------------------------------------------------
-    def invariant(self, h: _Idem):
-        if self.zflat is not None:
-            return ("zrank", self._zflat_ranks(h.arr, h.d))
-        if self.left is not None:
-            nr = self.right.ring.size
-            return ("prod",
-                    self.left.invariant(self._component(h.arr // nr, h.d, self.left)),
-                    self.right.invariant(self._component(h.arr % nr, h.d, self.right)))
-        return ("mod", h.col_size, h.row_size)
-
-    def _component(self, arr: np.ndarray, d: int, sub: "_Engine") -> _Idem:
-        # component handles carry no column data; sub-invariants recompute
-        return sub.idem_from_matrix(arr, d)
-
-    def batch_invariant_keys(self, codes: np.ndarray, k: int) -> list:
-        """Invariant keys for many idempotent codes at once (same tuples the
-        per-handle ``invariant`` produces)."""
-        n = len(codes)
-        if n == 0:
-            return []
-        if self.zflat is not None:
-            out = []
-            for code in codes:
-                arr = _decode_arr(self.ring, k, int(code))
-                out.append(("zrank", self._zflat_ranks(arr, k)))
-            return out
-        if self.left is not None:
-            nl, nr = self.left.ring.size, self.right.ring.size
-            digits = self._code_digits(codes, k * k)
-            lcodes = self._digits_code(digits // nr, nl)
-            rcodes = self._digits_code(digits % nr, nr)
-            lk = self.left.batch_invariant_keys(lcodes, k)
-            rk = self.right.batch_invariant_keys(rcodes, k)
-            return [("prod", a, b) for a, b in zip(lk, rk)]
-        col, row = self._batch_mod_sizes(codes, k)
-        return [("mod", int(c), int(r)) for c, r in zip(col, row)]
-
-    def _code_digits(self, codes: np.ndarray, nd: int) -> np.ndarray:
-        out = np.empty((len(codes), nd), dtype=np.int64)
-        tmp = np.asarray(codes, dtype=np.int64).copy()
-        for p in reversed(range(nd)):
-            out[:, p] = tmp % self.ring.size
-            tmp //= self.ring.size
-        return out
-
-    @staticmethod
-    def _digits_code(digits: np.ndarray, base: int) -> np.ndarray:
-        out = np.zeros(len(digits), dtype=np.int64)
-        for p in range(digits.shape[1]):
-            out = out * base + digits[:, p]
-        return out
-
-    def _batch_mod_sizes(self, codes: np.ndarray, k: int):
-        V = self._vectors(k)
-        nv = len(V)
-        col = np.empty(len(codes), dtype=np.int64)
-        row = np.empty(len(codes), dtype=np.int64)
-        chunk = max(1, (1 << 22) // max(nv, 1))
-        B = self.ring.size
-        for lo in range(0, len(codes), chunk):
-            sub = np.asarray(codes[lo:lo + chunk], dtype=np.int64)
-            ent = self._code_digits(sub, k * k).reshape(len(sub), k, k)
-            enc_c = np.zeros((len(sub), nv), dtype=np.int64)
-            enc_r = np.zeros((len(sub), nv), dtype=np.int64)
-            for i in range(k):
-                acc_c = np.full((len(sub), nv), self.ring.zero, dtype=np.int64)
-                acc_r = np.full((len(sub), nv), self.ring.zero, dtype=np.int64)
-                for l in range(k):
-                    acc_c = self.add[acc_c, self.mul[ent[:, i, l][:, None],
-                                                     V[None, :, l]]]
-                    acc_r = self.add[acc_r, self.mul[V[None, :, l],
-                                                     ent[:, l, i][:, None]]]
-                enc_c = enc_c * B + acc_c
-                enc_r = enc_r * B + acc_r
-            enc_c.sort(axis=1)
-            enc_r.sort(axis=1)
-            col[lo:lo + len(sub)] = (np.diff(enc_c, axis=1) != 0).sum(axis=1) + 1
-            row[lo:lo + len(sub)] = (np.diff(enc_r, axis=1) != 0).sum(axis=1) + 1
-        return col, row
-
-    def _zflat_ranks(self, arr: np.ndarray, d: int) -> tuple:
-        n, b = self.zflat
-        blocks = _entry_blocks(self.ring, b)
-        big = np.zeros((d * b, d * b), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                big[i * b:(i + 1) * b, j * b:(j + 1) * b] = blocks[arr[i, j]]
-        return tuple(_rank_mod_p(big.copy(), p) for p in self.primes)
-
-    # -- equivalence ----------------------------------------------------------
-    def equivalent(self, h1: _Idem, h2: _Idem) -> bool:
-        d = max(h1.d, h2.d)
-        a, b = self.idem_pad(h1, d), self.idem_pad(h2, d)
-        if np.array_equal(a.arr, b.arr):
-            return True
-        if self.zflat is not None:
-            return self._zflat_ranks(a.arr, d) == self._zflat_ranks(b.arr, d)
-        if self.left is not None:
-            nr = self.right.ring.size
-            return (self.left.equivalent(
-                        self.left.idem_from_matrix(a.arr // nr, d),
-                        self.left.idem_from_matrix(b.arr // nr, d))
-                    and self.right.equivalent(
-                        self.right.idem_from_matrix(a.arr % nr, d),
-                        self.right.idem_from_matrix(b.arr % nr, d)))
-        return self._witness_x(a, b) is not None
-
+    # -- witnesses ------------------------------------------------------------
     def _witness_x(self, a: _Idem, b: _Idem) -> Optional[np.ndarray]:
         """Some x in a*M*b acting bijectively on column modules, or None."""
         if a.col_size != b.col_size or a.row_size != b.row_size:
@@ -643,19 +524,16 @@ class _Engine:
 
 def equivalent_idempotents(ring: FiniteRing, A: RMatrix, B: RMatrix,
                            guards: Guards = DEFAULT) -> bool:
-    """Public wrapper: Murray-von Neumann equivalence after zero padding."""
-    eng = _Engine(ring, guards)
-    ha = eng.idem_from_matrix(np.array(A.entries, dtype=np.int64), A.n)
-    hb = eng.idem_from_matrix(np.array(B.entries, dtype=np.int64), B.n)
-    return eng.equivalent(ha, hb)
+    """Murray-von Neumann equivalence after zero padding, by class key."""
+    return class_key(ring, A, guards=guards) == class_key(ring, B, guards=guards)
 
 
 def equivalence_witness(ring: FiniteRing, A: RMatrix, B: RMatrix,
                         guards: Guards = DEFAULT) -> Optional[tuple]:
     """(x, y) RMatrix pair with x*y = A-padded, y*x = B-padded, or None.
 
-    Always uses the generic search (no fast paths), so it doubles as the
-    cross-check oracle for the rank and product shortcuts.
+    Runs the witness search, whose exhaustion refutes equivalence without
+    any structure theory, so it is the test oracle for ``class_key``.
     """
     eng = _Engine(ring, guards)
     d = max(A.n, B.n)
@@ -688,24 +566,15 @@ class VMonoid:
     class_of: dict          # (dim, code) -> class index
     members: list           # class index -> list of (dim, code)
     overflow_index: Optional[int]
+    keys: list              # class index -> class key
 
     def classify(self, A: RMatrix) -> Optional[int]:
         """Class index of an idempotent matrix; None means overflow."""
-        code = A.encode()
-        hit = self.class_of.get((A.n, code))
+        hit = self.class_of.get((A.n, A.encode()))
         if hit is not None:
             return hit
-        eng = self._engine
-        h = eng.idem_from_matrix(np.array(A.entries, dtype=np.int64), A.n)
-        return self._classify_handle(h)
-
-    def _classify_handle(self, h) -> Optional[int]:
-        eng = self._engine
-        inv = eng.invariant(h)
-        for ci in self._inv_groups.get(inv, ()):
-            if eng.equivalent(self._rep_handles[ci], h):
-                return ci
-        return None
+        key = class_key(self.ring, A)
+        return self.keys.index(key) if key in self.keys else None
 
     def label(self, index: Optional[int]) -> str:
         if index is None:
@@ -729,12 +598,7 @@ def _enumerate_idempotents(ring: FiniteRing, k: int,
     for lo in range(0, total, chunk):
         hi = min(total, lo + chunk)
         codes = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, k * k), dtype=np.int64)
-        tmp = codes.copy()
-        for p in reversed(range(k * k)):
-            digits[:, p] = tmp % ring.size
-            tmp //= ring.size
-        ent = digits.reshape(-1, k, k)
+        ent = _digits(codes, ring.size, k * k).reshape(-1, k, k)
         sq = np.empty_like(ent)
         for i in range(k):
             for j in range(k):
@@ -747,167 +611,59 @@ def _enumerate_idempotents(ring: FiniteRing, k: int,
     return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
 
 
-def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT,
-                   force_generic: bool = False) -> VMonoid:
+def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoid:
     """Classes of idempotents in M_k(R) for k <= K, with truncated direct sum.
 
-    ``force_generic`` disables the rank and product fast paths so tests can
-    cross-check them against the witness search.
+    Every idempotent is enumerated and classified by its ``class_key``; class
+    indices follow first appearance in ascending (dimension, code) order.
+    [i] + [j] is the class whose key is the product of their keys, or the
+    overflow element when no enumerated idempotent has that key.
     """
     if K < 1:
         raise InvalidSpec("truncation must be at least 1")
-    cache_key = ("vmonoid", K, force_generic)
+    cache_key = ("vmonoid", K)
     got = ring._cache.get(cache_key)
     if got is not None:
         return got
 
-    eng = _Engine(ring, guards, force_generic=force_generic)
-    rep_handles = []
-    rep_info = []       # (dim, code)
-    members = []
-    inv_groups: dict = {}
+    keys = []           # class index -> key
+    members = []        # class index -> [(dim, code)], representative first
+    index_of: dict = {}
     class_of: dict = {}
-    codes_by_dim: dict = {}
-
     for k in range(1, K + 1):
         codes = _enumerate_idempotents(ring, k, guards)
-        codes_by_dim[k] = codes
-        keys = eng.batch_invariant_keys(codes, k)
-        for code, inv in zip(codes, keys):
-            code = int(code)
-            h = None
-            hit = None
-            if eng.keys_decide:
-                group = inv_groups.get(inv)
-                if group:
-                    hit = group[0]
-            else:
-                arr = _decode_arr(ring, k, code)
-                h = eng.idem_with_sizes(arr, k, inv[1], inv[2])
-                for ci in inv_groups.get(inv, ()):
-                    if eng.equivalent(rep_handles[ci], h):
-                        hit = ci
-                        break
-            if hit is None:
-                if h is None:
-                    h = eng.idem_from_matrix(_decode_arr(ring, k, code), k)
-                hit = len(rep_handles)
-                rep_handles.append(h)
-                rep_info.append((k, code))
+        ent = _digits(codes, ring.size, k * k).reshape(-1, k, k)
+        for code, key in zip(codes.tolist(), _class_keys(ring, ent, guards)):
+            ci = index_of.setdefault(key, len(keys))
+            if ci == len(keys):
+                keys.append(key)
                 members.append([])
-                inv_groups.setdefault(inv, []).append(hit)
-            class_of[(k, code)] = hit
-            members[hit].append((k, code))
+            class_of[(k, code)] = ci
+            members[ci].append((k, code))
 
-    m = len(rep_handles)
+    m = len(keys)
+    sums = [[index_of.get(_key_sum(keys[i], keys[j])) for j in range(m)]
+            for i in range(m)]
+    ovf = m if any(t is None for row in sums for t in row) else None
+    size = m if ovf is None else m + 1
+    table = tuple(tuple(ovf if i == ovf or j == ovf or sums[i][j] is None
+                        else sums[i][j] for j in range(size))
+                  for i in range(size))
     zero_class = class_of[(1, ring.zero)]
-
-    # orthogonal sub-idempotent pairs below each representative, for deciding
-    # sums whose summand dimensions exceed the truncation: [i]+[j] equals [t]
-    # exactly when some g <= rep_t splits rep_t into classes i and j
-    splits = _orthogonal_splits(ring, eng, rep_info, class_of, codes_by_dim)
-
-    sums = {}
-    overflow_used = False
-    for i in range(m):
-        for j in range(i, m):
-            di, dj = rep_info[i][0], rep_info[j][0]
-            if di + dj <= K:
-                hsum = eng.idem_sum(rep_handles[i], rep_handles[j])
-                code = int(eng._encode_rows(hsum.arr.reshape(1, -1))[0])
-                target = class_of[(di + dj, code)]
-            else:
-                hsum = eng.idem_sum(rep_handles[i], rep_handles[j])
-                inv = eng.invariant(hsum)
-                target = None
-                for ci in inv_groups.get(inv, ()):
-                    if (i, j) in splits[ci]:
-                        target = ci
-                        break
-                if target is None:
-                    overflow_used = True
-            sums[(i, j)] = target
-
-    size = m + 1 if overflow_used else m
-    ovf = m if overflow_used else None
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if ovf is not None and (i == ovf or j == ovf):
-                table[i][j] = ovf
-            else:
-                t = sums[(min(i, j), max(i, j))]
-                table[i][j] = ovf if t is None else t
-    labels = []
-    for i in range(m):
-        if i == zero_class:
-            labels.append("0")
-        else:
-            labels.append(f"c{i}")
+    labels = ["0" if i == zero_class else f"c{i}" for i in range(m)]
     if ovf is not None:
         labels.append("T")
 
-    monoid = FinMonoid(size, tuple(tuple(r) for r in table), zero_class,
-                       tuple(labels), ovf)
-    classes = [VClass(decode_matrix(ring, d, code), i)
-               for i, (d, code) in enumerate(rep_info)]
-    vm = VMonoid(ring, K, monoid, classes, class_of, members, ovf)
-    vm._engine = eng
-    vm._inv_groups = inv_groups
-    vm._rep_handles = rep_handles
+    monoid = FinMonoid(size, table, zero_class, tuple(labels), ovf)
+    classes = [VClass(decode_matrix(ring, *mem[0]), i)
+               for i, mem in enumerate(members)]
+    vm = VMonoid(ring, K, monoid, classes, class_of, members, ovf, keys)
     ring._cache[cache_key] = vm
     return vm
 
 
 def _decode_arr(ring: FiniteRing, k: int, code: int) -> np.ndarray:
-    flat = []
-    for _ in range(k * k):
-        flat.append(code % ring.size)
-        code //= ring.size
-    flat.reverse()
-    return np.array(flat, dtype=np.int64).reshape(k, k)
-
-
-def _orthogonal_splits(ring: FiniteRing, eng: _Engine, rep_info, class_of,
-                       codes_by_dim) -> list:
-    """For each class t: the set of class pairs {(i, j)} realized by an
-    orthogonal decomposition rep_t = g + h with g, h idempotent, g*rep_t =
-    rep_t*g = g.  Direct summands of a projective module split off inside its
-    own dimension, so this decides [i]+[j] == [t] exactly."""
-    mul = ring.npmul.astype(np.int64)
-    add = ring.npadd.astype(np.int64)
-    neg = ring.npneg.astype(np.int64)
-    out = []
-    for t, (d, code) in enumerate(rep_info):
-        M = _decode_arr(ring, d, code)
-        codes = codes_by_dim[d]
-        ent = np.empty((len(codes), d, d), dtype=np.int64)
-        tmp = codes.copy()
-        for p in reversed(range(d * d)):
-            ent.reshape(len(codes), -1)[:, p] = tmp % ring.size
-            tmp //= ring.size
-        # keep g with M*g == g == g*M
-        keep = np.ones(len(codes), dtype=bool)
-        for i in range(d):
-            for j in range(d):
-                acc1 = np.full(len(codes), ring.zero, dtype=np.int64)
-                acc2 = np.full(len(codes), ring.zero, dtype=np.int64)
-                for l in range(d):
-                    acc1 = add[acc1, mul[M[i, l], ent[:, l, j]]]
-                    acc2 = add[acc2, mul[ent[:, i, l], M[l, j]]]
-                keep &= (acc1 == ent[:, i, j]) & (acc2 == ent[:, i, j])
-        pairs = set()
-        weights = np.array([ring.size ** (d * d - 1 - p) for p in range(d * d)],
-                           dtype=np.int64)
-        for g_ent, g_code in zip(ent[keep], codes[keep]):
-            h = add[M, neg[g_ent]]
-            h_code = int(h.reshape(-1) @ weights)
-            hj = class_of.get((d, h_code))
-            gi = class_of[(d, int(g_code))]
-            if hj is not None:
-                pairs.add((min(gi, hj), max(gi, hj)))
-        out.append(pairs)
-    return out
+    return _digits(np.array([code]), ring.size, k * k).reshape(k, k)
 
 
 def v_order_ideal(vm: VMonoid, ideal: Ideal) -> OrderIdeal:

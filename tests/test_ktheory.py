@@ -78,6 +78,19 @@ def test_zero_test_false_case():
     assert not zt.strict and not zt.relaxed and zt.modes_agree
 
 
+def test_zero_test_logs_mode_disagreement(monkeypatch, caplog):
+    z4 = z(4)
+    i4 = R.ideal_closure(z4, [2])
+    d = K.connecting_delta(z4, i4, R.quotient_by(z4, i4).pi(1))
+    monkeypatch.setattr(K, "_strict_equal", lambda *args: False)
+    with caplog.at_level("WARNING", logger="exlift"):
+        zt = K.k0_zero_test(d)
+    assert not zt.strict and zt.relaxed and not zt.modes_agree
+    assert zt.relaxed_padding == 0
+    assert [r.name for r in caplog.records] == ["exlift"]
+    assert "modes disagree" in caplog.records[0].getMessage()
+
+
 def test_trivial_difference_is_zero(corpus_pairs):
     for name, ring, ideal, tags in corpus_pairs[:6]:
         e = M.matrix(ring, [[ring.one]])

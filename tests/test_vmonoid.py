@@ -183,28 +183,29 @@ def test_truncation_monotonicity():
                 assert s2 == mapping[s1]
 
 
-def test_fast_paths_agree_with_generic_search():
-    # rank and product shortcuts versus the witness search
+def test_class_keys_agree_with_witness_search():
+    # the witness search behind equivalence_witness is the oracle for the key
     for spec in (R.ZmodSpec(6), R.ZmodSpec(4), R.MatrixSpec(R.ZmodSpec(2), 2),
+                 R.TriangularSpec(R.ZmodSpec(2), 2),
                  R.ProductSpec(R.ZmodSpec(2), R.ZmodSpec(3))):
         ring = R.build_ring(spec)
-        fast = V.build_v_monoid(ring, 2)
-        slow = V.build_v_monoid(ring, 2, force_generic=True)
-        assert len(fast.classes) == len(slow.classes)
-        mapping = {}
-        for i, cls in enumerate(fast.classes):
-            j = slow.classify(cls.representative)
-            assert j is not None
-            mapping[i] = j
-        assert sorted(mapping.values()) == list(range(len(slow.classes)))
-        for i1 in range(len(fast.classes)):
-            for i2 in range(len(fast.classes)):
-                s = fast.monoid.op(i1, i2)
-                t = slow.monoid.op(mapping[i1], mapping[i2])
-                if s == fast.overflow_index:
-                    assert t == slow.overflow_index
-                else:
-                    assert t == mapping[s]
+        vm = V.build_v_monoid(ring, 2)
+        reps = [c.representative for c in vm.classes]
+
+        def equivalent(A, B):
+            return V.equivalence_witness(ring, A, B) is not None
+
+        for ci, members in enumerate(vm.members):
+            for (dim, code) in members:
+                assert equivalent(M.decode_matrix(ring, dim, code), reps[ci])
+        for i, j in itertools.combinations(range(len(reps)), 2):
+            assert not equivalent(reps[i], reps[j]), (spec, i, j)
+        for i, j in itertools.product(range(len(reps)), repeat=2):
+            total = M.direct_sum(reps[i], reps[j])
+            hits = [t for t, rep in enumerate(reps) if equivalent(total, rep)]
+            assert len(hits) <= 1
+            expected = hits[0] if hits else vm.overflow_index
+            assert vm.monoid.op(i, j) == expected, (spec, i, j)
 
 
 def test_order_matches_subidempotent_search():
@@ -271,6 +272,19 @@ def test_v_order_ideal_product_factor():
         first_zero = all(v // nr == 0 for row in cls.representative.entries
                          for v in row)
         assert (ci in s.member_set) == first_zero
+
+
+def test_v_order_ideal_is_key_support(corpus_pairs_full):
+    # V(I) is the set of classes whose key is trivial on every simple
+    # component of R/J outside (I+J)/J
+    for name, ring, ideal, tags in corpus_pairs_full:
+        vm = V.build_v_monoid(ring, 2)
+        qmap, comps = V._semisimple_quotient(ring)
+        image = set(qmap.image[list(ideal.members)].tolist())
+        outside = [i for i, c in enumerate(comps) if c not in image]
+        support = {ci for ci, key in enumerate(vm.keys)
+                   if all(key[i] == 1 for i in outside)}
+        assert V.v_order_ideal(vm, ideal).member_set == support, name
 
 
 def test_refinement_examples():
