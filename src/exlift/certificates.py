@@ -518,6 +518,13 @@ def _verify_diagonalization(ring: FiniteRing, ideal: Ideal, content: dict,
 
 def _verify_lift(ring: FiniteRing, ideal: Ideal, payload: dict,
                  rep: _Report, guards: Guards) -> None:
+    """Replay a lift certificate.
+
+    The certificate proves that y is a unit lifting pi(x): x enters only
+    through pi(x) and the coset x + I.  So it verifies unchanged for any
+    recorded x' congruent to x mod I (the same lift of the same unit of R/I),
+    and an x' outside that coset fails the "pi(w1) = pi(x)+1" check.
+    """
     one = ring.one
     x = element_from_descriptor(ring, payload["x"])
     y = element_from_descriptor(ring, payload["y"])

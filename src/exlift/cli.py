@@ -340,6 +340,8 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
             "oracle_confirmed": cert.oracle_confirmed,
             "oracle_least_unit": element_descriptor(
                 ring, oracle_lift(ring, idl, x)),
+            "orbit": {"m": cert.m, "k": cert.k, "y1": payload["y1"],
+                      "word_len": len(cert.z_word)},
             "stages": [{"dim": s.dim, "level": s.level} for s in cert.stages],
             "certificate_checks": len(checks),
         })

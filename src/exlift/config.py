@@ -21,8 +21,6 @@ class Guards:
     table_entries: int = 2**24
     # Largest |R|**(k*k) matrix space enumerated when building V-monoids.
     enumeration: int = 2**25
-    # Node cap for E_n(R) Cayley-graph breadth-first searches.
-    orbit_nodes: int = 10**6
     # Cap on additively generated candidate sets in witness searches.
     search_candidates: int = 200_000
     # Default stabilization padding for K0 zero tests.

@@ -25,7 +25,7 @@ from .config import DEFAULT, Guards
 from .errors import GuardExceeded, NotAUnit, NotFredholm, RingMismatch
 from .matrices import (ElemWord, RMatrix, apply_elem_word, congruent_mod,
                        direct_sum, evaluate_word, identity, is_idempotent,
-                       mat_mul, matrix, right_op, sigma_inv_word_right,
+                       mat_mul, matrix, right_op, whitehead_ops,
                        zero_matrix)
 from .rings import FiniteRing, Ideal, QuotientMap, quotient_by
 from . import vmonoid as _vm
@@ -66,11 +66,9 @@ def whitehead_factor(ring: FiniteRing, u: int) -> ElemWord:
     uinv = ring.inverse(u)
     if uinv is None:
         raise NotAUnit(f"element {u} has no two-sided inverse")
-    ops = [right_op(1, 2, u),
-           right_op(2, 1, ring.neg(uinv)),
-           right_op(1, 2, u)]
-    ops += sigma_inv_word_right(ring)
-    w = ElemWord(2, tuple(ops))
+    # right ops run in product order, left ops in reverse
+    w = ElemWord(2, tuple(right_op(op.i, op.j, op.r)
+                          for op in reversed(whitehead_ops(ring, u, 1, 2))))
     target = matrix(ring, [[u, ring.zero], [ring.zero, uinv]])
     got = evaluate_word(ring, w)
     if got != target:

@@ -563,10 +563,7 @@ def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int, k: int,
     for y1 in candidates:
         y1bar = matrix(S, [[qmap.pi(v) for v in row] for row in y1.entries])
         base = direct_sum(y1bar, identity(S, m - k))
-        try:
-            wbar = e_orbit_factor(S, m, target, base, guards)
-        except GuardExceeded:
-            return None
+        wbar = e_orbit_factor(S, m, target, base, guards)
         if wbar is None:
             continue
         z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))

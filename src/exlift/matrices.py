@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, Guards
 from .errors import (DimensionMismatch, GuardExceeded, PreconditionFailed,
-                     RingMismatch)
+                     RingMismatch, SearchExhausted)
 from .rings import FiniteRing, Ideal, QuotientMap
 
 
@@ -415,72 +415,172 @@ def sigma_inv_word_left(ring: FiniteRing, n: int = 2) -> list:
     return [left_op(1, 2, neg1), left_op(2, 1, one), left_op(1, 2, neg1)]
 
 
-def sigma_inv_word_right(ring: FiniteRing, n: int = 2) -> list:
-    one, neg1 = ring.one, ring.neg(ring.one)
-    return [right_op(1, 2, neg1), right_op(2, 1, one), right_op(1, 2, neg1)]
-
-
 # ---------------------------------------------------------------------------
 # E_n(R) orbit factorization
+#
+# Finite rings have stable rank 1 (Bass).  So an invertible n x n matrix
+# reduces by left ops to diag(d, 1, ..., 1): in each column one op from the
+# row below makes the pivot a unit, after the lower entries are folded
+# pairwise into that row; the rest of the column is cleared with the unit
+# pivot, and Whitehead words move every diagonal unit into slot 1.  By
+# Vaserstein's injective stability for stable rank 1, diag(d, 1, ..., 1) is
+# in E_n(R), n >= 2, iff d lies in the subgroup W(R) generated by the units
+# (1+ba)^-1 (1+ab).  W(R) is built once per ring with a fixed word for each
+# member, so E_n(R)-membership and the word both come without a search of
+# E_n(R).  A pivot that no op makes a unit would contradict stable rank 1,
+# so it raises SearchExhausted (a bug, never a routine negative).
 # ---------------------------------------------------------------------------
 
-def _elementary_group(ring: FiniteRing, n: int, guards: Guards) -> dict:
-    """BFS of E_n(R) from the identity; maps encoding -> word-from-identity.
-
-    Cached per (ring, n).  Words are lists of left ops in application order:
-    encoding C corresponds to C = op_t ... op_1 * 1.
+def whitehead_ops(ring: FiniteRing, v: int, i: int, j: int) -> list:
+    """Left ops that multiply rows i and j by the unit v and by v^-1:
+    Whitehead's diag(v, v^-1) = w(v) w(-1), w(v) = e_ij(v) e_ji(-v^-1) e_ij(v).
     """
-    key = ("e_group", n)
-    got = ring._cache.get(key)
+    one, neg1 = ring.one, ring.neg(ring.one)
+    return [left_op(i, j, neg1), left_op(j, i, one), left_op(i, j, neg1),
+            left_op(i, j, v), left_op(j, i, ring.neg(ring.inverse(v))),
+            left_op(i, j, v)]
+
+
+def w_group(ring: FiniteRing) -> dict:
+    """W(R) as a map unit d -> left ops taking the identity to diag(d, 1).
+
+    For each unit value of (1+ba)^-1 (1+ab), the least pair (a, b) gives the
+    word e21(b) e12(a) e21(-b(1+ab)^-1) e12(-a(1+ba)), which reaches
+    diag(1+ab, (1+ba)^-1), followed by the Whitehead word that multiplies by
+    diag((1+ba)^-1, 1+ba).  Products are closed by a breadth-first search
+    over the unit group.  Cached per ring.
+    """
+    got = ring._cache.get("w_group")
     if got is not None:
         return got
-    one = identity(ring, n)
+    one = ring.one
+    inv = np.full(ring.size, -1, dtype=np.int64)
+    for u in ring.units():
+        inv[u] = ring.inverse(u)
+    first = {}                     # generator value -> least pair (a, b)
+    seen = np.zeros(ring.size, dtype=bool)
+    seen[one] = True
+    for a in range(ring.size):
+        alpha = ring.npadd[one, ring.npmul[a]]       # 1 + ab over all b
+        beta = ring.npadd[one, ring.npmul[:, a]]     # 1 + ba over all b
+        bs = np.flatnonzero(inv[alpha] >= 0)         # 1+ab a unit iff 1+ba is
+        values, pos = np.unique(ring.npmul[inv[beta[bs]], alpha[bs]],
+                                return_index=True)
+        fresh = ~seen[values]
+        for g, p in zip(values[fresh], pos[fresh]):
+            first[int(g)] = (a, int(bs[p]))
+        seen[values] = True
     gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for r in range(ring.size):
-                if r == ring.zero:
-                    continue
-                gens.append(left_op(i, j, r))
-    words = {one.encode(): ()}
+    for g, (a, b) in sorted(first.items()):
+        al, be = ring.add(one, ring.mul(a, b)), ring.add(one, ring.mul(b, a))
+        ops = (left_op(2, 1, b), left_op(1, 2, a),
+               left_op(2, 1, ring.neg(ring.mul(b, ring.inverse(al)))),
+               left_op(1, 2, ring.neg(ring.mul(a, be))),
+               *whitehead_ops(ring, ring.inverse(be), 1, 2))
+        gens.append((g, ops))
+    words = {one: ()}
     frontier = [one]
     while frontier:
         new = []
-        for M in frontier:
-            base_word = words[M.encode()]
-            for g in gens:
-                N = apply_elem_op(M, g)
-                c = N.encode()
-                if c not in words:
-                    if len(words) >= guards.orbit_nodes:
-                        raise GuardExceeded(
-                            f"E_{n}({ring.describe()}) exceeds "
-                            f"{guards.orbit_nodes} nodes")
-                    words[c] = base_word + (g,)
-                    new.append(N)
+        for u in frontier:
+            for g, ops in gens:
+                v = ring.mul(g, u)      # diag(g, 1) diag(u, 1)
+                if v not in words:
+                    words[v] = words[u] + ops
+                    new.append(v)
         frontier = new
-    ring._cache[key] = words
+    ring._cache["w_group"] = words
     return words
+
+
+def _left_span(ring: FiniteRing, elems) -> np.ndarray:
+    """Membership mask of the left ideal R*e_1 + ... + R*e_k."""
+    span = np.array([ring.zero])
+    for e in elems:
+        span = np.unique(ring.npadd[span[:, None],
+                                    np.unique(ring.npmul[:, e])[None, :]])
+    mask = np.zeros(ring.size, dtype=bool)
+    mask[span] = True
+    return mask
+
+
+def _first_fit(ring: FiniteRing, ok: np.ndarray) -> int:
+    """Least t with ok[t], preferring t = 0 (no op)."""
+    if ok[ring.zero]:
+        return ring.zero
+    hits = np.flatnonzero(ok)
+    if not len(hits):
+        raise SearchExhausted(f"stable rank 1 fails over {ring.describe()}")
+    return int(hits[0])
+
+
+def _reduce_to_diag(A: RMatrix):
+    """(left ops taking A to diag(d, 1, ..., 1), d), or None when A is not
+    invertible."""
+    ring, n = A.ring, A.n
+    one, zero = ring.one, ring.zero
+    ops = []
+
+    def push(op):
+        nonlocal A
+        ops.append(op)
+        A = apply_elem_op(A, op)
+
+    for c in range(n):
+        if ring.inverse(A[c, c]) is None:
+            col = [A[r, c] for r in range(c, n)]
+            # the active column is left-unimodular iff A is invertible
+            if not _left_span(ring, col)[one]:
+                return None
+            # fold row r into row r-1 so that rows c..r-1 stay unimodular;
+            # at r = c+1 that makes the pivot a unit
+            for r in range(n - 1, c, -1):
+                head = _left_span(ring, col[:r - 1 - c])
+                v = ring.npadd[A[r - 1, c], ring.npmul[:, A[r, c]]]
+                # ok[t]: 1 - s*v[t] lies in the head for some s
+                ok = head[ring.npadd[one, ring.npneg[ring.npmul[:, v]]]]
+                t = _first_fit(ring, ok.any(axis=0))
+                if t != zero:
+                    push(left_op(r, r + 1, t))
+        pinv = ring.inverse(A[c, c])
+        if pinv is None:
+            raise SearchExhausted(f"no unit pivot in column {c + 1}")
+        for r in range(n):
+            if r != c and A[r, c] != zero:
+                push(left_op(r + 1, c + 1, ring.neg(ring.mul(A[r, c], pinv))))
+    for r in range(1, n):
+        if A[r, r] != one:
+            for op in whitehead_ops(ring, A[r, r], 1, r + 1):
+                push(op)
+    return ops, A[0, 0]
 
 
 def e_orbit_factor(ring: FiniteRing, n: int, A: RMatrix, B: RMatrix,
                    guards: Guards = DEFAULT) -> Optional[ElemWord]:
     """A word w of left ops with apply_elem_word(B, w) == A, if A is in
-    E_n(R) * B; None otherwise."""
+    E_n(R) * B; None otherwise.
+
+    With E_A A = diag(a, 1, ...) and E_B B = diag(b, 1, ...), A is in
+    E_n(R) B iff a b^-1 is in W(R); then w = E_B, word(a b^-1), E_A^-1.
+    """
     if A.ring is not ring or B.ring is not ring:
         raise RingMismatch("matrices must be over the given ring")
     if A.n != n or B.n != n:
         raise DimensionMismatch("dimension mismatch in orbit query")
     if A == B:
         return ElemWord(n, ())
-    Binv = try_inverse(B, guards)
-    if Binv is None:
+    red_b = _reduce_to_diag(B)
+    if red_b is None:
         raise PreconditionFailed("orbit base matrix is not invertible")
-    C = mat_mul(A, Binv)
-    words = _elementary_group(ring, n, guards)
-    hit = words.get(C.encode())
-    if hit is None:
+    red_a = _reduce_to_diag(A)
+    if red_a is None or n == 1:     # E_1 is trivial, and A != B
         return None
-    return ElemWord(n, hit)
+    (ops_a, a), (ops_b, b) = red_a, red_b
+    middle = w_group(ring).get(ring.mul(a, ring.inverse(b)))
+    if middle is None:
+        return None
+    w = ElemWord(n, tuple(ops_b) + middle
+                 + ElemWord(n, tuple(ops_a)).inverse(ring).ops)
+    if apply_elem_word(B, w) != A:
+        raise AssertionError("orbit word does not replay")
+    return w

@@ -43,6 +43,19 @@ def test_m4_lift_certificate():
     assert ok, [c for c in checks if not c["ok"]]
 
 
+def test_lift_certificate_proves_a_lift_of_the_coset():
+    z4, ideal = z4_pair()
+    payload = fresh_payloads()["lift"]
+    assert R.element_from_descriptor(z4, payload["x"]) == 3
+    congruent = dict(payload, x=R.element_descriptor(z4, 1))
+    ok, checks = C.verify_payload(congruent)
+    assert ok, [c for c in checks if not c["ok"]]
+    other = dict(payload, x=R.element_descriptor(z4, 2))
+    ok, checks = C.verify_payload(other)
+    assert not ok
+    assert "pi(w1) = pi(x)+1" in {c["check"] for c in checks if not c["ok"]}
+
+
 def test_save_load_roundtrip(tmp_path):
     payload = fresh_payloads()["lift"]
     path = tmp_path / "cert.json"

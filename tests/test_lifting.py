@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from exlift import lifting as L, matrices as M, rings as R
+from exlift import certificates as C, lifting as L, matrices as M, rings as R
 from exlift.errors import (HypothesisFailed, NotFredholm, PreconditionFailed)
 from exlift.ktheory import fredholm_elements, index, k0_zero_test
 
@@ -188,6 +189,32 @@ def test_forced_m4_path():
     z4, ideal = z4_pair()
     res2 = L.lift_unit(z4, ideal, 3, start_m=4)
     assert ideal.contains(z4.sub(3, res2.certificate.y))
+
+
+def test_forced_m4_lift_over_larger_quotients():
+    # the E_4(R/I) orbit word used to come from a capped search of E_4
+    for n, x in ((3, 2), (4, 3)):
+        ring = z(n)
+        ideal = R.zero_ideal(ring)
+        cert = L.lift_unit(ring, ideal, x, start_m=4).certificate
+        assert (cert.m, cert.k, cert.y) == (4, 1, x)
+        payload = json.loads(C.dumps_certificate(cert.to_payload()))
+        ok, checks = C.verify_payload(payload)
+        assert ok, [c for c in checks if not c["ok"]]
+
+
+def test_every_fredholm_element_lifts(corpus_pairs):
+    lifted = 0
+    for name, ring, ideal, tags in corpus_pairs:
+        for x in fredholm_elements(ring, ideal):
+            cert = L.lift_unit(ring, ideal, x).certificate
+            payload = json.loads(C.dumps_certificate(cert.to_payload()))
+            ok, checks = C.verify_payload(payload)
+            assert ok, (name, x, [c for c in checks if not c["ok"]])
+            assert cert.oracle_confirmed
+            assert ideal.contains(ring.sub(x, cert.y))
+            lifted += 1
+    assert lifted == 192
 
 
 def test_lift_requires_separative_exchange_hypotheses():

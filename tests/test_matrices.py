@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exlift import matrices as M, rings as R
-from exlift.errors import DimensionMismatch, RingMismatch
+from exlift.errors import (DimensionMismatch, PreconditionFailed,
+                           RingMismatch)
 
 
 def z(n):
@@ -107,6 +108,45 @@ def test_ideal_words_preserve_quotient_image(corpus_pairs):
             assert M.map_entries(B, qmap) == M.map_entries(A, qmap)
 
 
+_E_GROUPS: dict = {}
+
+
+def _table_key(ring):
+    return (ring.size, ring.npadd.tobytes(), ring.npmul.tobytes(),
+            ring.zero, ring.one)
+
+
+def _elementary_group(ring, n):
+    """Oracle: encodings of E_n(ring), by breadth-first search of its Cayley
+    graph under all transvections.  Cached per operation table and n."""
+    key = (_table_key(ring), n)
+    got = _E_GROUPS.get(key)
+    if got is not None:
+        return got
+    gens = [(i, j, r) for i in range(n) for j in range(n) if i != j
+            for r in range(ring.size) if r != ring.zero]
+    start = M.identity(ring, n).entries
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for rows in frontier:
+            for i, j, r in gens:
+                row = tuple(ring.add(a, ring.mul(r, b))
+                            for a, b in zip(rows[i], rows[j]))
+                nxt = rows[:i] + (row,) + rows[i + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    got = _E_GROUPS[key] = {M.RMatrix(ring, n, rows).encode() for rows in seen}
+    return got
+
+
+def _diag(ring, n, d):
+    return M.direct_sum(M.matrix(ring, [[d]]), M.identity(ring, n - 1))
+
+
 def test_e_orbit_factor_examples():
     z2 = z(2)
     w = M.e_orbit_factor(z2, 2, M.matrix(z2, [[1, 1], [0, 1]]),
@@ -120,6 +160,23 @@ def test_e_orbit_factor_examples():
     z3 = z(3)
     assert M.e_orbit_factor(z3, 2, M.matrix(z3, [[2, 0], [0, 1]]),
                             M.identity(z3, 2)) is None
+    # a singular target is outside the orbit; a singular base is refused
+    z4 = z(4)
+    sing = M.matrix(z4, [[2, 0], [0, 1]])
+    assert M.e_orbit_factor(z4, 2, sing, M.identity(z4, 2)) is None
+    with pytest.raises(PreconditionFailed):
+        M.e_orbit_factor(z4, 2, M.identity(z4, 2), sing)
+    # W(M_2(Z/2)) holds every unit, but E_1 is trivial
+    m2 = R.build_ring(R.MatrixSpec(R.ZmodSpec(2), 2))
+    u = next(v for v in m2.units() if v != m2.one)
+    assert M.e_orbit_factor(m2, 1, M.matrix(m2, [[u]]),
+                            M.identity(m2, 1)) is None
+    # column (2, 2, 1): rows 3 and 2 fold before the pivot can be a unit
+    A = M.matrix(z4, [[2, 1, 0], [2, 0, 1], [1, 0, 0]])
+    B = M.identity(z4, 3)
+    w = M.e_orbit_factor(z4, 3, A, B)
+    assert M.left_op(2, 3, z4.neg(1)) in w.ops    # the fold, inverted
+    assert M.apply_elem_word(B, w) == A
 
 
 def test_e_orbit_factor_replays():
@@ -127,8 +184,7 @@ def test_e_orbit_factor_replays():
     rng = random.Random(3)
     for n in (2, 3, 4, 6):
         ring = z(n)
-        group = M._elementary_group(ring, 2, M.DEFAULT)
-        codes = sorted(group)
+        codes = sorted(_elementary_group(ring, 2))
         for _ in range(10):
             A = M.decode_matrix(ring, 2, rng.choice(codes))
             B = M.decode_matrix(ring, 2, rng.choice(codes))
@@ -137,11 +193,55 @@ def test_e_orbit_factor_replays():
             assert M.apply_elem_word(B, w) == A
 
 
+def test_w_group_is_diagonal_of_e2(corpus_pairs_full):
+    # W(S) = {u : diag(u, 1) in E_2(S)} on every corpus quotient
+    quotients = {}
+    for name, ring, ideal, tags in corpus_pairs_full:
+        S = R.quotient_by(ring, ideal).target
+        quotients.setdefault(_table_key(S), S)
+    assert len(quotients) == 11
+    for S in quotients.values():
+        group = _elementary_group(S, 2)
+        words = M.w_group(S)
+        assert set(words) == {u for u in S.units()
+                              if _diag(S, 2, u).encode() in group}
+        for u, ops in words.items():
+            assert M.evaluate_word(S, M.word(2, ops)) == _diag(S, 2, u)
+
+
+def test_e_orbit_factor_agrees_with_oracle():
+    import random
+    rng = random.Random(5)
+    cases = [(R.ZmodSpec(4), 2), (R.ZmodSpec(6), 2), (R.ZmodSpec(9), 2),
+             (R.TriangularSpec(R.ZmodSpec(2), 2), 2),
+             (R.MatrixSpec(R.ZmodSpec(2), 2), 2),
+             (R.ZmodSpec(2), 3), (R.ZmodSpec(3), 3), (R.ZmodSpec(2), 4)]
+    outcomes = set()
+    for spec, n in cases:
+        ring = R.build_ring(spec)
+        group = _elementary_group(ring, n)
+        pairs = 0
+        while pairs < 25:
+            A, B = (M.decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
+                    for _ in range(2))
+            Ainv, Binv = M.try_inverse(A), M.try_inverse(B)
+            if Ainv is None or Binv is None:
+                continue
+            pairs += 1
+            w = M.e_orbit_factor(ring, n, A, B)
+            member = M.mat_mul(A, Binv).encode() in group
+            assert (w is not None) == member, (spec, n, A, B)
+            if member:
+                assert M.apply_elem_word(B, w) == A
+            outcomes.add(member)
+    assert outcomes == {True, False}
+
+
 def test_sigma_words():
     z5 = z(5)
     sig = M.evaluate_word(z5, M.word(2, M.sigma_word_right(z5)))
     assert sig == M.matrix(z5, [[0, 1], [4, 0]])
-    siginv = M.evaluate_word(z5, M.word(2, M.sigma_inv_word_right(z5)))
+    siginv = M.evaluate_word(z5, M.word(2, M.sigma_inv_word_left(z5)))
     assert M.mat_mul(sig, siginv) == M.identity(z5, 2)
 
 
