@@ -1,0 +1,72 @@
+"""Golden certificates: the sha256 of ``dumps_certificate`` for a fixed set
+of payloads over noncommutative rings.
+
+A refactor of the reduction, scan or certificate code must leave every
+digest unchanged.  The digests live in ``golden_certificates.json``; a
+deliberate change to a certificate's content means writing new ones and
+saying why.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+
+from exlift import certificates as C, lifting as L, matrices as M, rings as R
+from exlift.ktheory import fredholm_elements
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_certificates.json")
+
+T2 = R.TriangularSpec(R.ZmodSpec(2), 2)
+Z2M2 = R.ProductSpec(R.ZmodSpec(2), R.MatrixSpec(R.ZmodSpec(2), 2))
+
+# (name, spec, ideal generators, alpha), all as element descriptors
+REDUCTION_INPUTS = (
+    ("triangular(zmod(2),2) full", T2, [[[1, 0], [0, 1]]],
+     [[[[0, 0], [0, 1]], [[1, 0], [0, 0]]],
+      [[[1, 1], [0, 1]], [[0, 0], [0, 1]]]]),
+    ("zmod(2)xM2(zmod(2))+right", Z2M2, [[0, [[1, 0], [0, 1]]]],
+     [[[1, [[0, 0], [0, 0]]], [0, [[0, 1], [1, 0]]]],
+      [[0, [[0, 1], [1, 1]]], [1, [[0, 0], [1, 0]]]]]),
+)
+
+
+def _is_commutative(ring):
+    return np.array_equal(ring.npmul, ring.npmul.T)
+
+
+def golden_payloads(corpus_pairs):
+    """name -> payload for every pinned certificate."""
+    out = {}
+    for name, spec, gens, alpha in REDUCTION_INPUTS:
+        ring = R.build_ring(spec)
+        ideal = R.ideal_closure(
+            ring, [R.element_from_descriptor(ring, g) for g in gens])
+        A = M.matrix(ring, [[R.element_from_descriptor(ring, v) for v in row]
+                            for row in alpha])
+        out[f"reduce_row {name}"] = L.reduce_row(ring, ideal, A).to_payload()
+        out[f"reduce_col {name}"] = L.reduce_col(ring, ideal, A).to_payload()
+    for name, ring, ideal, tags in corpus_pairs:
+        if _is_commutative(ring):
+            continue
+        for x in fredholm_elements(ring, ideal):
+            desc = json.dumps(R.element_descriptor(ring, x))
+            cert = L.lift_unit(ring, ideal, x).certificate
+            out[f"lift {name} x={desc}"] = cert.to_payload()
+    z4 = R.build_ring(R.ZmodSpec(4))
+    cert = L.lift_unit(z4, R.ideal_closure(z4, [2]), 3, start_m=4).certificate
+    out["lift zmod(4) |I|=2 x=3 m=4"] = cert.to_payload()
+    return out
+
+
+def _digest(payload):
+    return hashlib.sha256(C.dumps_certificate(payload).encode()).hexdigest()
+
+
+def test_golden_certificate_digests(corpus_pairs):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = {name: _digest(p) for name, p in golden_payloads(corpus_pairs).items()}
+    assert sorted(got) == sorted(golden)
+    assert [n for n in golden if got[n] != golden[n]] == []
