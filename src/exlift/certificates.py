@@ -28,7 +28,7 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, direct_sum,
 from .rings import (FiniteRing, Ideal, MatrixSpec, build_ring,
                     element_descriptor, element_from_descriptor,
                     ideal_closure, parse_ring_spec, quotient_by,
-                    ring_spec_obj, solve_left, solve_right)
+                    ring_spec_obj, solve_right)
 from . import scans
 
 FORMAT = "exlift-cert"
@@ -263,6 +263,10 @@ def _verify(payload: dict, rep: _Report, guards: Guards) -> None:
 
 def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
                       rep: _Report, expect_alpha: Optional[RMatrix]) -> None:
+    """Replay a row reduction.  A column reduction over R is the row
+    reduction of alpha^T over R^op (transposition is an anti-isomorphism
+    M_2(R) -> M_2(R^op)), so a side="col" payload is transposed into R^op
+    and replayed by the same checks."""
     side = content.get("side")
     if not rep.add("reduction side", side in ("row", "col")):
         return
@@ -272,134 +276,72 @@ def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
     word = _word_from_desc(ring, 2, content["word"])
     result = _mat_from_desc(ring, content["result"], 2)
     h = element_from_descriptor(ring, content["h"])
-    rep.add("word in E_2(I)", word_in_ideal(word, ideal))
-    rep.add("word replays", apply_elem_word(alpha, word) == result)
-    one = ring.one
     t = content["trace"]
     p1 = {k: element_from_descriptor(ring, v) for k, v in t["pass1"].items()}
     cn = {k: element_from_descriptor(ring, v) for k, v in t["corner"].items()}
     p2 = {k: element_from_descriptor(ring, v) for k, v in t["pass2"].items()}
+    if side == "col":
+        ring = ring.op()
+        alpha, word, result = alpha.op(), word.op(), result.op()
+    rep.add("word in E_2(I)", word_in_ideal(word, ideal))
+    rep.add("word replays", apply_elem_word(alpha, word) == result)
+    one = ring.one
 
-    if side == "row":
-        c0, d0 = alpha[1, 0], alpha[1, 1]
-        _verify_row_pass(ring, rep, "pass1", c0, d0, p1)
-        e, r, s = p1["e"], p1["r"], p1["s"]
-        rep.add("op1 from witnesses",
-                word.ops[0] == right_op(2, 1, ring.neg(ring.mul(s, c0))))
-        rep.add("op2 from witnesses",
-                word.ops[1] == right_op(1, 2, ring.neg(ring.mul(r, d0))))
-        A1 = apply_elem_word(alpha, ElemWord(2, word.ops[:2]))
-        rep.add("pass1 row shape",
-                A1[1, 0] == ring.mul(e, c0)
-                and A1[1, 1] == ring.mul(ring.sub(one, e), d0))
-        w, f = cn["w"], cn["f"]
-        w1, w2 = cn["w1"], cn["w2"]
-        f1, f2, g, wp = cn["f1"], cn["f2"], cn["g"], cn["wprime"]
-        rep.add("w definition", w == ring.add(A1[1, 0], A1[1, 1]))
-        rep.add("f idempotent", ring.mul(f, f) == f)
-        rep.add("f factorization",
-                ring.mul(ring.mul(e, w), w1) == f and ring.mul(w1, f) == w1)
-        rep.add("1-f factorization",
-                ring.mul(ring.mul(ring.sub(one, e), w), w2) == ring.sub(one, f)
-                and ring.mul(w2, ring.sub(one, f)) == w2)
-        rep.add("f1 f2 built", f1 == ring.mul(ring.mul(w, w1), e)
-                and f2 == ring.mul(ring.mul(w, w2), ring.sub(one, e)))
-        rep.add("f1 in ideal", ideal.contains(f1))
-        rep.add("corner canonical witnesses",
-                scans.corner_witnesses_right(ring, e, w) == (f, w1, w2))
-        rep.add("g idempotent in wR",
-                ring.mul(g, g) == g and ring.mul(w, wp) == g)
-        rep.add("wprime canonical", wp == solve_right(ring, w, g))
-        rep.add("g spans f1,f2",
-                ideal_closure(ring, [g]).members
-                == ideal_closure(ring, [f1, f2]).members)
-        span = {ring.add(ring.mul(f1, a), ring.mul(f2, b))
-                for a in ring.elements() for b in ring.elements()}
-        rep.add("g in f1R+f2R", g in span)
-        rep.add("op3 from witnesses",
-                word.ops[2] == right_op(1, 2, ring.mul(r, c0)))
-        rep.add("op4 from witnesses",
-                word.ops[3] == right_op(
-                    2, 1, ring.neg(ring.mul(ring.mul(wp, e), c0))))
-        A2 = apply_elem_word(A1, ElemWord(2, word.ops[2:4]))
-        c2, d2 = A2[1, 0], A2[1, 1]
-        _verify_row_pass(ring, rep, "pass2", c2, d2, p2)
-        e2, r2, s2 = p2["e"], p2["r"], p2["s"]
-        rep.add("op5 from witnesses",
-                word.ops[4] == right_op(2, 1, ring.neg(ring.mul(s2, c2))))
-        rep.add("op6 from witnesses",
-                word.ops[5] == right_op(1, 2, ring.neg(ring.mul(r2, d2))))
-        cP, dP = result[1, 0], result[1, 1]
-        rep.add("h idempotent", ring.mul(h, h) == h)
-        rep.add("h canonical", h == scans.complement_right(ring, cP, dP))
-        rep.add("1-h in ideal", ideal.contains(ring.sub(one, h)))
-        rep.add("c' in Rc", solve_left(ring, c0, cP) is not None)
-        rep.add("c'R = (1-h)R",
-                ring.right_multiples(cP)
-                == ring.right_multiples(ring.sub(one, h)))
-        rep.add("d'R = hR",
-                ring.right_multiples(dP) == ring.right_multiples(h))
-        rep.add("RhR = R", len(ideal_closure(ring, [h]).members) == ring.size)
-    else:
-        b0, d0 = alpha[0, 1], alpha[1, 1]
-        _verify_col_pass(ring, rep, "pass1", b0, d0, p1)
-        e, r, s = p1["e"], p1["r"], p1["s"]
-        rep.add("op1 from witnesses",
-                word.ops[0] == left_op(1, 2, ring.neg(ring.mul(b0, s))))
-        rep.add("op2 from witnesses",
-                word.ops[1] == left_op(2, 1, ring.neg(ring.mul(d0, r))))
-        A1 = apply_elem_word(alpha, ElemWord(2, word.ops[:2]))
-        rep.add("pass1 column shape",
-                A1[0, 1] == ring.mul(b0, e)
-                and A1[1, 1] == ring.mul(d0, ring.sub(one, e)))
-        w, f = cn["w"], cn["f"]
-        w1, w2 = cn["w1"], cn["w2"]
-        f1, f2, g, wp = cn["f1"], cn["f2"], cn["g"], cn["wprime"]
-        rep.add("w definition", w == ring.add(A1[0, 1], A1[1, 1]))
-        rep.add("f idempotent", ring.mul(f, f) == f)
-        rep.add("f factorization",
-                ring.mul(w1, ring.mul(w, e)) == f and ring.mul(f, w1) == w1)
-        rep.add("1-f factorization",
-                ring.mul(w2, ring.mul(w, ring.sub(one, e))) == ring.sub(one, f)
-                and ring.mul(ring.sub(one, f), w2) == w2)
-        rep.add("f1 f2 built", f1 == ring.mul(e, ring.mul(w1, w))
-                and f2 == ring.mul(ring.sub(one, e), ring.mul(w2, w)))
-        rep.add("f1 in ideal", ideal.contains(f1))
-        rep.add("corner canonical witnesses",
-                scans.corner_witnesses_left(ring, e, w) == (f, w1, w2))
-        rep.add("g idempotent in Rw",
-                ring.mul(g, g) == g and ring.mul(wp, w) == g)
-        rep.add("wprime canonical", wp == solve_left(ring, w, g))
-        rep.add("g spans f1,f2",
-                ideal_closure(ring, [g]).members
-                == ideal_closure(ring, [f1, f2]).members)
-        span = {ring.add(ring.mul(a, f1), ring.mul(b, f2))
-                for a in ring.elements() for b in ring.elements()}
-        rep.add("g in Rf1+Rf2", g in span)
-        rep.add("op3 from witnesses",
-                word.ops[2] == left_op(2, 1, ring.mul(b0, r)))
-        rep.add("op4 from witnesses",
-                word.ops[3] == left_op(
-                    1, 2, ring.neg(ring.mul(ring.mul(b0, e), wp))))
-        A2 = apply_elem_word(A1, ElemWord(2, word.ops[2:4]))
-        b2, d2 = A2[0, 1], A2[1, 1]
-        _verify_col_pass(ring, rep, "pass2", b2, d2, p2)
-        e2, r2, s2 = p2["e"], p2["r"], p2["s"]
-        rep.add("op5 from witnesses",
-                word.ops[4] == left_op(1, 2, ring.neg(ring.mul(b2, s2))))
-        rep.add("op6 from witnesses",
-                word.ops[5] == left_op(2, 1, ring.neg(ring.mul(d2, r2))))
-        bP, dP = result[0, 1], result[1, 1]
-        k = h
-        rep.add("k idempotent", ring.mul(k, k) == k)
-        rep.add("1-k in ideal", ideal.contains(ring.sub(one, k)))
-        rep.add("b'' in bR", solve_right(ring, b0, bP) is not None)
-        rep.add("Rb'' = R(1-k)",
-                ring.left_multiples(bP)
-                == ring.left_multiples(ring.sub(one, k)))
-        rep.add("Rd'' = Rk",
-                ring.left_multiples(dP) == ring.left_multiples(k))
-        rep.add("RkR = R", len(ideal_closure(ring, [k]).members) == ring.size)
+    c0, d0 = alpha[1, 0], alpha[1, 1]
+    _verify_row_pass(ring, rep, "pass1", c0, d0, p1)
+    e, r, s = p1["e"], p1["r"], p1["s"]
+    rep.add("op1 from witnesses",
+            word.ops[0] == right_op(2, 1, ring.neg(ring.mul(s, c0))))
+    rep.add("op2 from witnesses",
+            word.ops[1] == right_op(1, 2, ring.neg(ring.mul(r, d0))))
+    A1 = apply_elem_word(alpha, ElemWord(2, word.ops[:2]))
+    rep.add("pass1 row shape",
+            A1[1, 0] == ring.mul(e, c0)
+            and A1[1, 1] == ring.mul(ring.sub(one, e), d0))
+    w, f = cn["w"], cn["f"]
+    w1, w2 = cn["w1"], cn["w2"]
+    f1, f2, g, wp = cn["f1"], cn["f2"], cn["g"], cn["wprime"]
+    rep.add("w definition", w == ring.add(A1[1, 0], A1[1, 1]))
+    rep.add("f idempotent", ring.mul(f, f) == f)
+    rep.add("f factorization",
+            ring.mul(ring.mul(e, w), w1) == f and ring.mul(w1, f) == w1)
+    rep.add("1-f factorization",
+            ring.mul(ring.mul(ring.sub(one, e), w), w2) == ring.sub(one, f)
+            and ring.mul(w2, ring.sub(one, f)) == w2)
+    rep.add("f1 f2 built", f1 == ring.mul(ring.mul(w, w1), e)
+            and f2 == ring.mul(ring.mul(w, w2), ring.sub(one, e)))
+    rep.add("f1 in ideal", ideal.contains(f1))
+    rep.add("corner canonical witnesses",
+            scans.corner_witnesses_right(ring, e, w) == (f, w1, w2))
+    rep.add("g idempotent in wR",
+            ring.mul(g, g) == g and ring.mul(w, wp) == g)
+    rep.add("wprime canonical", wp == solve_right(ring, w, g))
+    rep.add("g spans f1,f2",
+            ideal_closure(ring, [g]).members
+            == ideal_closure(ring, [f1, f2]).members)
+    rep.add("g in f1R+f2R", g in ring.right_span(f1, f2))
+    rep.add("op3 from witnesses",
+            word.ops[2] == right_op(1, 2, ring.mul(r, c0)))
+    rep.add("op4 from witnesses",
+            word.ops[3] == right_op(
+                2, 1, ring.neg(ring.mul(ring.mul(wp, e), c0))))
+    A2 = apply_elem_word(A1, ElemWord(2, word.ops[2:4]))
+    c2, d2 = A2[1, 0], A2[1, 1]
+    _verify_row_pass(ring, rep, "pass2", c2, d2, p2)
+    e2, r2, s2 = p2["e"], p2["r"], p2["s"]
+    rep.add("op5 from witnesses",
+            word.ops[4] == right_op(2, 1, ring.neg(ring.mul(s2, c2))))
+    rep.add("op6 from witnesses",
+            word.ops[5] == right_op(1, 2, ring.neg(ring.mul(r2, d2))))
+    cP, dP = result[1, 0], result[1, 1]
+    rep.add("h idempotent", ring.mul(h, h) == h)
+    rep.add("h canonical", h == scans.complement_right(ring, cP, dP))
+    rep.add("1-h in ideal", ideal.contains(ring.sub(one, h)))
+    rep.add("c' in Rc", solve_right(ring.op(), c0, cP) is not None)
+    rep.add("c'R = (1-h)R",
+            ring.right_multiples(cP) == ring.right_multiples(ring.sub(one, h)))
+    rep.add("d'R = hR", ring.right_multiples(dP) == ring.right_multiples(h))
+    rep.add("RhR = R", len(ideal_closure(ring, [h]).members) == ring.size)
 
 
 def _verify_row_pass(ring, rep, tag, c, d, wit) -> None:
@@ -414,20 +356,6 @@ def _verify_row_pass(ring, rep, tag, c, d, wit) -> None:
             and ring.mul(s, ring.sub(one, e)) == s)
     rep.add(f"{tag} canonical witnesses",
             scans.row_pass_witnesses(ring, c, d) == (x, y, e, r, s))
-
-
-def _verify_col_pass(ring, rep, tag, b, d, wit) -> None:
-    one = ring.one
-    e, r, s, x, y = wit["e"], wit["r"], wit["s"], wit["x"], wit["y"]
-    rep.add(f"{tag} unimodular",
-            ring.add(ring.mul(x, b), ring.mul(y, d)) == one)
-    rep.add(f"{tag} idempotent", ring.mul(e, e) == e)
-    rep.add(f"{tag} e = rb", ring.mul(r, b) == e and ring.mul(e, r) == r)
-    rep.add(f"{tag} 1-e = sd",
-            ring.mul(s, d) == ring.sub(one, e)
-            and ring.mul(ring.sub(one, e), s) == s)
-    rep.add(f"{tag} canonical witnesses",
-            scans.col_pass_witnesses(ring, b, d) == (x, y, e, r, s))
 
 
 # every recorded field is checked below; any other field would go unchecked

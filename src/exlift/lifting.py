@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, NotFredholm,
                      PreconditionFailed, SearchExhausted)
@@ -24,9 +22,8 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
                        left_op, mat_mul, matrix, matrix_ideal, right_op,
                        sigma_inv_word_left, sigma_word_left, sigma_word_right,
                        try_inverse, unblock_matrix, word_in_ideal)
-from .rings import (FiniteRing, Ideal, MatrixSpec, build_ring, ideal_closure,
-                    quotient_by, solve_left, solve_pair_left,
-                    solve_pair_right, solve_right)
+from .rings import (FiniteRing, Ideal, MatrixSpec, OppositeSpec, build_ring,
+                    ideal_closure, quotient_by, solve_right)
 from . import scans
 from .vmonoid import build_v_monoid, is_separative, v_order_ideal
 
@@ -76,31 +73,24 @@ def separative_exchange_status(ring: FiniteRing, ideal: Ideal,
 def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int,
                     guards: Guards = DEFAULT) -> int:
     """Least idempotent g in e1*R + e2*R with [e1],[e2] <= [g] in the
-    truncated V(R) and RgR = Re1R + Re2R."""
-    return _join(ring, ideal, e1, e2, "right", guards)
+    truncated V(R) and RgR = Re1R + Re2R.
 
-
-def _join(ring: FiniteRing, ideal: Ideal, e1: int, e2: int, side: str,
-          guards: Guards) -> int:
+    Over R^op the exchange verdict and the class order come from R:
+    exchange is left-right symmetric, and eR <-> Re gives V(R) = V(R^op)
+    with each idempotent in the same class, so R^op builds no V-monoid."""
+    home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
     if ring.mul(e1, e1) != e1 or ring.mul(e2, e2) != e2:
         raise PreconditionFailed("join inputs must be idempotent")
     if not ideal.contains(e1):
         raise PreconditionFailed("first idempotent must lie in the ideal")
-    if not is_exchange_ideal(ring, ideal):
+    if not is_exchange_ideal(home, ideal):
         raise PreconditionFailed("ideal is not exchange")
-    vm = build_v_monoid(ring, effective_truncation(ring, guards), guards)
+    vm = build_v_monoid(home, effective_truncation(home, guards), guards)
     le = vm.monoid.le_matrix()
     c1 = vm.class_of[(1, e1)]
     c2 = vm.class_of[(1, e2)]
-    if side == "right":
-        span = np.unique(ring.npadd[ring.npmul[e1][:, None],
-                                    ring.npmul[e2][None, :]])
-    else:
-        span = np.unique(ring.npadd[ring.npmul[:, e1][:, None],
-                                    ring.npmul[:, e2][None, :]])
     target = ideal_closure(ring, [e1, e2]).members
-    for g in span:
-        g = int(g)
+    for g in ring.right_span(e1, e2):
         if ring.mul(g, g) != g:
             continue
         cg = vm.class_of[(1, g)]
@@ -176,7 +166,7 @@ def reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     f, w1, w2 = got
     f1 = ring.mul(ring.mul(w, w1), e)
     f2 = ring.mul(ring.mul(w, w2), ring.sub(one, e))
-    g = _join(ring, ideal, f1, f2, "right", guards)
+    g = join_idempotent(ring, ideal, f1, f2, guards)
     wprime = solve_right(ring, w, g)
     if wprime is None:
         raise SearchExhausted("join idempotent not in wR")
@@ -209,7 +199,7 @@ def _assert_row_contracts(res: ReductionResult, c_orig: int) -> None:
     h = res.h
     if ring.mul(h, h) != h or not ideal.contains(ring.sub(ring.one, h)):
         raise AssertionError("h fails its idempotent/ideal contract")
-    if solve_left(ring, c_orig, cP) is None:
+    if solve_right(ring.op(), c_orig, cP) is None:
         raise AssertionError("c' is not a left multiple of c")
     if ring.right_multiples(cP) != ring.right_multiples(ring.sub(ring.one, h)):
         raise AssertionError("c'R != (1-h)R")
@@ -219,81 +209,17 @@ def _assert_row_contracts(res: ReductionResult, c_orig: int) -> None:
         raise AssertionError("RhR != R")
 
 
-def _col_pass(ring: FiniteRing, ideal: Ideal, A: RMatrix, tag: str,
-              trace: dict):
-    """One unimodular-column pass: ops making the last column (b*e; d*(1-e))."""
-    b, d = A[0, 1], A[1, 1]
-    got = scans.col_pass_witnesses(ring, b, d)
-    if got is None:
-        raise SearchExhausted("no exchange idempotent for the column pass")
-    x, y, e, r, s = got
-    op1 = left_op(1, 2, ring.neg(ring.mul(b, s)))
-    op2 = left_op(2, 1, ring.neg(ring.mul(d, r)))
-    A = apply_elem_word(A, ElemWord(2, (op1, op2)))
-    trace[tag] = {"x": x, "y": y, "e": e, "r": r, "s": s}
-    return [op1, op2], A, e, r, s
-
-
 def reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
                guards: Guards = DEFAULT) -> ReductionResult:
     """Left-multiply by a word in E_2(I) so the last column becomes (b''; d'')
-    with b'' in bR, Rb'' = R(1-k), Rd'' = Rk and RkR = R."""
-    _check_entries(ring, ideal, alpha)
-    if try_inverse(alpha, guards) is None:
-        raise PreconditionFailed("matrix is not invertible")
-    one = ring.one
-    trace: dict = {}
-    b_orig = alpha[0, 1]
+    with b'' in bR, Rb'' = R(1-k), Rd'' = Rk and RkR = R.
 
-    ops, A, e, r, s = _col_pass(ring, ideal, alpha, "pass1", trace)
-
-    w = ring.add(A[0, 1], A[1, 1])
-    got = scans.corner_witnesses_left(ring, e, w)
-    if got is None:
-        raise SearchExhausted("no exchange idempotent for the corner step")
-    f, w1, w2 = got
-    f1 = ring.mul(e, ring.mul(w1, w))
-    f2 = ring.mul(ring.sub(one, e), ring.mul(w2, w))
-    g = _join(ring, ideal, f1, f2, "left", guards)
-    wprime = solve_left(ring, w, g)
-    if wprime is None:
-        raise SearchExhausted("join idempotent not in Rw")
-    op3 = left_op(2, 1, ring.mul(b_orig, r))
-    op4 = left_op(1, 2, ring.neg(ring.mul(ring.mul(b_orig, e), wprime)))
-    A = apply_elem_word(A, ElemWord(2, (op3, op4)))
-    trace["corner"] = {"w": w, "f": f, "w1": w1, "w2": w2,
-                       "f1": f1, "f2": f2, "g": g, "wprime": wprime}
-
-    ops2, A, e2, r2, s2 = _col_pass(ring, ideal, A, "pass2", trace)
-
-    bP, dP = A[0, 1], A[1, 1]
-    k = scans.complement_left(ring, bP, dP)
-    if k is None:
-        raise SearchExhausted("no complementary idempotent for the direct sum")
-    word = ElemWord(2, tuple(ops + [op3, op4] + ops2))
-    res = ReductionResult(ring, ideal, "col", alpha, word, A, k, trace)
-    _assert_col_contracts(res, b_orig)
-    return res
-
-
-def _assert_col_contracts(res: ReductionResult, b_orig: int) -> None:
-    ring, ideal = res.ring, res.ideal
-    if not word_in_ideal(res.word, ideal):
-        raise AssertionError("column reduction word leaves E_2(I)")
-    if apply_elem_word(res.alpha, res.word) != res.result:
-        raise AssertionError("column reduction word does not replay")
-    bP, dP = res.result[0, 1], res.result[1, 1]
-    k = res.h
-    if ring.mul(k, k) != k or not ideal.contains(ring.sub(ring.one, k)):
-        raise AssertionError("k fails its idempotent/ideal contract")
-    if solve_right(ring, b_orig, bP) is None:
-        raise AssertionError("b'' is not a right multiple of b")
-    if ring.left_multiples(bP) != ring.left_multiples(ring.sub(ring.one, k)):
-        raise AssertionError("Rb'' != R(1-k)")
-    if ring.left_multiples(dP) != ring.left_multiples(k):
-        raise AssertionError("Rd'' != Rk")
-    if len(ideal_closure(ring, [k]).members) != ring.size:
-        raise AssertionError("RkR != R")
+    This is reduce_row on alpha^T over R^op, transposed back: the row
+    procedure's right ops and contracts over R^op are the column
+    procedure's left ops and contracts over R."""
+    rr = reduce_row(ring.op(), ideal, alpha.op(), guards)
+    return ReductionResult(ring, ideal, "col", alpha, rr.word.op(),
+                           rr.result.op(), rr.h, rr.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +238,7 @@ def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int,
     if gen_r is None:
         raise PreconditionFailed("no idempotent 1-p with dR = (1-p)R")
     p = ring.sub(one, gen_r)
-    gen_l = scans.idempotent_generator_left(ring, d)
+    gen_l = scans.idempotent_generator_right(ring.op(), d)
     if gen_l is None:
         raise PreconditionFailed("no idempotent 1-q with Rd = R(1-q)")
     q = ring.sub(one, gen_l)

@@ -50,6 +50,11 @@ class RMatrix:
                        tuple(tuple(self.entries[j][i] for j in range(self.n))
                              for i in range(self.n)))
 
+    def op(self) -> "RMatrix":
+        """A^T over R^op.  Transposition is an anti-isomorphism
+        M_n(R) -> M_n(R^op): (A*B)^T = B^T*A^T there."""
+        return RMatrix(self.ring.op(), self.n, self.transpose().entries)
+
     def __repr__(self):
         return f"RMatrix({self.entries})"
 
@@ -348,6 +353,14 @@ class ElemWord:
 
     def params(self) -> list:
         return [op.r for op in self.ops]
+
+    def op(self) -> "ElemWord":
+        """The word that acts on A^T over R^op as this one acts on A over R:
+        (A*(1 + e_ij r))^T = (1 + r e_ji)*A^T, so the right op (i, j, r) and
+        the left op (j, i, r) trade places."""
+        return ElemWord(self.n, tuple(
+            ElemOp(RIGHT if op.side == LEFT else LEFT, op.j, op.i, op.r)
+            for op in self.ops))
 
 
 def word(n: int, ops: Iterable[ElemOp]) -> ElemWord:

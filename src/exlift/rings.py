@@ -79,8 +79,20 @@ class CornerSpec:
         return f"corner({self.base.describe()},{self.e})"
 
 
+@dataclass(frozen=True)
+class OppositeSpec:
+    """Internal recipe for the opposite ring R^op; not part of the file
+    schema."""
+
+    base: "RingSpec"
+
+    def describe(self) -> str:
+        return f"op({self.base.describe()})"
+
+
 RingSpec = (
-    ZmodSpec | MatrixSpec | TriangularSpec | ProductSpec | QuotientSpec | CornerSpec
+    ZmodSpec | MatrixSpec | TriangularSpec | ProductSpec | QuotientSpec
+    | CornerSpec | OppositeSpec
 )
 
 
@@ -248,9 +260,25 @@ class FiniteRing:
         """Sorted tuple aR."""
         return tuple(int(x) for x in np.unique(self.npmul[a]))
 
-    def left_multiples(self, a: int) -> tuple:
-        """Sorted tuple Ra."""
-        return tuple(int(x) for x in np.unique(self.npmul[:, a]))
+    def right_span(self, a: int, b: int) -> tuple:
+        """Sorted tuple aR + bR."""
+        return tuple(int(x) for x in np.unique(
+            self.npadd[np.unique(self.npmul[a])[:, None],
+                       np.unique(self.npmul[b])[None, :]]))
+
+    # -- the opposite ring ----------------------------------------------------
+    def op(self) -> "FiniteRing":
+        """R^op: the same carrier, addition, zero and one, with a*b in R^op
+        equal to b*a in R.  Every left-handed notion over R is the
+        right-handed one over R^op (Ra is a*R^op).  Cached both ways, so
+        op().op() is this ring."""
+        got = self._cache.get("op")
+        if got is None:
+            got = FiniteRing(self.size, self.npadd, self.npmul.T, self.npneg,
+                             self.zero, self.one, OppositeSpec(self.spec))
+            got._cache["op"] = self
+            self._cache["op"] = got
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +439,11 @@ def _build_quotient(spec: QuotientSpec, guards: Guards) -> FiniteRing:
     base = build_ring(spec.base, guards)
     gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
     ideal = ideal_closure(base, gens)
-    qmap = quotient_by(base, ideal, guards)
-    ring = qmap.target
-    # replace the synthetic spec with the user's recipe for faithful round-trips
-    ring.spec = spec
-    return ring
+    shared = quotient_by(base, ideal, guards).target
+    # a ring of its own that carries the user's recipe for faithful
+    # round-trips; the cached quotient keeps its spec, the tables are shared
+    return FiniteRing(shared.size, shared.npadd, shared.npmul, shared.npneg,
+                      shared.zero, shared.one, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +654,6 @@ def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
     return int(hits[0]) if len(hits) else None
 
 
-def solve_left(ring: FiniteRing, a: int, target: int) -> Optional[int]:
-    """Least x with x*a == target."""
-    hits = np.flatnonzero(ring.npmul[:, a] == target)
-    return int(hits[0]) if len(hits) else None
-
-
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
                      target: int) -> Optional[tuple]:
     """Least (x, y) lexicographic with c*x + d*y == target."""
@@ -642,16 +664,6 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
     x, y = hits[0]
     return int(x), int(y)
 
-
-def solve_pair_left(ring: FiniteRing, b: int, d: int,
-                    target: int) -> Optional[tuple]:
-    """Least (x, y) lexicographic with x*b + y*d == target."""
-    sums = ring.npadd[ring.npmul[:, b][:, None], ring.npmul[:, d][None, :]]
-    hits = np.argwhere(sums == target)
-    if len(hits) == 0:
-        return None
-    x, y = hits[0]
-    return int(x), int(y)
 
 
 # ---------------------------------------------------------------------------

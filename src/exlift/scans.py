@@ -4,14 +4,18 @@ certificate verifier.
 Every search here is a plain ascending scan over the carrier using only ring
 operations, so a verifier can re-derive each recorded witness and reject any
 transcript that did not come from the canonical search order.
+
+Each scan is right-handed (ideals aR, equations a*x = b).  Its left-handed
+form is the same scan over ``ring.op()``: Ra is a*R^op, and x*a = b in R is
+a*x = b in R^op.  The column reduction and the left idempotent generator of
+``lifting`` run the scans that way.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .rings import FiniteRing, solve_left, solve_pair_left, solve_pair_right, \
-    solve_right
+from .rings import FiniteRing, solve_pair_right, solve_right
 
 
 def row_pass_witnesses(ring: FiniteRing, c: int, d: int) -> Optional[tuple]:
@@ -37,28 +41,6 @@ def row_pass_witnesses(ring: FiniteRing, c: int, d: int) -> Optional[tuple]:
     return None
 
 
-def col_pass_witnesses(ring: FiniteRing, b: int, d: int) -> Optional[tuple]:
-    """Mirror of row_pass_witnesses for the column (b; d): x*b + y*d = 1,
-    e = r*b with e*r = r, 1-e = s*d with (1-e)*s = s."""
-    one = ring.one
-    sol = solve_pair_left(ring, b, d, one)
-    if sol is None:
-        return None
-    x, y = sol
-    a0 = ring.mul(x, b)
-    for e in ring.idempotents():
-        t = solve_left(ring, a0, e)
-        if t is None:
-            continue
-        s0 = solve_left(ring, d, ring.sub(one, e))
-        if s0 is None:
-            continue
-        r = ring.mul(e, ring.mul(t, x))
-        s = ring.mul(ring.sub(one, e), s0)
-        return x, y, e, r, s
-    return None
-
-
 def corner_witnesses_right(ring: FiniteRing, e: int, w: int) -> Optional[tuple]:
     """(f, w1, w2) with f = e*w*w1 idempotent, w1*f = w1, and
     1-f = (1-e)*w*w2, w2*(1-f) = w2; least f first."""
@@ -76,21 +58,6 @@ def corner_witnesses_right(ring: FiniteRing, e: int, w: int) -> Optional[tuple]:
     return None
 
 
-def corner_witnesses_left(ring: FiniteRing, e: int, w: int) -> Optional[tuple]:
-    one = ring.one
-    we = ring.mul(w, e)
-    wc = ring.mul(w, ring.sub(one, e))
-    for f in ring.idempotents():
-        w10 = solve_left(ring, we, f)
-        if w10 is None:
-            continue
-        w20 = solve_left(ring, wc, ring.sub(one, f))
-        if w20 is None:
-            continue
-        return f, ring.mul(f, w10), ring.mul(ring.sub(one, f), w20)
-    return None
-
-
 def complement_right(ring: FiniteRing, cP: int, dP: int) -> Optional[int]:
     """h with c'R = (1-h)R and d'R = hR: scan the first u in c'R with
     1 - u in d'R and return h = 1 - u (idempotency is then forced)."""
@@ -102,26 +69,10 @@ def complement_right(ring: FiniteRing, cP: int, dP: int) -> Optional[int]:
     return None
 
 
-def complement_left(ring: FiniteRing, bP: int, dP: int) -> Optional[int]:
-    dset = set(ring.left_multiples(dP))
-    for u in ring.left_multiples(bP):
-        v = ring.sub(ring.one, u)
-        if v in dset:
-            return v if ring.mul(v, v) == v else None
-    return None
-
-
 def idempotent_generator_right(ring: FiniteRing, d: int) -> Optional[int]:
     """Least idempotent e with eR = dR (e in dR and e*d = d)."""
     for e in ring.right_multiples(d):
         if ring.mul(e, e) == e and ring.mul(e, d) == d:
-            return e
-    return None
-
-
-def idempotent_generator_left(ring: FiniteRing, d: int) -> Optional[int]:
-    for e in ring.left_multiples(d):
-        if ring.mul(e, e) == e and ring.mul(d, e) == d:
             return e
     return None
 

@@ -13,14 +13,35 @@ def z4_pair():
     return z4, R.ideal_closure(z4, [2])
 
 
+def t2_matrix(t2, rows):
+    return M.matrix(t2, [[R.element_from_descriptor(t2, d) for d in row]
+                         for row in rows])
+
+
+def t2_pair():
+    """T_2(Z/2), which is noncommutative, with the ideal (e12) and an input
+    whose column reduction and diagonalization have nonzero ops.  Every
+    single-entry change of the generator e12 changes the ideal."""
+    t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
+    e12 = R.element_from_descriptor(t2, [[0, 1], [0, 0]])
+    alpha = t2_matrix(t2, [[[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                           [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]])
+    return t2, R.ideal_closure(t2, [e12]), alpha
+
+
 def fresh_payloads():
     z4, ideal = z4_pair()
     rr = L.reduce_row(z4, ideal, M.matrix(z4, [[1, 0], [2, 1]]))
     dg = L.diagonalize_2x2(z4, ideal, M.matrix(z4, [[1, 2], [2, 1]]))
     lf = L.lift_unit(z4, ideal, 3).certificate
+    t2, ideal_t2, alpha = t2_pair()
+    rc_t2 = L.reduce_col(t2, ideal_t2, alpha)
+    dg_t2 = L.diagonalize_2x2(t2, ideal_t2, alpha)
     return {"reduction": rr.to_payload(),
             "diagonalization": dg.to_payload(),
-            "lift": lf.to_payload()}
+            "lift": lf.to_payload(),
+            "col reduction over T_2(Z/2)": rc_t2.to_payload(),
+            "diagonalization over T_2(Z/2)": dg_t2.to_payload()}
 
 
 def test_fresh_certificates_verify():
@@ -34,6 +55,30 @@ def test_col_reduction_certificate():
     rc = L.reduce_col(z4, ideal, M.matrix(z4, [[1, 2], [0, 1]]))
     ok, checks = C.verify_payload(rc.to_payload())
     assert ok
+
+
+def test_col_payload_replays_as_row_reduction_over_opposite_ring():
+    # full ideal: here the column reduction is not the row reduction over R
+    # transposed, so only the R^op mirror reproduces it
+    t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
+    full = R.full_ideal(t2)
+    alpha = t2_matrix(t2, [[[[0, 0], [0, 1]], [[1, 0], [0, 0]]],
+                           [[[1, 1], [0, 1]], [[0, 0], [0, 1]]]])
+    rc = L.reduce_col(t2, full, alpha)
+    rr = L.reduce_row(t2.op(), full, alpha.op())
+    assert rc.alpha.ring is rc.result.ring is t2
+    assert (rc.h, rc.trace) == (rr.h, rr.trace)
+    assert rc.word.op() == rr.word and rc.result.op() == rr.result
+    assert {op.side for op in rc.word.ops} == {"left"}
+    assert rc.word != L.reduce_row(t2, full, alpha).word.op()
+    ok, checks = C.verify_payload(rc.to_payload())
+    names = [c["check"] for c in checks]
+    assert ok and "h canonical" in names
+    payload = rc.to_payload()
+    payload["h"] = R.element_descriptor(t2, t2.zero)
+    ok, checks = C.verify_payload(payload)
+    assert not ok and "h canonical" in {c["check"] for c in checks
+                                        if not c["ok"]}
 
 
 def test_m4_lift_certificate():

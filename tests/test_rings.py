@@ -183,3 +183,42 @@ def test_all_ideals_are_ideals(corpus_rings):
             continue
         for ideal in R.all_ideals(ring):
             R.verify_ideal(ideal)
+
+
+def test_quotient_build_keeps_its_own_spec():
+    # the quotient that quotient_by caches and shares keeps its own recipe
+    z16 = z(16)
+    shared = R.quotient_by(z16, R.ideal_closure(z16, [4])).target
+    before = shared.spec
+    r12 = R.build_ring(R.QuotientSpec(R.ZmodSpec(16), (12,)))
+    r4 = R.build_ring(R.QuotientSpec(R.ZmodSpec(16), (4,)))
+    assert r12.describe() == "quotient(zmod(16),[12])"
+    assert r4.describe() == "quotient(zmod(16),[4])"
+    assert shared.spec == before
+    assert r12.npmul is shared.npmul and r4.npadd is shared.npadd
+
+
+def _brute_span(ring, a, b):
+    return tuple(sorted({ring.add(ring.mul(a, x), ring.mul(b, y))
+                         for x in ring.elements() for y in ring.elements()}))
+
+
+def test_opposite_ring(corpus_rings):
+    rng = np.random.default_rng(4)
+    for entry, ring in corpus_rings:
+        if ring.size > 64:
+            continue
+        op = ring.op()
+        R.verify_ring_axioms(op)
+        assert op.op() is ring and ring.op() is op
+        assert op.npadd is ring.npadd and op.npneg is ring.npneg
+        assert (op.zero, op.one) == (ring.zero, ring.one)
+        assert np.array_equal(op.npmul, ring.npmul.T)
+        assert op.units() == ring.units()
+        assert all(op.inverse(u) == ring.inverse(u) for u in ring.units())
+        assert op.idempotents() == ring.idempotents()
+        assert ([i.members for i in R.all_ideals(op)]
+                == [i.members for i in R.all_ideals(ring)])
+        for a, b in rng.integers(ring.size, size=(6, 2)).tolist():
+            assert ring.right_span(a, b) == _brute_span(ring, a, b)
+            assert op.right_span(a, b) == _brute_span(op, a, b)
