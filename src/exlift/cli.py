@@ -1,7 +1,8 @@
 """Batch front end: check structure, compute indices, lift units, verify
 certificates, and run the regression corpus.
 
-Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded,
+Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded
+(including a K0 zero test left undecided at the stabilization padding),
 6 VerificationFailed, 7 InvalidSpec or parse failure, 1 anything else.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -20,8 +22,8 @@ from . import certificates as certs
 from . import corpus as corpus_mod
 from .exchange import is_exchange_ideal, is_exchange_ring
 from .ktheory import index as k_index, is_fredholm, k0_zero_test
-from .lifting import (lift_unit, oracle_lift, separative_exchange_status,
-                      verify_certificate)
+from .lifting import (effective_truncation, lift_unit, oracle_lift,
+                      separative_exchange_status, verify_certificate)
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
                     element_from_descriptor, full_ideal, ideal_closure,
                     parse_ring_spec, ring_spec_obj)
@@ -127,10 +129,12 @@ def _parse_element(ring: FiniteRing, text: str) -> int:
     return element_from_descriptor(ring, desc)
 
 
-def _guards(guard: int | None) -> Guards:
+def _guards(guard: int | None, truncation: int | None = None) -> Guards:
     g = default_guards()
     if guard is not None:
         g = g.with_carrier(guard)
+    if truncation is not None:
+        g = replace(g, truncation=truncation)
     return g
 
 
@@ -166,10 +170,7 @@ def main():
 def check(spec, ideal, truncation, guard, fmt, out):
     """Exchange, separativity, refinement and V-monoid reports."""
     try:
-        guards = _guards(guard)
-        if truncation is not None:
-            from dataclasses import replace
-            guards = replace(guards, truncation=truncation)
+        guards = _guards(guard, truncation)
         obj = _load_spec_file(spec)
         if "monoid" in obj:
             report = _check_monoid(obj)
@@ -210,7 +211,6 @@ def _check_monoid(obj: dict) -> dict:
 
 def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
     ring, ideal = _ring_context(obj, ideal_opt_val, guards)
-    from .lifting import effective_truncation
     K = effective_truncation(ring, guards)
     vm = build_v_monoid(ring, K, guards)
     s = v_order_ideal(vm, ideal)
@@ -252,7 +252,7 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
 def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
     """The K0 index of a Fredholm element, with both zero-test verdicts."""
     try:
-        guards = _guards(guard)
+        guards = _guards(guard, truncation)
         obj = _load_spec_file(spec)
         ring, idl = _ring_context(obj, ideal, guards)
         x = _parse_element(ring, element)
@@ -267,7 +267,6 @@ def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
 def _index_report(ring, idl, x, guards) -> dict:
     ix = k_index(ring, idl, x, guards)
     zt = k0_zero_test(ix, guards.stabilization, guards)
-    from .lifting import effective_truncation
     K = effective_truncation(ring, guards)
     vm = build_v_monoid(ring, K, guards)
 
@@ -283,9 +282,11 @@ def _index_report(ring, idl, x, guards) -> dict:
         "ring": ring_spec_obj(ring.spec),
         "element": element_descriptor(ring, x),
         "fredholm": True,
+        "truncation": K,
         "index_pos_class": label(ix.pos),
         "index_neg_class": label(ix.neg),
         "zero_test": {
+            "padding": guards.stabilization,
             "strict": zt.strict,
             "relaxed": zt.relaxed,
             "strict_padding": zt.strict_padding,
@@ -308,7 +309,7 @@ def _index_report(ring, idl, x, guards) -> dict:
 def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
     """Lift a Fredholm element to a unit, emitting a replayable certificate."""
     try:
-        guards = _guards(guard)
+        guards = _guards(guard, truncation)
         obj = _load_spec_file(spec)
         ring, idl = _ring_context(obj, ideal, guards)
         x = _parse_element(ring, element)
@@ -317,16 +318,22 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
             "format": "exlift-report", "version": 1, "kind": "lift",
             "ring": ring_spec_obj(ring.spec),
             "element": element_descriptor(ring, x),
+            "truncation": effective_truncation(ring, guards),
             "zero_test": {
+                "padding": guards.stabilization,
                 "strict": result.zero_test.strict,
                 "relaxed": result.zero_test.relaxed,
             },
         }
         if result.certificate is None:
+            # every unit of R/I lifts over a finite ring: a failed strict
+            # test leaves the index undecided, it proves no obstruction
             report["lifted"] = False
             _emit(report, fmt, out)
-            raise HypothesisFailed(
-                "index obstruction: zero test failed, no lift exists")
+            raise GuardExceeded(
+                f"K0 zero test undecided at padding {guards.stabilization}: "
+                f"no strict equality up to that padding, so no lift was "
+                f"attempted")
         cert = result.certificate
         payload = cert.to_payload()
         ok, checks = verify_certificate(payload, guards)
@@ -392,7 +399,6 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
     try:
         guards = _guards(guard)
         from .ktheory import fredholm_elements
-        from .lifting import effective_truncation
         entries = []
         failures = 0
         for name, ring, ideal, tags in corpus_mod.corpus_pairs(

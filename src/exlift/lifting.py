@@ -145,13 +145,23 @@ def _row_pass(ring: FiniteRing, ideal: Ideal, A: RMatrix, tag: str,
     return [op1, op2], A, e, r, s
 
 
+def _require_invertible(alpha: RMatrix, guards: Guards) -> None:
+    if try_inverse(alpha, guards) is None:
+        raise PreconditionFailed("matrix is not invertible")
+
+
 def reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
                guards: Guards = DEFAULT) -> ReductionResult:
     """Right-multiply by a word in E_2(I) so the last row becomes (c', d')
     with c' in Rc, c'R = (1-h)R, d'R = hR and RhR = R."""
     _check_entries(ring, ideal, alpha)
-    if try_inverse(alpha, guards) is None:
-        raise PreconditionFailed("matrix is not invertible")
+    _require_invertible(alpha, guards)
+    return _reduce_row(ring, ideal, alpha, guards)
+
+
+def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
+                guards: Guards) -> ReductionResult:
+    """reduce_row on an alpha already checked by the caller."""
     one = ring.one
     trace: dict = {}
     c_orig, d_orig = alpha[1, 0], alpha[1, 1]
@@ -217,7 +227,15 @@ def reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     This is reduce_row on alpha^T over R^op, transposed back: the row
     procedure's right ops and contracts over R^op are the column
     procedure's left ops and contracts over R."""
-    rr = reduce_row(ring.op(), ideal, alpha.op(), guards)
+    _check_entries(ring, ideal, alpha)
+    _require_invertible(alpha, guards)
+    return _reduce_col(ring, ideal, alpha, guards)
+
+
+def _reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
+                guards: Guards) -> ReductionResult:
+    """reduce_col on an alpha already checked by the caller."""
+    rr = _reduce_row(ring.op(), ideal, alpha.op(), guards)
     return ReductionResult(ring, ideal, "col", alpha, rr.word.op(),
                            rr.result.op(), rr.h, rr.trace)
 
@@ -290,20 +308,21 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     one = ring.one
     if not ideal.contains(ring.sub(alpha[1, 1], one)):
         raise PreconditionFailed("entry (2,2) must be 1 modulo the ideal")
-    if try_inverse(alpha, guards) is None:
-        raise PreconditionFailed("matrix is not invertible")
+    _require_invertible(alpha, guards)
     status = separative_exchange_status(ring, ideal, guards)
     if not status["ok"]:
         raise PreconditionFailed(f"ideal is not separative exchange: {status}")
 
     a_orig = alpha[0, 0]
-    rr = reduce_row(ring, ideal, alpha, guards)
+    rr = _reduce_row(ring, ideal, alpha, guards)
 
     sigL = sigma_word_left(ring)
     sigR = sigma_word_right(ring)
+    # a1 is alpha times elementary words, so invertible like alpha
     a1 = apply_elem_word(apply_elem_word(rr.result, ElemWord(2, tuple(sigR))),
                          ElemWord(2, tuple(sigL)))
-    rc = reduce_col(ring, ideal, a1, guards)
+    _check_entries(ring, ideal, a1)
+    rc = _reduce_col(ring, ideal, a1, guards)
     q = rc.h
     bP = rc.result[0, 1]
 

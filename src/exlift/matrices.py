@@ -265,8 +265,10 @@ def matrix_ideal(block_ring: FiniteRing, base_ring: FiniteRing, k: int,
 def try_inverse(A: RMatrix, guards: Guards = DEFAULT) -> Optional[RMatrix]:
     """Two-sided inverse if A is in GL_n, else None.
 
-    Solves A*X = 1 column by column over the carrier (|R|**n candidates per
-    column), then verifies X*A = 1.
+    Solves A*X = 1 column by column over all |R|**n candidate columns: they
+    are the cells of an (|R|,)*n grid, on which row i of A*x is the sum of
+    the rows mul[A[i, l]] broadcast along axis l.  Each column of X is the
+    first hit in C order, the least candidate code; X*A = 1 is then checked.
     """
     ring, n = A.ring, A.n
     if n == 1:
@@ -275,30 +277,29 @@ def try_inverse(A: RMatrix, guards: Guards = DEFAULT) -> Optional[RMatrix]:
     if ring.size ** n > guards.search_candidates * 16:
         raise GuardExceeded(
             f"column solve space |R|^{n} = {ring.size ** n} is too large")
-    mul, add = ring.npmul.astype(np.int64), ring.npadd.astype(np.int64)
-    ent = np.array(A.entries, dtype=np.int64)
-    # enumerate candidate columns once: (size^n, n) digit table
-    m = ring.size ** n
-    cand = np.empty((m, n), dtype=np.int64)
-    tmp = np.arange(m)
-    for p in reversed(range(n)):
-        cand[:, p] = tmp % ring.size
-        tmp //= ring.size
-    # A @ cand.T in ring arithmetic: out[r, c] for each candidate c
+    mul, add = ring.npmul, ring.npadd
+    grid = (ring.size,) * n
+
+    def along(l, a):                      # a*x_l over the grid, on axis l
+        shape = [1] * n
+        shape[l] = ring.size
+        return mul[a].reshape(shape)
+
+    rows = []                             # rows[i] = (A*x)_i on the grid
+    for i in range(n):
+        acc = along(0, A[i, 0])
+        for l in range(1, n):
+            acc = add[acc, along(l, A[i, l])]
+        rows.append(acc)
     cols = []
     for j in range(n):
-        target = np.array([ring.one if i == j else ring.zero for i in range(n)])
-        ok = np.ones(m, dtype=bool)
+        ok = np.ones(grid, dtype=bool)
         for i in range(n):
-            acc = np.full(m, ring.zero, dtype=np.int64)
-            for l in range(n):
-                acc = add[acc, mul[ent[i, l], cand[:, l]]]
-            ok &= acc == target[i]
+            ok &= rows[i] == (ring.one if i == j else ring.zero)
             if not ok.any():
                 return None
-        hit = int(np.flatnonzero(ok)[0])
-        cols.append([int(v) for v in cand[hit]])
-    X = RMatrix(ring, n, tuple(tuple(cols[j][i] for j in range(n))
+        cols.append(np.unravel_index(int(np.argmax(ok)), grid))
+    X = RMatrix(ring, n, tuple(tuple(int(cols[j][i]) for j in range(n))
                                for i in range(n)))
     if mat_mul(X, A) != identity(ring, n):
         return None  # one-sided only; cannot happen over a finite ring

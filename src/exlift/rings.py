@@ -345,6 +345,15 @@ def _positions(k: int, triangular: bool):
     return [(i, j) for i in range(k) for j in range(k)]
 
 
+def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """table reshaped to broadcast along the given ascending axes of an
+    ndim-dimensional array."""
+    shape = [1] * ndim
+    for axis, n in zip(axes, table.shape):
+        shape[axis] = n
+    return table.reshape(shape)
+
+
 def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     base = build_ring(spec.base, guards)
     k = spec.k
@@ -355,51 +364,51 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
 
     B = base.size
     dt = _table_dtype(size)
-    # digit p is the entry at pos[p]; big-endian mixed radix
-    weights = np.array([B ** (nfree - 1 - p) for p in range(nfree)], dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    digits = np.empty((size, nfree), dtype=np.int64)
-    tmp = idx.copy()
-    for p in reversed(range(nfree)):
-        digits[:, p] = tmp % B
-        tmp //= B
+    # Layout: an element's code reads its free entries pos[0], pos[1], ... as
+    # a big-endian base-B number, so the carrier is a (B,)*nfree grid with one
+    # axis per free position.  pos is row-major, so a code is also the
+    # concatenation of one row code per matrix row, and the carrier is a
+    # (B**n_0, ..., B**n_{k-1}) grid too, n_r being the free entries of row r.
+    weights = [B ** (nfree - 1 - p) for p in range(nfree)]
 
-    badd, bmul = base.npadd.astype(np.int64), base.npmul.astype(np.int64)
-    add = np.empty((size, size), dtype=dt)
-    # chunk rows to bound temporaries
-    chunk = max(1, min(size, (1 << 20) // max(size, 1) + 1))
-    for lo in range(0, size, chunk):
-        hi = min(size, lo + chunk)
-        s = badd[digits[lo:hi, None, :], digits[None, :, :]]
-        add[lo:hi] = (s @ weights)
+    # addition and negation are entrywise: one weighted base table per free
+    # position, broadcast along that position's axes (every sum < size)
+    add = np.zeros((B,) * (2 * nfree), dtype=dt)
+    neg = np.zeros((B,) * nfree, dtype=dt)
+    for p, w in enumerate(weights):
+        add += _on_axes((base.npadd.astype(np.int64) * w).astype(dt),
+                        (p, nfree + p), 2 * nfree)
+        neg += _on_axes((base.npneg.astype(np.int64) * w).astype(dt),
+                        (p,), nfree)
 
-    # full k*k layout for multiplication (zeros below diagonal if triangular)
-    full = np.zeros((size, k, k), dtype=np.int64)
+    # multiplication: row r of A*C depends only on row r of A and on C, so
+    # tabulate U_r[row code of A, C] (row r of A*C, weighted into its part of
+    # the code) and sum the U_r over a (B**n_0, ..., B**n_{k-1}, size) view
+    badd, bmul = base.npadd, base.npmul
+    digits = np.indices((B,) * nfree).reshape(nfree, size)
+    full = np.full((k, k, size), base.zero, dtype=np.intp)  # full[l, j][C]
     for p, (i, j) in enumerate(pos):
-        full[:, i, j] = digits[:, p]
-
-    pos_index = {p: n for n, p in enumerate(pos)}
-    mul = np.empty((size, size), dtype=dt)
-    zero_b = base.zero
-    for lo in range(0, size, chunk):
-        hi = min(size, lo + chunk)
-        A = full[lo:hi]  # (c, k, k)
-        enc = np.zeros((hi - lo, size), dtype=np.int64)
-        for (i, j) in pos:
-            acc = np.full((hi - lo, size), zero_b, dtype=np.int64)
-            for l in range(k):
-                term = bmul[A[:, i, l][:, None], full[:, l, j][None, :]]
-                acc = badd[acc, term]
-            enc += acc * weights[pos_index[(i, j)]]
-        mul[lo:hi] = enc
-
-    negd = base.npneg.astype(np.int64)[digits]
-    neg = (negd @ weights).astype(dt)
+        full[i, j] = digits[p]
+    rows = [[p for p, (i, _) in enumerate(pos) if i == r] for r in range(k)]
+    mul = np.zeros([B ** len(ps) for ps in rows] + [size], dtype=dt)
+    for r, ps in enumerate(rows):
+        nr = len(ps)
+        row = np.full((k, B ** nr), base.zero, dtype=np.intp)  # row[l][code]
+        row[[pos[p][1] for p in ps]] = np.indices((B,) * nr).reshape(nr, -1)
+        U = np.zeros((B ** nr, size), dtype=np.int64)
+        for p in ps:
+            j = pos[p][1]
+            acc = bmul[row[0][:, None], full[0, j][None, :]]
+            for l in range(1, k):
+                acc = badd[acc, bmul[row[l][:, None], full[l, j][None, :]]]
+            U += acc.astype(np.int64) * weights[p]
+        mul += _on_axes(U.astype(dt), (r, k), k + 1)
 
     zero = 0
-    one_digits = [base.one if i == j else base.zero for (i, j) in pos]
-    one = int(np.dot(np.array(one_digits, dtype=np.int64), weights))
-    return FiniteRing(size, add, mul, neg, zero, one, spec)
+    one = sum(w * (base.one if i == j else base.zero)
+              for w, (i, j) in zip(weights, pos))
+    return FiniteRing(size, add.reshape(size, size), mul.reshape(size, size),
+                      neg.reshape(size), zero, one, spec)
 
 
 def _build_matrix(spec: MatrixSpec, guards: Guards) -> FiniteRing:
@@ -438,12 +447,14 @@ def _build_product(spec: ProductSpec, guards: Guards) -> FiniteRing:
 def _build_quotient(spec: QuotientSpec, guards: Guards) -> FiniteRing:
     base = build_ring(spec.base, guards)
     gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
-    ideal = ideal_closure(base, gens)
-    shared = quotient_by(base, ideal, guards).target
+    qmap = quotient_by(base, ideal_closure(base, gens), guards)
+    shared = qmap.target
     # a ring of its own that carries the user's recipe for faithful
     # round-trips; the cached quotient keeps its spec, the tables are shared
-    return FiniteRing(shared.size, shared.npadd, shared.npmul, shared.npneg,
+    ring = FiniteRing(shared.size, shared.npadd, shared.npmul, shared.npneg,
                       shared.zero, shared.one, spec)
+    ring._cache["recipe_quotient_map"] = qmap
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -488,33 +499,53 @@ class Ideal:
                 f"gens={list(self.generators)})")
 
 
+def _additive_span(ring: FiniteRing, elements: Iterable[int]):
+    """The additive subgroup generated by elements, as (members, basis).
+
+    It grows from {0} by the cyclic subgroup of each element still outside
+    it; such a step at least doubles it, so at most log2|R| of them do work.
+    basis lists the elements that took one."""
+    add = ring.npadd
+    span = np.array([ring.zero], dtype=np.intp)
+    inside = np.zeros(ring.size, dtype=bool)
+    inside[ring.zero] = True
+    basis = []
+    for t in elements:
+        if inside[t]:
+            continue
+        cosets, x = [span], t
+        while not inside[x]:              # span + <t> = union of span + i*t
+            cosets.append(add[span, x])
+            x = add[x, t]
+        span = np.concatenate(cosets)
+        inside[span] = True
+        basis.append(t)
+    return span, basis
+
+
+def _additive_generators(ring: FiniteRing) -> np.ndarray:
+    """A small set generating (R, +), cached on the ring."""
+    got = ring._cache.get("additive_generators")
+    if got is None:
+        basis = _additive_span(ring, range(ring.size))[1]
+        got = ring._cache["additive_generators"] = np.array(basis, dtype=np.intp)
+    return got
+
+
 def ideal_closure(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing gens (fixpoint over the carrier)."""
+    """Smallest two-sided ideal containing gens: the additive span of R*S*R.
+
+    Since r*s*r' distributes over sums of r and r', the span of R*S*R is the
+    span of a*s*b over a, b in an additive generating set of R."""
     gens = tuple(int(g) for g in gens)
     for g in gens:
         if not (0 <= g < ring.size):
             raise InvalidSpec(f"generator index {g} outside carrier")
-    members = {ring.zero}
-    frontier = set(gens) - members
-    members |= frontier
-    add, mul, neg = ring.npadd, ring.npmul, ring.npneg
-    while frontier:
-        new = set()
-        cur = np.fromiter(members, dtype=np.int64)
-        fr = np.fromiter(frontier, dtype=np.int64)
-        reach = np.unique(np.concatenate([
-            neg[fr],
-            add[fr[:, None], cur[None, :]].ravel(),
-            mul[fr, :].ravel(),          # x * r
-            mul[:, fr].ravel(),          # r * x
-        ]))
-        for x in reach:
-            x = int(x)
-            if x not in members:
-                new.add(x)
-        members |= new
-        frontier = new
-    return Ideal(ring, frozenset(members), gens)
+    G, mul = _additive_generators(ring), ring.npmul
+    sb = mul[np.array(gens, dtype=np.intp)[:, None], G[None, :]]   # s*b
+    asb = mul[G[:, None, None], sb[None]]                          # a*s*b
+    members, _ = _additive_span(ring, asb.ravel().tolist())
+    return Ideal(ring, frozenset(members.tolist()), gens)
 
 
 def full_ideal(ring: FiniteRing) -> Ideal:
@@ -670,6 +701,19 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
 # Element descriptors (external interface)
 # ---------------------------------------------------------------------------
 
+def _recipe_quotient_map(ring: FiniteRing) -> QuotientMap:
+    """The map base -> ring of a ring with a QuotientSpec, worked out from
+    the recipe once and kept on the ring."""
+    got = ring._cache.get("recipe_quotient_map")
+    if got is None:
+        spec = ring.spec
+        base = build_ring(spec.base)
+        gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
+        got = quotient_by(base, ideal_closure(base, gens))
+        ring._cache["recipe_quotient_map"] = got
+    return got
+
+
 def element_from_descriptor(ring: FiniteRing, desc) -> int:
     """Decode an element descriptor: ints for zmod, entry lists for matrix
     types, pairs for products, base descriptors for quotients and corners."""
@@ -706,10 +750,8 @@ def element_from_descriptor(ring: FiniteRing, desc) -> int:
         return (element_from_descriptor(lring, desc[0]) * rring.size
                 + element_from_descriptor(rring, desc[1]))
     if isinstance(spec, QuotientSpec):
-        base = build_ring(spec.base)
-        gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
-        qmap = quotient_by(base, ideal_closure(base, gens))
-        return qmap.pi(element_from_descriptor(base, desc))
+        qmap = _recipe_quotient_map(ring)
+        return qmap.pi(element_from_descriptor(qmap.source, desc))
     if isinstance(spec, CornerSpec):
         raise InvalidSpec("corner rings have no external element descriptors")
     raise InvalidSpec(f"cannot decode elements of {spec!r}")
@@ -743,10 +785,8 @@ def element_descriptor(ring: FiniteRing, idx: int):
         return [element_descriptor(lring, idx // rring.size),
                 element_descriptor(rring, idx % rring.size)]
     if isinstance(spec, QuotientSpec):
-        base = build_ring(spec.base)
-        gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
-        qmap = quotient_by(base, ideal_closure(base, gens))
-        return element_descriptor(base, qmap.lift(idx))
+        qmap = _recipe_quotient_map(ring)
+        return element_descriptor(qmap.source, qmap.lift(idx))
     raise InvalidSpec(f"cannot describe elements of {spec!r}")
 
 

@@ -20,3 +20,51 @@ def test_lift_report_shows_the_orbit_step(tmp_path):
     assert report["orbit"] == {"m": 2, "k": 1, "y1": [[[[0, 1], [1, 0]]]],
                                "word_len": 10}
     assert report["lifted"] and report["oracle_confirmed"]
+
+
+def _m2_spec(tmp_path):
+    spec = tmp_path / "m2.json"
+    spec.write_text(json.dumps({
+        "ring": {"type": "matrix", "base": {"type": "zmod", "n": 2}, "k": 2},
+        "ideal": {"generators": []}}))
+    return str(spec)
+
+
+def test_truncation_option_reaches_index_and_lift(tmp_path, monkeypatch):
+    from exlift import cli, lifting
+    seen = []
+    real = lifting.effective_truncation
+
+    def spy(ring, guards=lifting.DEFAULT):
+        seen.append(guards.truncation)
+        return real(ring, guards)
+
+    monkeypatch.setattr(lifting, "effective_truncation", spy)
+    monkeypatch.setattr(cli, "effective_truncation", spy, raising=False)
+    spec = _m2_spec(tmp_path)
+    for command in ("index", "lift"):
+        seen.clear()
+        res = CliRunner().invoke(main, [
+            command, "--spec", spec, "--element", "[[0, 1], [1, 1]]",
+            "-K", "1", "--format", "machine"])
+        assert res.exit_code == 0, res.output
+        assert seen and set(seen) == {1}, (command, seen)
+        report = json.loads(res.stdout)
+        assert report["truncation"] == 1
+        assert report["zero_test"]["padding"] == 2
+
+
+def test_failed_zero_test_is_undecided_not_an_obstruction(tmp_path,
+                                                          monkeypatch):
+    from exlift import lifting
+    from exlift.ktheory import ZeroTestResult
+    monkeypatch.setattr(lifting, "k0_zero_test",
+                        lambda ix, stab=None, guards=None:
+                        ZeroTestResult(False, True, None, 0))
+    res = CliRunner().invoke(main, [
+        "lift", "--spec", _m2_spec(tmp_path), "--element", "[[0, 1], [1, 1]]",
+        "--format", "machine"])
+    assert res.exit_code == 5, res.output
+    assert json.loads(res.stdout)["lifted"] is False
+    assert "undecided at padding 2" in res.stderr
+    assert "no lift exists" not in res.output

@@ -120,6 +120,34 @@ def test_diagonalize_examples():
     assert qm.pi(dg3.a_prime) == qm.pi(z4.mul(3, z4.inverse(dg3.u)))
 
 
+def test_diagonalization_checks_invertibility_once(monkeypatch):
+    calls = []
+    real = L.try_inverse
+
+    def counting(A, guards=L.DEFAULT):
+        calls.append(A)
+        return real(A, guards)
+
+    monkeypatch.setattr(L, "try_inverse", counting)
+    z4, ideal = z4_pair()
+    alpha = M.matrix(z4, [[1, 2], [2, 1]])
+    L.diagonalize_2x2(z4, ideal, alpha)
+    assert calls == [alpha]
+    # the forced m=4 lift diagonalizes twice: over M_2(Z/4), then over Z/4
+    calls.clear()
+    cert = L.lift_unit(z4, ideal, 3, start_m=4).certificate
+    assert len(cert.stages) == 2
+    assert calls == [s.diag.alpha for s in cert.stages]
+
+
+def test_singular_alpha_is_refused():
+    z4, ideal = z4_pair()
+    singular = M.matrix(z4, [[2, 0], [0, 1]])   # (2,2) entry is 1 mod I
+    for run in (L.reduce_row, L.reduce_col, L.diagonalize_2x2):
+        with pytest.raises(PreconditionFailed, match="matrix is not invertible"):
+            run(z4, ideal, singular)
+
+
 def test_diagonalize_identity_replay(corpus_pairs):
     rng = random.Random(23)
     for name, ring, ideal, tags in corpus_pairs:

@@ -222,3 +222,118 @@ def test_opposite_ring(corpus_rings):
         for a, b in rng.integers(ring.size, size=(6, 2)).tolist():
             assert ring.right_span(a, b) == _brute_span(ring, a, b)
             assert op.right_span(a, b) == _brute_span(op, a, b)
+
+
+# -- oracles for the table kernels -------------------------------------------
+
+def _fixpoint_closure(ring, gens):
+    """Ideal closure as a frontier fixpoint under negation, addition of
+    members and multiplication by the carrier on either side."""
+    members = {ring.zero} | {int(g) for g in gens}
+    frontier = members - {ring.zero}
+    add, mul, neg = ring.npadd, ring.npmul, ring.npneg
+    while frontier:
+        cur = np.fromiter(members, dtype=np.int64)
+        fr = np.fromiter(frontier, dtype=np.int64)
+        reach = np.unique(np.concatenate([
+            neg[fr], add[fr[:, None], cur[None, :]].ravel(),
+            mul[fr, :].ravel(), mul[:, fr].ravel()]))
+        frontier = {int(x) for x in reach} - members
+        members |= frontier
+    return frozenset(members)
+
+
+def test_ideal_closure_matches_fixpoint(corpus_rings):
+    for entry, ring in corpus_rings:
+        principal = {}
+        for a in ring.elements():
+            got = R.ideal_closure(ring, [a])
+            assert got.members == _fixpoint_closure(ring, [a]), (entry.name, a)
+            assert got.generators == (a,)
+            principal.setdefault(got.members, a)
+        reps = sorted(principal.values())
+        for a in reps:
+            for b in reps:
+                assert (R.ideal_closure(ring, [a, b]).members
+                        == _fixpoint_closure(ring, [a, b])), (entry.name, a, b)
+        assert R.ideal_closure(ring, []).members == frozenset({ring.zero})
+    m2z6 = R.build_ring(R.MatrixSpec(R.ZmodSpec(6), 2))
+    rng = np.random.default_rng(6)
+    for a in rng.integers(m2z6.size, size=25).tolist():
+        assert R.ideal_closure(m2z6, [a]).members == _fixpoint_closure(m2z6,
+                                                                       [a])
+
+
+def _gathered_matrix_tables(base, k, triangular):
+    """(add, mul, neg, one) of M_k(base) or T_k(base), entry by entry:
+    digits of every code, then sums of base-table gathers."""
+    pos = R._positions(k, triangular)
+    nfree, B = len(pos), base.size
+    size = B ** nfree
+    weights = np.array([B ** (nfree - 1 - p) for p in range(nfree)])
+    digits = np.empty((size, nfree), dtype=np.int64)
+    tmp = np.arange(size)
+    for p in reversed(range(nfree)):
+        digits[:, p] = tmp % B
+        tmp //= B
+    badd, bmul = base.npadd.astype(np.int64), base.npmul.astype(np.int64)
+    add = sum(badd[digits[:, None, p], digits[None, :, p]] * weights[p]
+              for p in range(nfree))
+    full = np.zeros((size, k, k), dtype=np.int64)
+    for p, (i, j) in enumerate(pos):
+        full[:, i, j] = digits[:, p]
+    mul = np.zeros((size, size), dtype=np.int64)
+    for p, (i, j) in enumerate(pos):
+        acc = np.full((size, size), base.zero, dtype=np.int64)
+        for l in range(k):
+            acc = badd[acc, bmul[full[:, i, l][:, None], full[None, :, l, j]]]
+        mul += acc * weights[p]
+    neg = base.npneg.astype(np.int64)[digits] @ weights
+    one = sum(int(w) * (base.one if i == j else base.zero)
+              for w, (i, j) in zip(weights, pos))
+    return add, mul, neg, one
+
+
+def test_matrix_tables_match_gathered_oracle(corpus_rings):
+    bases = [(entry, ring) for entry, ring in corpus_rings
+             if ring.size ** 4 <= 1296]
+    assert len(bases) == 7
+    for entry, base in bases:
+        for spec in (R.MatrixSpec(entry.spec, 2),
+                     R.TriangularSpec(entry.spec, 2)):
+            ring = R.build_ring(spec)
+            add, mul, neg, one = _gathered_matrix_tables(
+                base, 2, isinstance(spec, R.TriangularSpec))
+            dt = np.min_scalar_type(ring.size - 1)
+            assert ring.npadd.dtype == ring.npmul.dtype == ring.npneg.dtype == dt
+            assert np.array_equal(ring.npadd, add), spec.describe()
+            assert np.array_equal(ring.npmul, mul), spec.describe()
+            assert np.array_equal(ring.npneg, neg), spec.describe()
+            assert (ring.zero, ring.one) == (0, one)
+    for n in (3, 4):
+        R.verify_ring_axioms(R.build_ring(R.MatrixSpec(R.ZmodSpec(n), 2)))
+
+
+def test_quotient_descriptors_close_the_ideal_once(monkeypatch):
+    closures = []
+    real = R.ideal_closure
+
+    def spy(ring, gens):
+        closures.append(ring)
+        return real(ring, gens)
+
+    quotient_z16 = R.QuotientSpec(R.ZmodSpec(16), (4,))
+    shared = R.quotient_by(z(16), R.ideal_closure(z(16), [4])).target
+    for ring in (R.build_ring(R.QuotientSpec(
+                     R.ProductSpec(R.ZmodSpec(2),
+                                   R.MatrixSpec(R.ZmodSpec(2), 2)),
+                     ((0, ((1, 0), (0, 1))),))),
+                 R.build_ring(R.MatrixSpec(quotient_z16, 2)),
+                 shared):
+        monkeypatch.setattr(R, "ideal_closure", spy)
+        closures.clear()
+        for idx in ring.elements():
+            desc = R.element_descriptor(ring, idx)
+            assert R.element_from_descriptor(ring, desc) == idx
+        monkeypatch.setattr(R, "ideal_closure", real)
+        assert len(closures) <= 1, ring.describe()
