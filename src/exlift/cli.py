@@ -227,6 +227,8 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
         "exchange_ideal": is_exchange_ideal(ring, ideal),
         "truncation": K,
         "v_monoid": monoid_to_obj(vm.monoid),
+        "v_monoid_components": [{"simple_size": s_i, "degree": n_i}
+                                for s_i, n_i in vm.components],
         "v_ideal_classes": sorted(vm.monoid.labels[i] for i in s.member_set),
         "separative_ideal": sep.holds,
         "refinement_wrt_ideal": ref.holds,

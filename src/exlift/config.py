@@ -19,7 +19,8 @@ class Guards:
     carrier: int = 65536
     # Largest n*n operation table we will materialize (entries, per table).
     table_entries: int = 2**24
-    # Largest |R|**(k*k) matrix space enumerated when building V-monoids.
+    # Largest vector or matrix space enumerated: the |R/J|**d vectors behind
+    # a class key, the |R|**d vectors of a witness search, GL_k candidates.
     enumeration: int = 2**25
     # Cap on additively generated candidate sets in witness searches.
     search_candidates: int = 200_000

@@ -33,14 +33,9 @@ from .vmonoid import build_v_monoid, is_separative, v_order_ideal
 # ---------------------------------------------------------------------------
 
 def effective_truncation(ring: FiniteRing, guards: Guards = DEFAULT) -> int:
-    """Largest K <= guards.truncation whose M_K enumeration fits the guards."""
-    K = guards.truncation
-    while K > 1 and ring.size ** (K * K) > guards.enumeration:
-        K -= 1
-    if ring.size ** (K * K) > guards.enumeration:
-        raise GuardExceeded(
-            f"even K=1 enumeration over {ring.describe()} exceeds guards")
-    return K
+    """The truncation V(R) is built at: ``guards.truncation`` on every ring,
+    since the closed-form build enumerates no matrices over R."""
+    return guards.truncation
 
 
 def separative_exchange_status(ring: FiniteRing, ideal: Ideal,

@@ -1,12 +1,13 @@
 """Monoids of idempotent-matrix classes, truncated at a dimension bound.
 
-``build_v_monoid(R, K)`` enumerates every idempotent in M_k(R) for k <= K,
-partitions them into Murray-von Neumann equivalence classes (x*y = e,
-y*x = f with x in e*M*f), and returns the resulting commutative monoid under
-block direct sum.  Sums whose class has no representative within the
-truncation map to a distinguished absorbing overflow element, which all
-checkers exclude from their quantifier ranges: every verdict is relative to
-the K-ball and says nothing beyond it.
+``build_v_monoid(R, K)`` builds V(R) in closed form from R/J(R): a finite
+ring is semiperfect and R/J(R) = prod M_{n_i}(F_{q_i}) (Wedderburn-Artin),
+so the Murray-von Neumann class of an idempotent matrix (x*y = e, y*x = f
+with x in e*M*f) is its rank vector over the simple components, and block
+direct sum adds rank vectors.  Truncated at K the classes are the box
+prod [0, K*n_i]; sums outside it map to a distinguished absorbing overflow
+element, which all checkers exclude from their quantifier ranges: every
+verdict is relative to the K-ball and says nothing beyond it.
 
 This is the only module that decides classes, and it does so with one exact
 invariant, ``class_key``: the sizes of the column module of E over
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +30,8 @@ import numpy as np
 
 from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
-                     NotDownwardClosed)
-from .matrices import RMatrix, decode_matrix
+                     NotDownwardClosed, SearchExhausted)
+from .matrices import RMatrix, decode_matrix, direct_sum
 from .rings import FiniteRing, Ideal, quotient_by
 
 
@@ -272,7 +274,7 @@ def _class_keys(ring: FiniteRing, ent: np.ndarray, guards: Guards) -> list:
             enc = S.npmul[c][W] @ weights
             enc.sort(axis=1)
             sizes.append((np.diff(enc, axis=1) != 0).sum(axis=1) + 1)
-        out.extend(tuple(int(v) for v in row) for row in zip(*sizes))
+        out.extend(tuple(int(v[m]) for v in sizes) for m in range(len(E)))
     return out
 
 
@@ -563,18 +565,15 @@ class VMonoid:
     truncation: int
     monoid: FinMonoid
     classes: list
-    class_of: dict          # (dim, code) -> class index
-    members: list           # class index -> list of (dim, code)
+    class_of: dict          # (1, code) -> class index, for 1x1 idempotents
     overflow_index: Optional[int]
     keys: list              # class index -> class key
+    index_of: dict          # class key -> class index
+    components: tuple       # (s_i, n_i) per simple component of R/J(R)
 
     def classify(self, A: RMatrix) -> Optional[int]:
         """Class index of an idempotent matrix; None means overflow."""
-        hit = self.class_of.get((A.n, A.encode()))
-        if hit is not None:
-            return hit
-        key = class_key(self.ring, A)
-        return self.keys.index(key) if key in self.keys else None
+        return self.index_of.get(class_key(self.ring, A))
 
     def label(self, index: Optional[int]) -> str:
         if index is None:
@@ -582,42 +581,47 @@ class VMonoid:
         return self.monoid.labels[index]
 
 
-def _enumerate_idempotents(ring: FiniteRing, k: int,
-                           guards: Guards) -> np.ndarray:
-    """Codes of all idempotents in M_k(R), ascending."""
-    total = ring.size ** (k * k)
-    if total > guards.enumeration:
-        raise GuardExceeded(
-            f"|M_{k}({ring.describe()})| = {total} exceeds enumeration guard")
-    mul = ring.npmul.astype(np.int64)
-    add = ring.npadd.astype(np.int64)
-    weights = np.array([ring.size ** (k * k - 1 - p) for p in range(k * k)],
-                       dtype=np.int64)
-    hits = []
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        ent = _digits(codes, ring.size, k * k).reshape(-1, k, k)
-        sq = np.empty_like(ent)
-        for i in range(k):
-            for j in range(k):
-                acc = np.full(hi - lo, ring.zero, dtype=np.int64)
-                for l in range(k):
-                    acc = add[acc, mul[ent[:, i, l], ent[:, l, j]]]
-                sq[:, i, j] = acc
-        sq_codes = sq.reshape(-1, k * k) @ weights
-        hits.append(codes[sq_codes == codes])
-    return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+def _wedderburn_data(ring: FiniteRing, guards: Guards) -> tuple:
+    """((s_i, n_i) per component, [(code, rank vector)] per 1x1 idempotent).
+
+    c_i*S = M_{n_i}(F_{q_i}) has simple module size s_i = q_i^{n_i}, the
+    least key component > 1 among R's 1x1 idempotents, and |c_i*S| =
+    s_i^{n_i}.  The key of rank vector r is (s_i^{r_i})_i.  Idempotents lift
+    modulo J, so the 1x1 keys are exactly those of prod [0, n_i]; a failed
+    check signals a bug, never a property of the ring."""
+    got = ring._cache.get("wedderburn")
+    if got is None:
+        qmap, comps = _semisimple_quotient(ring)
+        codes = ring.idempotents()
+        keys = _class_keys(ring, np.array(codes, dtype=np.int64)
+                           .reshape(-1, 1, 1), guards)
+        sizes = [len(np.unique(qmap.target.npmul[c])) for c in comps]
+        simple = [min((key[i] for key in keys if key[i] > 1), default=2)
+                  for i in range(len(comps))]
+        degrees = [round(math.log(z, s)) for z, s in zip(sizes, simple)]
+        box = {tuple(s ** x for s, x in zip(simple, r)): r
+               for r in itertools.product(*(range(n + 1) for n in degrees))}
+        if (set(keys) != set(box)
+                or any(s ** n != z for s, n, z in zip(simple, degrees, sizes))):
+            raise SearchExhausted(
+                f"R/J({ring.describe()}) is not prod M_n(F_q) by the keys "
+                f"of its 1x1 idempotents")
+        got = ring._cache["wedderburn"] = (
+            tuple(zip(simple, degrees)), [(c, box[k]) for c, k in zip(codes, keys)])
+    return got
 
 
 def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoid:
     """Classes of idempotents in M_k(R) for k <= K, with truncated direct sum.
 
-    Every idempotent is enumerated and classified by its ``class_key``; class
-    indices follow first appearance in ascending (dimension, code) order.
-    [i] + [j] is the class whose key is the product of their keys, or the
-    overflow element when no enumerated idempotent has that key.
+    R/J(R) = prod M_{n_i}(F_{q_i}) and idempotents lift modulo J, so V(R) is
+    N^t by rank vector and the classes up to dimension K are the box
+    prod [0, K*n_i], read off ``_wedderburn_data`` without enumerating any
+    matrices.  Classes of 1x1 idempotents come first, in order of their
+    least idempotent code; the rest follow in (sum r, r) order.  [i] + [j]
+    is the class whose key is the product of their keys, or the overflow
+    element outside the box.  Each class is represented by a direct sum of
+    at most K 1x1 idempotents.
     """
     if K < 1:
         raise InvalidSpec("truncation must be at least 1")
@@ -626,59 +630,56 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
     if got is not None:
         return got
 
-    keys = []           # class index -> key
-    members = []        # class index -> [(dim, code)], representative first
-    index_of: dict = {}
-    class_of: dict = {}
-    for k in range(1, K + 1):
-        codes = _enumerate_idempotents(ring, k, guards)
-        ent = _digits(codes, ring.size, k * k).reshape(-1, k, k)
-        for code, key in zip(codes.tolist(), _class_keys(ring, ent, guards)):
-            ci = index_of.setdefault(key, len(keys))
-            if ci == len(keys):
-                keys.append(key)
-                members.append([])
-            class_of[(k, code)] = ci
-            members[ci].append((k, code))
+    components, ones = _wedderburn_data(ring, guards)
+    degrees = [n for _, n in components]
+    first_code: dict = {}       # rank vector -> least 1x1 idempotent
+    for code, r in ones:
+        first_code.setdefault(r, code)
+    box = sorted(itertools.product(*(range(K * n + 1) for n in degrees)),
+                 key=lambda r: (sum(r), r))
+    ranks = list(first_code) + [r for r in box if r not in first_code]
+    keys = [tuple(s ** x for (s, _), x in zip(components, r)) for r in ranks]
+    index_of = {key: i for i, key in enumerate(keys)}
+    class_of = {(1, code): ranks.index(r) for code, r in ones}
 
     m = len(keys)
-    sums = [[index_of.get(_key_sum(keys[i], keys[j])) for j in range(m)]
-            for i in range(m)]
-    ovf = m if any(t is None for row in sums for t in row) else None
-    size = m if ovf is None else m + 1
-    table = tuple(tuple(ovf if i == ovf or j == ovf or sums[i][j] is None
-                        else sums[i][j] for j in range(size))
-                  for i in range(size))
-    zero_class = class_of[(1, ring.zero)]
+    zero_class = ranks.index((0,) * len(degrees))
     labels = ["0" if i == zero_class else f"c{i}" for i in range(m)]
+    rows = [[index_of.get(_key_sum(a, b), m) for b in keys] for a in keys]
+    ovf = m if any(m in row for row in rows) else None
     if ovf is not None:
+        rows = [row + [m] for row in rows] + [[m] * (m + 1)]
         labels.append("T")
 
-    monoid = FinMonoid(size, table, zero_class, tuple(labels), ovf)
-    classes = [VClass(decode_matrix(ring, *mem[0]), i)
-               for i, mem in enumerate(members)]
-    vm = VMonoid(ring, K, monoid, classes, class_of, members, ovf, keys)
+    def representative(r):
+        parts = max([-(-x // n) for x, n in zip(r, degrees)] + [1])
+        blocks = [decode_matrix(ring, 1, first_code[tuple(
+            min(n, max(0, x - p * n)) for x, n in zip(r, degrees))])
+            for p in range(parts)]
+        return functools.reduce(direct_sum, blocks)
+
+    monoid = FinMonoid(len(rows), tuple(map(tuple, rows)), zero_class,
+                       tuple(labels), ovf)
+    classes = [VClass(representative(r), i) for i, r in enumerate(ranks)]
+    vm = VMonoid(ring, K, monoid, classes, class_of, ovf, keys, index_of,
+                 components)
     ring._cache[cache_key] = vm
     return vm
 
 
-def _decode_arr(ring: FiniteRing, k: int, code: int) -> np.ndarray:
-    return _digits(np.array([code]), ring.size, k * k).reshape(k, k)
-
-
 def v_order_ideal(vm: VMonoid, ideal: Ideal) -> OrderIdeal:
-    """Classes with an enumerated representative having all entries in I."""
+    """V(I): the classes whose key is 1 on every simple component of R/J
+    outside (I+J)/J.
+
+    An idempotent matrix over I vanishes on those components, and every
+    rank vector supported inside (I+J)/J lifts to an idempotent over I."""
     if ideal.ring is not vm.ring:
         raise InvalidSpec("ideal belongs to a different ring")
-    mask = ideal.mask
-    member_set = set()
-    for ci, mem in enumerate(vm.members):
-        for (dim, code) in mem:
-            arr = _decode_arr(vm.ring, dim, code)
-            if mask[arr].all():
-                member_set.add(ci)
-                break
-    s = OrderIdeal(frozenset(member_set))
+    qmap, comps = _semisimple_quotient(vm.ring)
+    image = set(qmap.image[list(ideal.sorted_members)].tolist())
+    outside = [i for i, c in enumerate(comps) if c not in image]
+    s = OrderIdeal(frozenset(ci for ci, key in enumerate(vm.keys)
+                             if all(key[i] == 1 for i in outside)))
     validate_order_ideal(vm.monoid, s)
     return s
 

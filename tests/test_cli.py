@@ -68,3 +68,21 @@ def test_failed_zero_test_is_undecided_not_an_obstruction(tmp_path,
     assert json.loads(res.stdout)["lifted"] is False
     assert "undecided at padding 2" in res.stderr
     assert "no lift exists" not in res.output
+
+
+def test_check_builds_v_monoid_at_full_truncation(tmp_path):
+    # |M_2(Z/3)| = 81: the closed-form build needs no M_K(R) enumeration,
+    # so the default truncation 2 holds and V(R) is {0, ..., 4} plus overflow
+    spec = tmp_path / "m2z3.json"
+    spec.write_text(json.dumps({
+        "ring": {"type": "matrix", "base": {"type": "zmod", "n": 3}, "k": 2},
+        "ideal": {"generators": []}}))
+    res = CliRunner().invoke(main, ["check", "--spec", str(spec),
+                                    "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["truncation"] == 2
+    assert report["v_monoid"]["size"] == 6
+    assert report["v_monoid"]["overflow"] == 5
+    assert report["v_monoid_components"] == [{"simple_size": 9, "degree": 2}]
+    assert report["v_ideal_classes"] == ["0"]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from exlift import matrices as M, rings as R, vmonoid as V
-from exlift.errors import HypothesisFailed, InvalidSpec, NotDownwardClosed
+from exlift.errors import (HypothesisFailed, InvalidSpec, NotDownwardClosed,
+                           SearchExhausted)
 
 
 def z(n):
@@ -128,6 +129,140 @@ def test_validate_rejects_bad_tables():
 
 
 # ---------------------------------------------------------------------------
+# the enumeration build: the oracle for the closed-form build_v_monoid
+# ---------------------------------------------------------------------------
+
+def _enumerate_idempotents(ring, k):
+    """Codes of all idempotents in M_k(R), ascending."""
+    total = ring.size ** (k * k)
+    mul = ring.npmul.astype(np.int64)
+    add = ring.npadd.astype(np.int64)
+    weights = np.array([ring.size ** (k * k - 1 - p) for p in range(k * k)],
+                       dtype=np.int64)
+    hits = []
+    chunk = 1 << 18
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        codes = np.arange(lo, hi, dtype=np.int64)
+        ent = V._digits(codes, ring.size, k * k).reshape(-1, k, k)
+        sq = np.empty_like(ent)
+        for i in range(k):
+            for j in range(k):
+                acc = np.full(hi - lo, ring.zero, dtype=np.int64)
+                for l in range(k):
+                    acc = add[acc, mul[ent[:, i, l], ent[:, l, j]]]
+                sq[:, i, j] = acc
+        sq_codes = sq.reshape(-1, k * k) @ weights
+        hits.append(codes[sq_codes == codes])
+    return np.concatenate(hits)
+
+
+_ORACLE: dict = {}
+
+
+def oracle_v_monoid(ring, K):
+    """(keys, members, table) of every idempotent in M_k(R), k <= K, classed
+    by class_key in ascending (k, code) order; members[c] lists the (k, code)
+    of class c and table[i][j] is the class of the sum, None outside."""
+    got = _ORACLE.get((ring.spec, K))
+    if got is None:
+        keys, members, index_of = [], [], {}
+        for k in range(1, K + 1):
+            codes = _enumerate_idempotents(ring, k)
+            ent = V._digits(codes, ring.size, k * k).reshape(-1, k, k)
+            for code, key in zip(codes.tolist(),
+                                 V._class_keys(ring, ent, V.DEFAULT)):
+                ci = index_of.setdefault(key, len(keys))
+                if ci == len(keys):
+                    keys.append(key)
+                    members.append([])
+                members[ci].append((k, code))
+        table = [[index_of.get(V._key_sum(a, b)) for b in keys] for a in keys]
+        got = _ORACLE[(ring.spec, K)] = (keys, members, table)
+    return got
+
+
+def oracle_order_ideal(ring, members, ideal):
+    """Classes with an enumerated member whose entries all lie in I."""
+    return {ci for ci, mem in enumerate(members)
+            if any(ideal.mask[V._digits(np.array([code]), ring.size,
+                                        k * k)].all() for k, code in mem)}
+
+
+def assert_matches_oracle(ring, K, ideals=()):
+    vm = V.build_v_monoid(ring, K)
+    keys, members, table = oracle_v_monoid(ring, K)
+    name = ring.describe()
+    assert sorted(vm.keys) == sorted(keys), name
+    # relabel oracle classes by key; the 1x1 classes keep their labels
+    to_new = [vm.index_of[key] for key in keys]
+    for ci, mem in enumerate(members):
+        for k, code in mem:
+            if k == 1:
+                assert vm.class_of[(1, code)] == ci == to_new[ci], name
+    assert len(vm.class_of) == sum(k == 1 for mem in members for k, _ in mem)
+    for i, row in enumerate(table):
+        for j, t in enumerate(row):
+            expected = vm.overflow_index if t is None else to_new[t]
+            assert vm.monoid.op(to_new[i], to_new[j]) == expected, (name, i, j)
+    has_overflow = any(t is None for row in table for t in row)
+    assert (vm.overflow_index is not None) == has_overflow, name
+    for ideal in ideals:
+        old = {to_new[ci] for ci in oracle_order_ideal(ring, members, ideal)}
+        assert V.v_order_ideal(vm, ideal).member_set == old, (name, ideal)
+
+
+def test_closed_form_matches_enumeration_on_corpus(corpus_rings,
+                                                   corpus_pairs_full):
+    checked = 0
+    for ring in {id(ring): ring for _, ring in corpus_rings}.values():
+        ideals = [ideal for _, r, ideal, _ in corpus_pairs_full if r is ring]
+        assert_matches_oracle(ring, 2, ideals)
+        checked += len(ideals)
+    assert checked == len(corpus_pairs_full)
+
+
+def test_closed_form_matches_enumeration_on_matrix_rings():
+    # every ideal of M_2(R) is M_2(I) for an ideal I of R
+    for spec in (R.ZmodSpec(2), R.ZmodSpec(3), R.ZmodSpec(4), R.ZmodSpec(6),
+                 R.TriangularSpec(R.ZmodSpec(2), 2)):
+        base = R.build_ring(spec)
+        ring = R.build_ring(R.MatrixSpec(spec, 2))
+        assert_matches_oracle(ring, 1, [M.matrix_ideal(ring, base, 2, ideal)
+                                        for ideal in R.all_ideals(base)])
+
+
+def test_representatives_are_small_idempotents_of_their_class(corpus_rings):
+    rings = [ring for _, ring in corpus_rings] + [
+        R.build_ring(R.MatrixSpec(R.ZmodSpec(3), 2))]
+    for ring in rings:
+        for K in (1, 2):
+            vm = V.build_v_monoid(ring, K)
+            for ci, cls in enumerate(vm.classes):
+                rep = cls.representative
+                assert cls.monoid_index == ci
+                assert rep.n <= K and M.is_idempotent(rep), ring.describe()
+                assert V.class_key(ring, rep) == vm.keys[ci]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda keys: [tuple(k * k for k in key) for key in keys],  # s^n != |c*S|
+    lambda keys: keys[:-1] + [keys[0]],                        # a rank missing
+])
+def test_wedderburn_data_fails_loudly(monkeypatch, corrupt):
+    ring = R.build_ring(R.ProductSpec(R.ZmodSpec(2), R.ZmodSpec(3)))
+    real = V._class_keys
+    monkeypatch.setattr(V, "_class_keys",
+                        lambda *args: corrupt(real(*args)))
+    ring._cache.pop("wedderburn", None)
+    try:
+        with pytest.raises(SearchExhausted):
+            V._wedderburn_data(ring, V.DEFAULT)
+    finally:
+        ring._cache.pop("wedderburn", None)
+
+
+# ---------------------------------------------------------------------------
 # build_v_monoid
 # ---------------------------------------------------------------------------
 
@@ -137,6 +272,13 @@ def test_v_zmod2_truncated_naturals():
     expected = truncated_naturals(2)
     assert vm.monoid.table == expected.table
     assert vm.monoid.zero == 0
+
+
+def test_v_zero_ring_is_trivial():
+    # R/J(0) has no simple components: the empty key, one class, no overflow
+    vm = V.build_v_monoid(z(1), 2)
+    assert vm.keys == [()] and vm.components == ()
+    assert vm.monoid.table == ((0,),) and vm.overflow_index is None
 
 
 def test_v_product_componentwise():
@@ -155,8 +297,6 @@ def test_v_product_componentwise():
 
 def test_zero_class_is_identity(corpus_rings):
     for entry, ring in corpus_rings:
-        if ring.size > 32:
-            continue
         vm = V.build_v_monoid(ring, 2)
         assert vm.monoid.zero == vm.class_of[(1, ring.zero)]
         V.validate_fin_monoid(vm.monoid)
@@ -195,9 +335,11 @@ def test_class_keys_agree_with_witness_search():
         def equivalent(A, B):
             return V.equivalence_witness(ring, A, B) is not None
 
-        for ci, members in enumerate(vm.members):
-            for (dim, code) in members:
-                assert equivalent(M.decode_matrix(ring, dim, code), reps[ci])
+        keys, members, _ = oracle_v_monoid(ring, 2)
+        for key, mem in zip(keys, members):
+            for (dim, code) in mem:
+                assert equivalent(M.decode_matrix(ring, dim, code),
+                                  reps[vm.index_of[key]])
         for i, j in itertools.combinations(range(len(reps)), 2):
             assert not equivalent(reps[i], reps[j]), (spec, i, j)
         for i, j in itertools.product(range(len(reps)), repeat=2):
@@ -234,12 +376,11 @@ def test_order_matches_subidempotent_search():
 def test_equivalence_witness_replays():
     ring = z(6)
     vm = V.build_v_monoid(ring, 2)
-    for ci, members in enumerate(vm.members):
-        rep_dim, rep_code = vm.classes[ci].representative.n, \
-            vm.classes[ci].representative.encode()
-        for (dim, code) in members[:3]:
+    keys, members, _ = oracle_v_monoid(ring, 2)
+    for key, mem in zip(keys, members):
+        for (dim, code) in mem[:3]:
             A = M.decode_matrix(ring, dim, code)
-            B = vm.classes[ci].representative
+            B = vm.classes[vm.index_of[key]].representative
             got = V.equivalence_witness(ring, A, B)
             assert got is not None
             x, y = got
