@@ -1,10 +1,11 @@
-"""Golden certificates: the sha256 of ``dumps_certificate`` for a fixed set
-of payloads over noncommutative rings.
+"""Golden outputs: the sha256 of ``dumps_certificate`` for a fixed set of
+payloads over noncommutative rings, and the ``exlift corpus --format
+machine`` report, default and ``--full``.
 
 A refactor of the reduction, scan or certificate code must leave every
-digest unchanged.  The digests live in ``golden_certificates.json``; a
-deliberate change to a certificate's content means writing new ones and
-saying why.
+digest unchanged.  The digests live in ``golden_certificates.json``, the
+corpus reports in ``golden_corpus.json``; a deliberate change to either
+means writing new ones and saying why.
 """
 
 import hashlib
@@ -12,11 +13,15 @@ import json
 import os
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 
 from exlift import certificates as C, lifting as L, matrices as M, rings as R
+from exlift.cli import main
 from exlift.ktheory import fredholm_elements
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_certificates.json")
+GOLDEN_CORPUS = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
 T2 = R.TriangularSpec(R.ZmodSpec(2), 2)
 Z2M2 = R.ProductSpec(R.ZmodSpec(2), R.MatrixSpec(R.ZmodSpec(2), 2))
@@ -70,3 +75,14 @@ def test_golden_certificate_digests(corpus_pairs):
     got = {name: _digest(p) for name, p in golden_payloads(corpus_pairs).items()}
     assert sorted(got) == sorted(golden)
     assert [n for n in golden if got[n] != golden[n]] == []
+
+
+@pytest.mark.parametrize("mode", ["default", "full"])
+def test_corpus_report_is_golden(mode):
+    with open(GOLDEN_CORPUS, encoding="utf-8") as fh:
+        golden = json.load(fh)[mode]
+    args = ["corpus", "--format", "machine"] + (["--full"] if mode == "full"
+                                                else [])
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == json.dumps(golden, sort_keys=True, indent=1) + "\n"
