@@ -28,12 +28,11 @@ from .exchange import (ExchangeWitness, exchange_witness_ideal,
                        is_exchange_ring, lift_idempotent)
 from .vmonoid import (CheckOutcome, FinMonoid, OrderIdeal, VClass, VMonoid,
                       build_v_monoid, equivalent_idempotents,
-                      equivalence_witness, has_refinement_wrt, is_separative,
-                      lemma13_check, monoid_to_obj, parse_monoid_obj,
-                      v_order_ideal)
-from .ktheory import (FredholmElement, K0Element, ZeroTestResult,
-                      connecting_delta, fredholm_elements, index, is_fredholm,
-                      k0_zero_test, whitehead_factor)
+                      has_refinement_wrt, is_separative, lemma13_check,
+                      monoid_to_obj, parse_monoid_obj, v_order_ideal)
+from .ktheory import (FredholmElement, K0Element, connecting_delta,
+                      fredholm_elements, index, is_fredholm, k0_zero_test,
+                      whitehead_factor)
 from .lifting import (DiagonalizationResult, LiftCertificate, LiftResult,
                       ReductionResult, diagonalize_2x2, join_idempotent,
                       lift_unit, oracle_lift, reduce_col, reduce_row,

@@ -1,8 +1,7 @@
 """Batch front end: check structure, compute indices, lift units, verify
 certificates, and run the regression corpus.
 
-Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded
-(including a K0 zero test left undecided at the stabilization padding),
+Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded,
 6 VerificationFailed, 7 InvalidSpec or parse failure, 1 anything else.
 """
 
@@ -252,7 +251,7 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
 @fmt_opt
 @out_opt
 def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
-    """The K0 index of a Fredholm element, with both zero-test verdicts."""
+    """The K0 index of a Fredholm element and whether it vanishes."""
     try:
         guards = _guards(guard, truncation)
         obj = _load_spec_file(spec)
@@ -268,7 +267,6 @@ def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
 
 def _index_report(ring, idl, x, guards) -> dict:
     ix = k_index(ring, idl, x, guards)
-    zt = k0_zero_test(ix, guards.stabilization, guards)
     K = effective_truncation(ring, guards)
     vm = build_v_monoid(ring, K, guards)
 
@@ -287,14 +285,7 @@ def _index_report(ring, idl, x, guards) -> dict:
         "truncation": K,
         "index_pos_class": label(ix.pos),
         "index_neg_class": label(ix.neg),
-        "zero_test": {
-            "padding": guards.stabilization,
-            "strict": zt.strict,
-            "relaxed": zt.relaxed,
-            "strict_padding": zt.strict_padding,
-            "relaxed_padding": zt.relaxed_padding,
-            "modes_agree": zt.modes_agree,
-        },
+        "zero_test": {"zero": k0_zero_test(ix, guards)},
     }
 
 
@@ -315,35 +306,18 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
         obj = _load_spec_file(spec)
         ring, idl = _ring_context(obj, ideal, guards)
         x = _parse_element(ring, element)
-        result = lift_unit(ring, idl, x, guards)
-        report = {
-            "format": "exlift-report", "version": 1, "kind": "lift",
-            "ring": ring_spec_obj(ring.spec),
-            "element": element_descriptor(ring, x),
-            "truncation": effective_truncation(ring, guards),
-            "zero_test": {
-                "padding": guards.stabilization,
-                "strict": result.zero_test.strict,
-                "relaxed": result.zero_test.relaxed,
-            },
-        }
-        if result.certificate is None:
-            # every unit of R/I lifts over a finite ring: a failed strict
-            # test leaves the index undecided, it proves no obstruction
-            report["lifted"] = False
-            _emit(report, fmt, out)
-            raise GuardExceeded(
-                f"K0 zero test undecided at padding {guards.stabilization}: "
-                f"no strict equality up to that padding, so no lift was "
-                f"attempted")
-        cert = result.certificate
+        cert = lift_unit(ring, idl, x, guards).certificate
         payload = cert.to_payload()
         ok, checks = verify_certificate(payload, guards)
         if not ok:
             raise VerificationFailed(
                 f"freshly emitted certificate failed verification: "
                 f"{[c for c in checks if not c['ok']][:1]}")
-        report.update({
+        report = {
+            "format": "exlift-report", "version": 1, "kind": "lift",
+            "ring": ring_spec_obj(ring.spec),
+            "element": element_descriptor(ring, x),
+            "truncation": effective_truncation(ring, guards),
             "lifted": True,
             "y": element_descriptor(ring, cert.y),
             "oracle_confirmed": cert.oracle_confirmed,
@@ -353,7 +327,7 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
                       "word_len": len(cert.z_word)},
             "stages": [{"dim": s.dim, "level": s.level} for s in cert.stages],
             "certificate_checks": len(checks),
-        })
+        }
         if cert_out:
             certs.save_certificate(payload, cert_out)
             report["certificate_file"] = cert_out
@@ -421,9 +395,6 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
                     if lifted >= lifts_per_pair:
                         break
                     res = lift_unit(ring, ideal, x, guards)
-                    if res.certificate is None:
-                        entry["lift_failure"] = element_descriptor(ring, x)
-                        break
                     ok, _ = verify_certificate(res.certificate.to_payload(),
                                                guards)
                     if not ok:
@@ -432,7 +403,6 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
                     lifted += 1
                 entry["lifts_verified"] = lifted
                 entry["ok"] = (entry["exchange"] and entry["refinement"]
-                               and "lift_failure" not in entry
                                and "verify_failure" not in entry)
             except ExliftError as exc:
                 entry["ok"] = False

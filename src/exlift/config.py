@@ -19,13 +19,11 @@ class Guards:
     carrier: int = 65536
     # Largest n*n operation table we will materialize (entries, per table).
     table_entries: int = 2**24
-    # Largest vector or matrix space enumerated: the |R/J|**d vectors behind
-    # a class key, the |R|**d vectors of a witness search, GL_k candidates.
+    # Largest vector space enumerated: the |R/J|**d vectors behind a class key.
     enumeration: int = 2**25
-    # Cap on additively generated candidate sets in witness searches.
+    # try_inverse solves A*x = e_j over |R|**n candidate columns and refuses
+    # when |R|**n exceeds 16 times this.
     search_candidates: int = 200_000
-    # Default stabilization padding for K0 zero tests.
-    stabilization: int = 2
     # Default V-monoid truncation dimension.
     truncation: int = 2
 

@@ -5,32 +5,24 @@ into elementary matrices over R/I, lift each parameter to R, conjugate 1+0 by
 the lifted product, and read off a formal difference of idempotents that are
 congruent modulo M_2(I).
 
-Vanishing in K0(I) is decided on representatives, in two modes.  Strict
-searches for an equivalence witness x congruent to pos+1_m modulo the ideal
-(the unitization condition).  Relaxed is exact class equality of pos and neg
-in V(R), decided by ``vmonoid.class_key``.  Both verdicts are computed and any
-disagreement is logged as an event on the ``exlift`` logger, never resolved
-silently.
+Vanishing in K0(I) is decided by one exact comparison: ``class_key`` of pos
+against ``class_key`` of neg.  Over a finite ring K0(I) -> K0(R) is
+injective, so equal classes in V(R) mean a zero class in K0(I); see
+``k0_zero_test``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .config import DEFAULT, Guards
-from .errors import GuardExceeded, NotAUnit, NotFredholm, RingMismatch
-from .matrices import (ElemWord, RMatrix, apply_elem_word, congruent_mod,
-                       direct_sum, evaluate_word, identity, is_idempotent,
-                       mat_mul, matrix, right_op, whitehead_ops,
-                       zero_matrix)
-from .rings import FiniteRing, Ideal, QuotientMap, quotient_by
+from .errors import NotAUnit, NotFredholm, RingMismatch
+from .matrices import (ElemWord, RMatrix, direct_sum, evaluate_word,
+                       is_idempotent, mat_mul, matrix, right_op,
+                       whitehead_ops)
+from .rings import FiniteRing, Ideal, quotient_by
 from . import vmonoid as _vm
-
-log = logging.getLogger("exlift")
 
 
 @dataclass(frozen=True)
@@ -165,126 +157,16 @@ def index(ring: FiniteRing, ideal: Ideal, x: int,
 # Zero testing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroTestResult:
-    strict: bool
-    relaxed: bool
-    strict_padding: Optional[int]
-    relaxed_padding: Optional[int]
+def k0_zero_test(k: K0Element, guards: Guards = DEFAULT) -> bool:
+    """Whether [pos] - [neg] vanishes in K0(I), by ``class_key(pos) ==
+    class_key(neg)``.
 
-    @property
-    def modes_agree(self) -> bool:
-        return self.strict == self.relaxed
-
-    def __bool__(self):
-        return self.strict
-
-
-def k0_zero_test(k: K0Element, stab: Optional[int] = None,
-                 guards: Guards = DEFAULT) -> ZeroTestResult:
-    """Stabilized equality of [pos] and [neg].
-
-    For each padding m <= stab the strict mode searches for x with
-    x*y = pos+1_m, y*x = neg+1_m and x congruent to pos+1_m modulo M(I).
-    Relaxed mode drops the congruence: it compares class keys, and since
-    V(R) of a finite ring is cancellative it needs no padding.  Strict
-    success implies relaxed success, so the relaxed test only runs when
-    strict fails.
+    The key decides the class of [pos] - [neg] in K0(R): V(R) of a finite
+    ring is cancellative, so no padding is needed.  That is the class in
+    K0(I) as well, because K0(I) -> K0(R) is injective here: a finite ring
+    has stable rank 1, so units of R/I lift (Bass), K1(R) -> K1(R/I) is
+    onto, and exactness of K1(R) -> K1(R/I) -> K0(I) -> K0(R) leaves the
+    last map with trivial kernel.
     """
-    if stab is None:
-        stab = guards.stabilization
-    ring, ideal = k.ring, k.ideal
-    strict_padding = None
-    for m in range(stab + 1):
-        if _strict_equal(ring, ideal, k.pos_parts, k.neg_parts, m, guards):
-            strict_padding = m
-            break
-    if strict_padding is not None:
-        return ZeroTestResult(True, True, strict_padding, strict_padding)
-    relaxed = (_vm.class_key(ring, *k.pos_parts, guards=guards)
-               == _vm.class_key(ring, *k.neg_parts, guards=guards))
-    result = ZeroTestResult(False, relaxed, None, 0 if relaxed else None)
-    if not result.modes_agree:
-        log.warning("K0 zero test modes disagree on %s: strict=False, "
-                    "relaxed=True at padding 0", ring.describe())
-    return result
-
-
-def _engine(ring: FiniteRing, guards: Guards):
-    got = ring._cache.get("equiv_engine")
-    if got is None:
-        got = _vm._Engine(ring, guards)
-        ring._cache["equiv_engine"] = got
-    return got
-
-
-def _part_handle(eng, part: RMatrix):
-    return eng.idem_from_matrix(np.array(part.entries, dtype=np.int64), part.n)
-
-
-def _stabilized_handle(eng, parts: tuple, m: int):
-    hs = [_part_handle(eng, p) for p in parts]
-    if m:
-        ring = eng.ring
-        hs.append(_part_handle(eng, identity(ring, m)))
-    h = hs[0]
-    for nxt in hs[1:]:
-        h = eng.idem_sum(h, nxt)
-    return h
-
-
-def _strict_equal(ring: FiniteRing, ideal: Ideal, pos_parts: tuple,
-                  neg_parts: tuple, m: int, guards: Guards) -> bool:
-    if ideal.is_full():
-        # congruence mod R is vacuous: strict coincides with plain equivalence,
-        # and the padding 1_m multiplies both keys by the same nonzero factor
-        return (_vm.class_key(ring, *pos_parts, guards=guards)
-                == _vm.class_key(ring, *neg_parts, guards=guards))
-    from .rings import ProductSpec, build_ring
-    if isinstance(ring.spec, ProductSpec):
-        return _strict_equal_product(ring, ideal, pos_parts, neg_parts, m,
-                                     guards)
-    eng = _engine(ring, guards)
-    hp = _stabilized_handle(eng, pos_parts, m)
-    hq = _stabilized_handle(eng, neg_parts, m)
-    if hp.col_size != hq.col_size or hp.row_size != hq.row_size:
-        return False
-    if hp.col_dig is None or hq.col_dig is None:
-        raise GuardExceeded("stabilized column module too large to materialize")
-    d = hp.d
-    x0 = eng._matmul(hp.arr, hq.arr)
-    if eng._is_bijective(x0, hp, hq):
-        return True
-    members = np.fromiter(ideal.sorted_members, dtype=np.int64)
-    for eta in eng._closure_candidates(hp.arr, hq.arr, d, elements=members):
-        x = eng.add[x0, eta]
-        if eng._is_bijective(x, hp, hq):
-            return True
-    return False
-
-
-def _strict_equal_product(ring, ideal, pos_parts, neg_parts, m, guards):
-    from .rings import Ideal as _Ideal, build_ring
-    lring = build_ring(ring.spec.left, guards)
-    rring = build_ring(ring.spec.right, guards)
-    nr = rring.size
-    lmem, rmem = set(), set()
-    for v in ideal.sorted_members:
-        lmem.add(v // nr)
-        rmem.add(v % nr)
-    lideal = _Ideal(lring, frozenset(lmem), tuple(sorted(lmem)))
-    rideal = _Ideal(rring, frozenset(rmem), tuple(sorted(rmem)))
-
-    def split(parts, ring_side, shift):
-        out = []
-        for p in parts:
-            ent = np.array(p.entries, dtype=np.int64)
-            comp = ent // nr if shift == "l" else ent % nr
-            out.append(RMatrix(ring_side, p.n,
-                               tuple(tuple(int(v) for v in row) for row in comp)))
-        return tuple(out)
-
-    return (_strict_equal(lring, lideal, split(pos_parts, lring, "l"),
-                          split(neg_parts, lring, "l"), m, guards)
-            and _strict_equal(rring, rideal, split(pos_parts, rring, "r"),
-                              split(neg_parts, rring, "r"), m, guards))
+    return (_vm.class_key(k.ring, *k.pos_parts, guards=guards)
+            == _vm.class_key(k.ring, *k.neg_parts, guards=guards))

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DEFAULT, Guards
-from .errors import (GuardExceeded, HypothesisFailed, NotFredholm,
-                     PreconditionFailed, SearchExhausted)
+from .errors import (HypothesisFailed, NotFredholm, PreconditionFailed,
+                     SearchExhausted)
 from .exchange import is_exchange_ideal
-from .ktheory import K0Element, ZeroTestResult, index, k0_zero_test
 from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
                        direct_sum, e_orbit_factor, identity, is_idempotent,
                        left_op, mat_mul, matrix, matrix_ideal, right_op,
@@ -394,7 +393,7 @@ class LiftCertificate:
     x: int
     y: int
     m: int                    # stabilization level used (2 or 4)
-    k: int                    # GL_k level the representative came from
+    k: int                    # GL_k level of y1: always 1, a unit of R
     y1: RMatrix               # the k x k invertible representative
     z_word: ElemWord          # lifted orbit word, left ops at dimension m
     w1: RMatrix               # eval(z_word) * (y1 + 1_{m-k})
@@ -408,12 +407,7 @@ class LiftCertificate:
 
 @dataclass
 class LiftResult:
-    certificate: Optional[LiftCertificate]
-    index_element: K0Element
-    zero_test: ZeroTestResult
-
-    def __bool__(self):
-        return self.certificate is not None
+    certificate: LiftCertificate
 
 
 def oracle_lift(ring: FiniteRing, ideal: Ideal, x: int) -> Optional[int]:
@@ -426,8 +420,13 @@ def oracle_lift(ring: FiniteRing, ideal: Ideal, x: int) -> Optional[int]:
 
 def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
               guards: Guards = DEFAULT, start_m: int = 2) -> LiftResult:
-    """Lift pi(x) to a unit of R when index(x) vanishes, with a replayable
-    certificate; start_m forces the first attempted stabilization level."""
+    """Lift pi(x) to a unit y of R, with a replayable certificate, through
+    an m x m matrix with m = 2, or m = 4 when start_m > 2.
+
+    Neither index(x) nor its zero test is computed: a finite ring has stable
+    rank 1, so every unit of R/I lifts, and the certificate itself proves
+    index(x) = 0, since y is a unit with x - y in I (the easy direction of
+    the lifting theorem)."""
     qmap = quotient_by(ring, ideal, guards)
     S = qmap.target
     xbar = qmap.pi(x)
@@ -437,23 +436,13 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
     if not status["ok"]:
         raise HypothesisFailed(f"ideal is not separative exchange: {status}")
 
-    ix = index(ring, ideal, x, guards)
-    zt = k0_zero_test(ix, guards.stabilization, guards)
-    if not zt.strict:
-        return LiftResult(None, ix, zt)
-
-    attempt = None
-    if start_m <= 2:
-        attempt = _find_w1(ring, ideal, qmap, x, m=2, k=1, guards=guards)
+    m = 2 if start_m <= 2 else 4
+    attempt = _find_w1(ring, ideal, qmap, x, m, guards)
     if attempt is None:
-        attempt = _find_w1(ring, ideal, qmap, x, m=4, k=1, guards=guards)
-    if attempt is None:
-        attempt = _find_w1(ring, ideal, qmap, x, m=4, k=2, guards=guards)
-    if attempt is None:
-        raise GuardExceeded(
-            "no GL_k representative found at m in {2, 4}; larger "
-            "stabilizations are out of scope")
-    y1, z_word, w1, m, k = attempt
+        # some unit y has pi(y) = pi(x), so the scan cannot miss
+        raise SearchExhausted(f"no unit y1 of R with pi(y1) + 1_{m - 1} in "
+                              f"E_{m}(R/I)(pi({x}) + 1_{m - 1})")
+    y1, z_word, w1 = attempt
 
     stages = []
     current = w1
@@ -485,54 +474,35 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
     if not ideal.contains(ring.sub(x, y)):
         raise AssertionError("lift does not agree with x modulo I")
     oracle = oracle_lift(ring, ideal, x)
-    cert = LiftCertificate(ring, ideal, x, y, m, k, y1, z_word, w1, stages,
+    cert = LiftCertificate(ring, ideal, x, y, m, 1, y1, z_word, w1, stages,
                            oracle is not None)
-    return LiftResult(cert, ix, zt)
+    return LiftResult(cert)
 
 
-def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int, k: int,
+def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int,
              guards: Guards):
-    """Search y1 in GL_k(R), ascending, whose image is E_m(R/I)-equivalent to
-    pi(x) + 1_{m-1}; returns (y1, lifted word, w1, m, k)."""
+    """Search units y1 of R, ascending, whose image y1 + 1_{m-1} is
+    E_m(R/I)-equivalent to pi(x) + 1_{m-1}; returns (y1 as a 1x1 matrix,
+    lifted word, w1)."""
     S = qmap.target
     target = direct_sum(matrix(S, [[qmap.pi(x)]]), identity(S, m - 1))
-    try:
-        candidates = _gl_candidates(ring, k, guards)
-    except GuardExceeded:
-        return None
-    for y1 in candidates:
-        y1bar = matrix(S, [[qmap.pi(v) for v in row] for row in y1.entries])
-        base = direct_sum(y1bar, identity(S, m - k))
+    for u in ring.units():
+        y1 = matrix(ring, [[u]])
+        base = direct_sum(matrix(S, [[qmap.pi(u)]]), identity(S, m - 1))
         wbar = e_orbit_factor(S, m, target, base, guards)
         if wbar is None:
             continue
         z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
                                    for op in wbar.ops))
-        w1 = apply_elem_word(direct_sum(y1, identity(ring, m - k)), z_word)
+        w1 = apply_elem_word(direct_sum(y1, identity(ring, m - 1)), z_word)
         for i in range(m):
             for j in range(m):
                 dv = ring.sub(w1[i, j], x if (i, j) == (0, 0)
                               else (ring.one if i == j else ring.zero))
                 if not ideal.contains(dv):
                     raise AssertionError("w1 entry congruences fail")
-        return y1, z_word, w1, m, k
+        return y1, z_word, w1
     return None
-
-
-def _gl_candidates(ring: FiniteRing, k: int, guards: Guards):
-    if k == 1:
-        for u in ring.units():
-            yield matrix(ring, [[u]])
-        return
-    total = ring.size ** (k * k)
-    if total > guards.enumeration:
-        raise GuardExceeded(f"GL_{k} enumeration over {ring.describe()} "
-                            f"exceeds guards")
-    from .matrices import decode_matrix
-    for code in range(total):
-        A = decode_matrix(ring, k, code)
-        if try_inverse(A, guards) is not None:
-            yield A
 
 
 def verify_certificate(cert, guards: Guards = DEFAULT):

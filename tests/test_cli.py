@@ -51,23 +51,35 @@ def test_truncation_option_reaches_index_and_lift(tmp_path, monkeypatch):
         assert seen and set(seen) == {1}, (command, seen)
         report = json.loads(res.stdout)
         assert report["truncation"] == 1
-        assert report["zero_test"]["padding"] == 2
+        if command == "index":
+            assert report["zero_test"] == {"zero": True}
+        else:
+            assert "zero_test" not in report
 
 
-def test_failed_zero_test_is_undecided_not_an_obstruction(tmp_path,
-                                                          monkeypatch):
-    from exlift import lifting
-    from exlift.ktheory import ZeroTestResult
-    monkeypatch.setattr(lifting, "k0_zero_test",
-                        lambda ix, stab=None, guards=None:
-                        ZeroTestResult(False, True, None, 0))
+def test_lift_needs_neither_index_nor_zero_test(tmp_path, monkeypatch):
+    # the certificate proves index(x) = 0 by itself, so lift computes neither
+    import sys
+    from exlift import ktheory, lifting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift must not compute the index or test it")
+
+    originals = (ktheory.index, ktheory.k0_zero_test)
+    for name, mod in list(sys.modules.items()):
+        if name == "exlift" or name.startswith("exlift."):
+            for attr, val in list(vars(mod).items()):
+                if any(val is f for f in originals):
+                    monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(lifting, "index", refuse, raising=False)
+    monkeypatch.setattr(lifting, "k0_zero_test", refuse, raising=False)
     res = CliRunner().invoke(main, [
         "lift", "--spec", _m2_spec(tmp_path), "--element", "[[0, 1], [1, 1]]",
         "--format", "machine"])
-    assert res.exit_code == 5, res.output
-    assert json.loads(res.stdout)["lifted"] is False
-    assert "undecided at padding 2" in res.stderr
-    assert "no lift exists" not in res.output
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["lifted"] and report["certificate_checks"] > 0
+    assert "zero_test" not in report
 
 
 def test_check_builds_v_monoid_at_full_truncation(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from exlift import certificates as C, lifting as L, matrices as M, rings as R
 from exlift.errors import (HypothesisFailed, NotFredholm, PreconditionFailed)
-from exlift.ktheory import fredholm_elements, index, k0_zero_test
+from exlift.ktheory import (fredholm_elements, index, k0_zero_test,
+                            whitehead_factor)
+from witness_search import strict_zero_padding
 
 
 def z(n):
@@ -231,18 +233,53 @@ def test_forced_m4_lift_over_larger_quotients():
         assert ok, [c for c in checks if not c["ok"]]
 
 
-def test_every_fredholm_element_lifts(corpus_pairs):
+def _k0_witness(ring, ideal, x, y):
+    """(p, a, b) for index(x) = [p] - [e11]: a = w*e11 and b = e11*w^-1 with
+    w = v*diag(y^-1, y), v the lifted Whitehead word of connecting_delta."""
+    qmap = R.quotient_by(ring, ideal)
+    word_bar = whitehead_factor(qmap.target, qmap.pi(x))
+    lifted = M.ElemWord(2, tuple(M.right_op(op.i, op.j, qmap.lift(op.r))
+                                 for op in word_bar.ops))
+    v = M.evaluate_word(ring, lifted)
+    vinv = M.evaluate_word(ring, lifted.inverse(ring))
+    yinv = ring.inverse(y)
+    w = M.mat_mul(v, M.matrix(ring, [[yinv, ring.zero], [ring.zero, y]]))
+    winv = M.mat_mul(M.matrix(ring, [[y, ring.zero], [ring.zero, yinv]]),
+                     vinv)
+    e11 = M.matrix(ring, [[ring.one, ring.zero], [ring.zero, ring.zero]])
+    assert M.mat_mul(w, winv) == M.identity(ring, 2)
+    assert _congruent(w, M.identity(ring, 2), ideal)
+    return M.mat_mul(M.mat_mul(v, e11), vinv), M.mat_mul(w, e11), \
+        M.mat_mul(e11, winv)
+
+
+def _congruent(A, B, ideal):
+    ring = A.ring
+    return all(ideal.contains(ring.sub(A[i, j], B[i, j]))
+               for i in range(A.n) for j in range(A.n))
+
+
+def test_every_fredholm_element_lifts(corpus_pairs_full):
+    # every unit of R/I lifts, and each lift y yields the strict zero-test
+    # witness for index(x) at padding 0: a*b = p, b*a = e11, a = p mod M_2(I)
     lifted = 0
-    for name, ring, ideal, tags in corpus_pairs:
+    for name, ring, ideal, tags in corpus_pairs_full:
         for x in fredholm_elements(ring, ideal):
             cert = L.lift_unit(ring, ideal, x).certificate
             payload = json.loads(C.dumps_certificate(cert.to_payload()))
             ok, checks = C.verify_payload(payload)
             assert ok, (name, x, [c for c in checks if not c["ok"]])
-            assert cert.oracle_confirmed
+            assert cert.oracle_confirmed and cert.k == 1
             assert ideal.contains(ring.sub(x, cert.y))
+            ix = index(ring, ideal, x)
+            p, a, b = _k0_witness(ring, ideal, x, cert.y)
+            assert p == ix.pos
+            assert M.mat_mul(a, b) == p and M.mat_mul(b, a) == ix.neg
+            assert _congruent(a, p, ideal), (name, x)
+            assert k0_zero_test(ix), (name, x)
+            assert strict_zero_padding(ix, stab=0) == 0, (name, x)
             lifted += 1
-    assert lifted == 192
+    assert lifted == 208
 
 
 def test_lift_requires_separative_exchange_hypotheses():

