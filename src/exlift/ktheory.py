@@ -18,9 +18,9 @@ from typing import Callable, Optional
 
 from .config import DEFAULT, Guards
 from .errors import NotAUnit, NotFredholm, RingMismatch
-from .matrices import (ElemWord, RMatrix, direct_sum, evaluate_word,
-                       is_idempotent, mat_mul, matrix, right_op,
-                       whitehead_ops)
+from .matrices import (ElemWord, RMatrix, congruent_mod, direct_sum,
+                       evaluate_word, is_idempotent, mat_mul, matrix,
+                       right_op, whitehead_ops)
 from .rings import FiniteRing, Ideal, quotient_by
 from . import vmonoid as _vm
 
@@ -132,15 +132,9 @@ def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int,
     p = mat_mul(mat_mul(v, e11), vinv)
     if not is_idempotent(p):
         raise AssertionError("conjugated idempotent is not idempotent")
-    if not _congruent_mod2(p, e11, ideal):
+    if not congruent_mod(p, e11, ideal):
         raise AssertionError("delta output is not congruent to 1+0 mod M_2(I)")
     return K0Element(ring, ideal, (p,), (e11,))
-
-
-def _congruent_mod2(A: RMatrix, B: RMatrix, ideal: Ideal) -> bool:
-    ring = A.ring
-    return all(ideal.contains(ring.sub(A.entries[i][j], B.entries[i][j]))
-               for i in range(A.n) for j in range(A.n))
 
 
 def index(ring: FiniteRing, ideal: Ideal, x: int,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from click.testing import CliRunner
 
@@ -59,7 +60,6 @@ def test_truncation_option_reaches_index_and_lift(tmp_path, monkeypatch):
 
 def test_lift_needs_neither_index_nor_zero_test(tmp_path, monkeypatch):
     # the certificate proves index(x) = 0 by itself, so lift computes neither
-    import sys
     from exlift import ktheory, lifting
 
     def refuse(*args, **kwargs):

@@ -248,15 +248,9 @@ def _k0_witness(ring, ideal, x, y):
                      vinv)
     e11 = M.matrix(ring, [[ring.one, ring.zero], [ring.zero, ring.zero]])
     assert M.mat_mul(w, winv) == M.identity(ring, 2)
-    assert _congruent(w, M.identity(ring, 2), ideal)
+    assert M.congruent_mod(w, M.identity(ring, 2), ideal)
     return M.mat_mul(M.mat_mul(v, e11), vinv), M.mat_mul(w, e11), \
         M.mat_mul(e11, winv)
-
-
-def _congruent(A, B, ideal):
-    ring = A.ring
-    return all(ideal.contains(ring.sub(A[i, j], B[i, j]))
-               for i in range(A.n) for j in range(A.n))
 
 
 def test_every_fredholm_element_lifts(corpus_pairs_full):
@@ -275,7 +269,7 @@ def test_every_fredholm_element_lifts(corpus_pairs_full):
             p, a, b = _k0_witness(ring, ideal, x, cert.y)
             assert p == ix.pos
             assert M.mat_mul(a, b) == p and M.mat_mul(b, a) == ix.neg
-            assert _congruent(a, p, ideal), (name, x)
+            assert M.congruent_mod(a, p, ideal), (name, x)
             assert k0_zero_test(ix), (name, x)
             assert strict_zero_padding(ix, stab=0) == 0, (name, x)
             lifted += 1
