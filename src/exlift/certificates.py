@@ -457,13 +457,13 @@ def _verify_lift(ring: FiniteRing, ideal: Ideal, payload: dict,
     x = element_from_descriptor(ring, payload["x"])
     y = element_from_descriptor(ring, payload["y"])
     m, k = payload["m"], payload["k"]
-    if not rep.add("stabilization level", m in (2, 4) and 1 <= k <= 2):
+    if not rep.add("stabilization level", m in (2, 4) and k == 1):
         return
-    y1 = _mat_from_desc(ring, payload["y1"], k)
+    y1 = _mat_from_desc(ring, payload["y1"], 1)
     rep.add("y1 invertible", try_inverse(y1, guards) is not None)
     z_word = _word_from_desc(ring, m, payload["z_word"])
     w1 = _mat_from_desc(ring, payload["w1"], m)
-    base = direct_sum(y1, identity(ring, m - k)) if m > k else y1
+    base = direct_sum(y1, identity(ring, m - 1))
     rep.add("w1 = z (y1+1)", apply_elem_word(base, z_word) == w1)
     qmap = quotient_by(ring, ideal)
     target_bar = direct_sum(matrix(qmap.target, [[qmap.pi(x)]]),

@@ -1,7 +1,10 @@
 """Exchange-ring and exchange-ideal predicates with replayable witnesses.
 
-All searches scan in ascending carrier index (smallest e, then r, then s), so
-witnesses are reproducible and certificates deterministic.
+A witness is the least (e, r, s): smallest idempotent e, then r, then s, in
+carrier index, so witnesses are reproducible and certificates deterministic.
+One batched table kernel finds the least e for many elements at once; the
+predicates run it over the whole ring or ideal, and the witness functions
+over one element.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import numpy as np
 from .errors import NotIdempotent, NotInIdeal
 from .rings import FiniteRing, Ideal, QuotientMap, quotient_by
 
+# the kernel works in blocks of rows whose tables hold at most this many
+# entries
+_BLOCK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExchangeWitness:
@@ -24,44 +31,87 @@ class ExchangeWitness:
     s: int
 
 
+def _form(ring: FiniteRing, ideal: Optional[Ideal] = None):
+    """(tables, idem, carrier) of the unital form (ideal None) or of the
+    intrinsic form over I.
+
+    carrier holds the candidates for r and s (R, or the members of I) and
+    idem the candidates for e, ascending.  tables(rows) gives two tables with
+    one row per element x of rows and one column per candidate: e is a
+    witness idempotent for x iff it appears in both rows.  Unital:
+    x*r and 1 - (1-x)*s.  Intrinsic: x*r and x + s - x*s."""
+    npadd, npneg, npmul = ring.npadd, ring.npneg, ring.npmul
+    idem = np.array(ring.idempotents(), dtype=np.intp)
+    if ideal is None:
+        def tables(rows):
+            one_minus = npadd[ring.one, npneg[rows]]
+            return npmul[rows], npadd[ring.one, npneg[npmul[one_minus]]]
+        return tables, idem, np.arange(ring.size)
+
+    members = np.fromiter(ideal.sorted_members, dtype=np.intp)
+
+    def tables(rows):
+        cross = np.ix_(rows, members)
+        xm = npmul[cross]
+        return xm, npadd[npadd[cross], npneg[xm]]
+    return tables, idem[ideal.mask[idem]], members
+
+
+def _least_idempotents(ring: FiniteRing, rows: np.ndarray, tables,
+                       idem: np.ndarray) -> np.ndarray:
+    """Per element of rows, the position in idem of its least witness
+    idempotent, or -1.
+
+    Each table row is scattered into a boolean row over idem (one spare
+    column takes the other values); blocks of rows keep every temporary
+    within _BLOCK_ENTRIES entries."""
+    col_of = np.full(ring.size, len(idem), dtype=np.intp)
+    col_of[idem] = np.arange(len(idem))
+    out = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _BLOCK_ENTRIES // ring.size)
+    for lo in range(0, len(rows), step):
+        left, right = tables(rows[lo:lo + step])
+        at = np.arange(len(left))[:, None]
+        both = np.zeros((len(left), len(idem) + 1), dtype=bool)
+        both[at, col_of[left]] = True
+        in_right = np.zeros_like(both)
+        in_right[at, col_of[right]] = True
+        both = (both & in_right)[:, :-1]
+        out[lo:lo + step] = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+    return out
+
+
+def _witness(ring: FiniteRing, x: int,
+             ideal: Optional[Ideal] = None) -> Optional[ExchangeWitness]:
+    """The least (e, r, s) for x: e from the kernel, then the least r and s
+    of the carrier whose table entries equal e."""
+    tables, idem, carrier = _form(ring, ideal)
+    rows = np.array([x], dtype=np.intp)
+    p = _least_idempotents(ring, rows, tables, idem)[0]
+    if p < 0:
+        return None
+    e = idem[p]
+    left, right = tables(rows)
+    return ExchangeWitness(int(e), int(carrier[np.argmax(left[0] == e)]),
+                           int(carrier[np.argmax(right[0] == e)]))
+
+
+def _every_element_has_witness(ring: FiniteRing,
+                               ideal: Optional[Ideal] = None) -> bool:
+    tables, idem, carrier = _form(ring, ideal)
+    return bool((_least_idempotents(ring, carrier, tables, idem) >= 0).all())
+
+
 def exchange_witness_unital(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
     """Least (e, r, s) with e = a*r idempotent and 1 - e = (1-a)*s."""
-    one_minus_a = ring.sub(ring.one, a)
-    row_a = ring.npmul[a]
-    row_c = ring.npmul[one_minus_a]
-    for e in ring.idempotents():
-        rs = np.flatnonzero(row_a == e)
-        if not len(rs):
-            continue
-        target = ring.sub(ring.one, e)
-        ss = np.flatnonzero(row_c == target)
-        if not len(ss):
-            continue
-        return ExchangeWitness(e, int(rs[0]), int(ss[0]))
-    return None
+    return _witness(ring, a)
 
 
 def exchange_witness_ideal(ring: FiniteRing, ideal: Ideal,
                            x: int) -> Optional[ExchangeWitness]:
     """Least (e, r, s) in I^3 with e = x*r = x + s - x*s, e idempotent."""
     ideal.require(x)
-    members = np.fromiter(ideal.sorted_members, dtype=np.int64)
-    row_x = ring.npmul[x][members]                      # x*r over r in I
-    # x + s - x*s over s in I
-    xs = ring.npmul[x][members]
-    x_plus_s = ring.npadd[x][members]
-    rhs = ring.npadd[x_plus_s, ring.npneg[xs]]
-    for e in ring.idempotents():
-        if not ideal.contains(e):
-            continue
-        rs = np.flatnonzero(row_x == e)
-        if not len(rs):
-            continue
-        ss = np.flatnonzero(rhs == e)
-        if not len(ss):
-            continue
-        return ExchangeWitness(e, int(members[rs[0]]), int(members[ss[0]]))
-    return None
+    return _witness(ring, x, ideal)
 
 
 def is_exchange_ring(ring: FiniteRing) -> bool:
@@ -69,9 +119,7 @@ def is_exchange_ring(ring: FiniteRing) -> bool:
     key = "is_exchange_ring"
     got = ring._cache.get(key)
     if got is None:
-        got = all(exchange_witness_unital(ring, a) is not None
-                  for a in ring.elements())
-        ring._cache[key] = got
+        got = ring._cache[key] = _every_element_has_witness(ring)
     return got
 
 
@@ -80,9 +128,7 @@ def is_exchange_ideal(ring: FiniteRing, ideal: Ideal) -> bool:
     key = ("is_exchange_ideal", ideal.members)
     got = ring._cache.get(key)
     if got is None:
-        got = all(exchange_witness_ideal(ring, ideal, x) is not None
-                  for x in ideal)
-        ring._cache[key] = got
+        got = ring._cache[key] = _every_element_has_witness(ring, ideal)
     return got
 
 

@@ -189,9 +189,9 @@ class FiniteRing:
     def __post_init__(self):
         self._cache: dict = {}
         if self.size <= _LIST_MIRROR_MAX:
-            self._add = [list(map(int, row)) for row in self.npadd]
-            self._mul = [list(map(int, row)) for row in self.npmul]
-            self._neg = list(map(int, self.npneg))
+            self._add = self.npadd.tolist()
+            self._mul = self.npmul.tolist()
+            self._neg = self.npneg.tolist()
         else:
             self._add = self._mul = self._neg = None
 
@@ -609,22 +609,18 @@ def quotient_by(ring: FiniteRing, ideal: Ideal,
     if got is not None:
         return got
 
-    members = np.fromiter(ideal.sorted_members, dtype=np.int64)
-    cosets = ring.npadd.astype(np.int64)[:, members]  # (n, |I|)
-    rep = cosets.min(axis=1)
+    members = np.fromiter(ideal.sorted_members, dtype=np.intp)
+    # the least member of each coset a + I, then the ascending coset reps
+    rep = ring.npadd[:, members].min(axis=1).astype(np.int64)
     reps = np.unique(rep)
     qsize = len(reps)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    image = np.array([index_of[int(rep[a])] for a in range(ring.size)],
-                     dtype=np.int64)
+    image = np.searchsorted(reps, rep).astype(np.int64)
 
-    dt = _table_dtype(qsize)
-    add = np.empty((qsize, qsize), dtype=dt)
-    mul = np.empty((qsize, qsize), dtype=dt)
-    for x, rx in enumerate(reps):
-        add[x] = image[ring.npadd[rx, reps]]
-        mul[x] = image[ring.npmul[rx, reps]]
-    neg = image[ring.npneg[reps]].astype(dt)
+    named = image.astype(_table_dtype(qsize))   # gathers stay in table dtype
+    cross = np.ix_(reps, reps)
+    add = named[ring.npadd[cross]]
+    mul = named[ring.npmul[cross]]
+    neg = named[ring.npneg[reps]]
 
     spec = QuotientSpec(ring.spec,
                         tuple(element_descriptor_frozen(ring, g)
@@ -687,14 +683,17 @@ def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
                      target: int) -> Optional[tuple]:
-    """Least (x, y) lexicographic with c*x + d*y == target."""
-    sums = ring.npadd[ring.npmul[c][:, None], ring.npmul[d][None, :]]
-    hits = np.argwhere(sums == target)
-    if len(hits) == 0:
+    """Least (x, y) lexicographic with c*x + d*y == target: the least x
+    with target - c*x in dR, then the least y with d*y equal to it."""
+    dy = ring.npmul[d]
+    in_dR = np.zeros(ring.size, dtype=bool)
+    in_dR[dy] = True
+    rest = ring.npadd[target, ring.npneg[ring.npmul[c]]]    # target - c*x
+    xs = np.flatnonzero(in_dR[rest])
+    if len(xs) == 0:
         return None
-    x, y = hits[0]
-    return int(x), int(y)
-
+    x = int(xs[0])
+    return x, int(np.argmax(dy == rest[x]))
 
 
 # ---------------------------------------------------------------------------

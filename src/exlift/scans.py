@@ -1,9 +1,10 @@
 """Deterministic first-hit scans shared by the constructions and the
 certificate verifier.
 
-Every search here is a plain ascending scan over the carrier using only ring
-operations, so a verifier can re-derive each recorded witness and reject any
-transcript that did not come from the canonical search order.
+Every search here returns the first hit of an ascending scan over the
+carrier (the pair solve finds it from a membership mask of dR instead of
+scanning all pairs), so a verifier can re-derive each recorded witness and
+reject any transcript that did not come from the canonical search order.
 
 Each scan is right-handed (ideals aR, equations a*x = b).  Its left-handed
 form is the same scan over ``ring.op()``: Ra is a*R^op, and x*a = b in R is

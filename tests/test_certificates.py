@@ -88,6 +88,23 @@ def test_m4_lift_certificate():
     assert ok, [c for c in checks if not c["ok"]]
 
 
+def test_lift_certificate_rejects_stabilization_level_two():
+    # y1 + 1 as a 2x2 y1 pads to the same w1, yet lift_unit only records
+    # units of R (k = 1), so the verifier refuses k = 2
+    z4, ideal = z4_pair()
+    for start_m in (2, 4):
+        payload = L.lift_unit(z4, ideal, 3, start_m=start_m).certificate \
+            .to_payload()
+        [[y1]] = payload["y1"]
+        padded = dict(payload, k=2, y1=[[y1, R.element_descriptor(z4, 0)],
+                                        [R.element_descriptor(z4, 0),
+                                         R.element_descriptor(z4, 1)]])
+        ok, checks = C.verify_payload(json.loads(json.dumps(padded)))
+        assert not ok
+        assert "stabilization level" in {c["check"] for c in checks
+                                         if not c["ok"]}
+
+
 def test_lift_certificate_proves_a_lift_of_the_coset():
     z4, ideal = z4_pair()
     payload = fresh_payloads()["lift"]

@@ -1,0 +1,130 @@
+"""The table kernels of ``rings`` and ``exchange`` against the brute-force
+scans in ``table_oracles``: exact answers, on every corpus pair and on
+M_2(R) with the ideals M_2(I) for |R| <= 6."""
+
+import random
+
+import numpy as np
+import pytest
+
+from exlift import exchange as E, rings as R
+from exlift.matrices import matrix_ideal
+
+import table_oracles as O
+
+
+def _small_bases(corpus_rings):
+    """The corpus rings with at most 6 elements, one per spec."""
+    seen = {}
+    for entry, ring in corpus_rings:
+        if ring.size <= 6:
+            seen.setdefault(ring.spec, ring)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def blocked_pairs(corpus_rings):
+    """(name, M_2(R), M_2(I)) for every ideal I of a corpus ring R with
+    |R| <= 6: the pairs the blocked stage of a forced m=4 lift runs on."""
+    out = []
+    for base in _small_bases(corpus_rings):
+        mring = R.build_ring(R.MatrixSpec(base.spec, 2))
+        for ideal in R.all_ideals(base):
+            out.append((f"M_2({base.describe()}) |I|={len(ideal)}", mring,
+                        matrix_ideal(mring, base, 2, ideal)))
+    return out
+
+
+def _pairs(corpus_pairs_full, blocked_pairs):
+    return ([(name, ring, ideal) for name, ring, ideal, _ in corpus_pairs_full]
+            + blocked_pairs)
+
+
+def test_blocked_pairs_reach_m2_z6(blocked_pairs):
+    sizes = {ring.size for _, ring, _ in blocked_pairs}
+    assert 1296 in sizes and len(blocked_pairs) >= 12
+
+
+def test_pair_solve_matches_grid_scan(corpus_rings, blocked_pairs):
+    rings = {ring.spec: ring for _, ring in corpus_rings}
+    rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
+    rng = random.Random(8)
+    found = missed = 0
+    for ring in rings.values():
+        if ring.size <= 8:
+            triples = [(c, d, t) for c in range(ring.size)
+                       for d in range(ring.size) for t in range(ring.size)]
+        else:
+            units = ring.units()
+            triples = [(rng.randrange(ring.size), rng.randrange(ring.size),
+                        rng.choice((ring.one, rng.randrange(ring.size))))
+                       for _ in range(150)]
+            # a unit in either slot makes every target reachable
+            triples += [(rng.choice(units), rng.randrange(ring.size),
+                         rng.randrange(ring.size)) for _ in range(25)]
+        for c, d, t in triples:
+            want = O.solve_pair_right(ring, c, d, t)
+            assert R.solve_pair_right(ring, c, d, t) == want, \
+                (ring.describe(), c, d, t)
+            found += want is not None
+            missed += want is None
+    assert found and missed
+
+
+def test_ideal_witnesses_match_idempotent_loop(corpus_pairs_full,
+                                               blocked_pairs):
+    for name, ring, ideal in _pairs(corpus_pairs_full, blocked_pairs):
+        verdict = True
+        for x in ideal:
+            want = O.exchange_witness_ideal(ring, ideal, x)
+            assert E.exchange_witness_ideal(ring, ideal, x) == want, (name, x)
+            verdict = verdict and want is not None
+        assert E.is_exchange_ideal(ring, ideal) == verdict, name
+
+
+def test_unital_witnesses_match_idempotent_loop(corpus_rings, blocked_pairs):
+    rings = {ring.spec: ring for _, ring in corpus_rings}
+    rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
+    for ring in rings.values():
+        verdict = True
+        for a in ring.elements():
+            want = O.exchange_witness_unital(ring, a)
+            assert E.exchange_witness_unital(ring, a) == want, \
+                (ring.describe(), a)
+            verdict = verdict and want is not None
+        assert E.is_exchange_ring(ring) == verdict, ring.describe()
+
+
+def test_exchange_kernel_blocks_agree(monkeypatch):
+    # blocks of a few rows give the same least witnesses as one block
+    ring = R.build_ring(R.MatrixSpec(R.ZmodSpec(3), 2))
+    ideal = R.full_ideal(ring)
+    tables, idem, members = E._form(ring, ideal)
+    whole = E._least_idempotents(ring, members, tables, idem)
+    monkeypatch.setattr(E, "_BLOCK_ENTRIES", 3 * ring.size)
+    assert np.array_equal(E._least_idempotents(ring, members, tables, idem),
+                          whole)
+    for x, p in zip(members, whole):
+        assert idem[p] == O.exchange_witness_ideal(ring, ideal, int(x)).e
+
+
+def test_quotient_tables_match_coset_loop(corpus_pairs_full, blocked_pairs):
+    for name, ring, ideal in _pairs(corpus_pairs_full, blocked_pairs):
+        image, section, add, mul, neg = O.quotient_tables(ring, ideal)
+        qmap = R.quotient_by(ring, ideal)
+        q = qmap.target
+        assert np.array_equal(qmap.image, image), name
+        assert np.array_equal(qmap.section, section), name
+        assert qmap.image.dtype == qmap.section.dtype == np.int64, name
+        assert np.array_equal(q.npadd, add), name
+        assert np.array_equal(q.npmul, mul), name
+        assert np.array_equal(q.npneg, neg), name
+        assert (q.zero, q.one) == (image[ring.zero], image[ring.one]), name
+
+
+def test_list_mirrors_equal_tables(corpus_rings):
+    for _, ring in corpus_rings:
+        assert ring._mul == [[int(v) for v in row] for row in ring.npmul]
+        assert ring._add == [[int(v) for v in row] for row in ring.npadd]
+        assert ring._neg == [int(v) for v in ring.npneg]
+        assert all(type(v) is int for v in ring._mul[-1])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exlift import ktheory as K, matrices as M, rings as R
+from exlift import ktheory as K, matrices as M, rings as R, vmonoid
 from exlift.errors import NotAUnit, NotFredholm
 from witness_search import strict_zero_padding
 
@@ -99,6 +99,29 @@ def test_zero_test_on_idempotents_of_the_ideal(corpus_pairs):
             for f in idems:
                 seen.add(is_zero(K.K0Element(ring, ideal, (e,), (f,))))
     assert seen == {True, False}
+
+
+def test_strict_oracle_decides_full_ideals_without_class_key(corpus_pairs,
+                                                            monkeypatch):
+    # on a full ideal the oracle's verdict comes from its own witness search,
+    # so agreeing with k0_zero_test is not a comparison with itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("the strict oracle read class_key")
+
+    monkeypatch.setattr(vmonoid, "class_key", refuse)
+    full = [(name, ring, ideal) for name, ring, ideal, tags in corpus_pairs
+            if ideal.is_full() and ring.size <= 16]
+    assert len(full) >= 5
+    for name, ring, ideal in full:
+        one = M.matrix(ring, [[ring.one]])
+        zero = M.matrix(ring, [[ring.zero]])
+        assert strict_zero_padding(K.K0Element(ring, ideal, (one,), (one,))) \
+            == 0, name
+        assert strict_zero_padding(
+            K.K0Element(ring, ideal, (one,), (zero,))) is None, name
+        for x in K.fredholm_elements(ring, ideal)[:3]:
+            assert strict_zero_padding(K.index(ring, ideal, x)) is not None, \
+                (name, x)
 
 
 def test_trivial_difference_is_zero(corpus_pairs):

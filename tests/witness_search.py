@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from exlift import vmonoid as _vm
 from exlift.config import DEFAULT, Guards
 from exlift.errors import GuardExceeded
 from exlift.ktheory import K0Element
@@ -307,10 +306,14 @@ def _stabilized_handle(eng, parts: tuple, m: int):
 def _strict_equal(ring: FiniteRing, ideal: Ideal, pos_parts: tuple,
                   neg_parts: tuple, m: int, guards: Guards) -> bool:
     if ideal.is_full():
-        # congruence mod R is vacuous: strict coincides with plain equivalence,
-        # and the padding 1_m multiplies both keys by the same nonzero factor
-        return (_vm.class_key(ring, *pos_parts, guards=guards)
-                == _vm.class_key(ring, *neg_parts, guards=guards))
+        # congruence mod M(R) is vacuous: strict is plain equivalence of
+        # pos + 1_m and neg + 1_m, which the witness search decides alone
+        eng = _engine(ring, guards)
+        hp = _stabilized_handle(eng, pos_parts, m)
+        hq = _stabilized_handle(eng, neg_parts, m)
+        d = max(hp.d, hq.d)
+        return eng.find_witness(eng.idem_pad(hp, d),
+                                eng.idem_pad(hq, d)) is not None
     from exlift.rings import ProductSpec, build_ring
     if isinstance(ring.spec, ProductSpec):
         return _strict_equal_product(ring, ideal, pos_parts, neg_parts, m,
