@@ -30,9 +30,8 @@ from .vmonoid import (CheckOutcome, FinMonoid, OrderIdeal, VClass, VMonoid,
                       build_v_monoid, equivalent_idempotents,
                       has_refinement_wrt, is_separative, lemma13_check,
                       monoid_to_obj, parse_monoid_obj, v_order_ideal)
-from .ktheory import (FredholmElement, K0Element, connecting_delta,
-                      fredholm_elements, index, is_fredholm, k0_zero_test,
-                      whitehead_factor)
+from .ktheory import (K0Element, connecting_delta, fredholm_elements, index,
+                      is_fredholm, k0_zero_test, whitehead_factor)
 from .lifting import (DiagonalizationResult, LiftCertificate, LiftResult,
                       ReductionResult, diagonalize_2x2, join_idempotent,
                       lift_unit, oracle_lift, reduce_col, reduce_row,

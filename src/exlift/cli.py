@@ -23,7 +23,7 @@ from .exchange import is_exchange_ideal, is_exchange_ring
 from .ktheory import index as k_index, is_fredholm, k0_zero_test
 from .lifting import (effective_truncation, lift_unit, oracle_lift,
                       separative_exchange_status, verify_certificate)
-from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
+from .rings import (FiniteRing, build_ring, element_descriptor,
                     element_from_descriptor, full_ideal, ideal_closure,
                     parse_ring_spec, ring_spec_obj)
 from .vmonoid import (OrderIdeal, build_v_monoid, has_refinement_wrt,
@@ -285,7 +285,7 @@ def _index_report(ring, idl, x, guards) -> dict:
         "truncation": K,
         "index_pos_class": label(ix.pos),
         "index_neg_class": label(ix.neg),
-        "zero_test": {"zero": k0_zero_test(ix, guards)},
+        "zero_test": {"zero": k0_zero_test(ix)},
     }
 
 

@@ -1,8 +1,11 @@
 """Resource guards.
 
-Every exhaustive construction or search in the library is bounded by one of
-these knobs.  Exceeding a guard raises ``GuardExceeded`` instead of degrading
-to an approximate answer.
+Exceeding a guard raises ``GuardExceeded`` instead of degrading to an
+approximate answer.  ``Guards`` holds the two settable ones: the largest
+carrier a ring construction may produce (the CLI's ``--guard`` and
+``EXLIFT_GUARD``) and the V-monoid truncation.  The fixed bounds are
+constants next to the check they bound: ``rings.TABLE_ENTRIES``,
+``vmonoid.ENUMERATION`` and ``matrices.SEARCH_CANDIDATES``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,6 @@ ENV_GUARD = "EXLIFT_GUARD"
 class Guards:
     # Largest carrier a ring construction may produce.
     carrier: int = 65536
-    # Largest n*n operation table we will materialize (entries, per table).
-    table_entries: int = 2**24
-    # Largest vector space enumerated: the |R/J|**d vectors behind a class key.
-    enumeration: int = 2**25
-    # try_inverse solves A*x = e_j over |R|**n candidate columns and refuses
-    # when |R|**n exceeds 16 times this.
-    search_candidates: int = 200_000
     # Default V-monoid truncation dimension.
     truncation: int = 2
 

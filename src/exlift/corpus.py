@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT, Guards
-from .rings import (FiniteRing, Ideal, MatrixSpec, ProductSpec, QuotientSpec,
-                    RingSpec, TriangularSpec, ZmodSpec, all_ideals, build_ring,
+from .rings import (MatrixSpec, ProductSpec, QuotientSpec, RingSpec,
+                    TriangularSpec, ZmodSpec, all_ideals, build_ring,
                     element_from_descriptor, ideal_closure)
 
 E12 = [[0, 1], [0, 0]]

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotIdempotent, NotInIdeal
-from .rings import FiniteRing, Ideal, QuotientMap, quotient_by
+from .errors import NotIdempotent
+from .rings import FiniteRing, Ideal, quotient_by
 
 # the kernel works in blocks of rows whose tables hold at most this many
 # entries

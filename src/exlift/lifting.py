@@ -9,7 +9,7 @@ bug, never a routine negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import DEFAULT, Guards
@@ -17,12 +17,12 @@ from .errors import (HypothesisFailed, NotFredholm, PreconditionFailed,
                      SearchExhausted)
 from .exchange import is_exchange_ideal
 from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
-                       direct_sum, e_orbit_factor, identity, is_idempotent,
-                       left_op, mat_mul, matrix, matrix_ideal, right_op,
-                       sigma_inv_word_left, sigma_word_left, sigma_word_right,
-                       try_inverse, unblock_matrix, word_in_ideal)
-from .rings import (FiniteRing, Ideal, MatrixSpec, OppositeSpec, build_ring,
-                    ideal_closure, quotient_by, solve_right)
+                       direct_sum, e_orbit_factor, identity, left_op, mat_mul,
+                       matrix, right_op, sigma_inv_word_left, sigma_word_left,
+                       sigma_word_right, stage_ring, try_inverse,
+                       unblock_matrix, word_in_ideal)
+from .rings import (FiniteRing, Ideal, OppositeSpec, ideal_closure,
+                    quotient_by, solve_right)
 from . import scans
 from .vmonoid import build_v_monoid, is_separative, v_order_ideal
 
@@ -139,8 +139,8 @@ def _row_pass(ring: FiniteRing, ideal: Ideal, A: RMatrix, tag: str,
     return [op1, op2], A, e, r, s
 
 
-def _require_invertible(alpha: RMatrix, guards: Guards) -> None:
-    if try_inverse(alpha, guards) is None:
+def _require_invertible(alpha: RMatrix) -> None:
+    if try_inverse(alpha) is None:
         raise PreconditionFailed("matrix is not invertible")
 
 
@@ -149,7 +149,7 @@ def reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     """Right-multiply by a word in E_2(I) so the last row becomes (c', d')
     with c' in Rc, c'R = (1-h)R, d'R = hR and RhR = R."""
     _check_entries(ring, ideal, alpha)
-    _require_invertible(alpha, guards)
+    _require_invertible(alpha)
     return _reduce_row(ring, ideal, alpha, guards)
 
 
@@ -222,7 +222,7 @@ def reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     procedure's right ops and contracts over R^op are the column
     procedure's left ops and contracts over R."""
     _check_entries(ring, ideal, alpha)
-    _require_invertible(alpha, guards)
+    _require_invertible(alpha)
     return _reduce_col(ring, ideal, alpha, guards)
 
 
@@ -302,7 +302,7 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     one = ring.one
     if not ideal.contains(ring.sub(alpha[1, 1], one)):
         raise PreconditionFailed("entry (2,2) must be 1 modulo the ideal")
-    _require_invertible(alpha, guards)
+    _require_invertible(alpha)
     status = separative_exchange_status(ring, ideal, guards)
     if not status["ok"]:
         raise PreconditionFailed(f"ideal is not separative exchange: {status}")
@@ -398,7 +398,7 @@ class LiftCertificate:
     z_word: ElemWord          # lifted orbit word, left ops at dimension m
     w1: RMatrix               # eval(z_word) * (y1 + 1_{m-k})
     stages: list
-    oracle_confirmed: bool
+    oracle_confirmed: bool    # a unit lifts pi(x); always True
 
     def to_payload(self) -> dict:
         from .certificates import lift_payload
@@ -444,38 +444,29 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
                               f"E_{m}(R/I)(pi({x}) + 1_{m - 1})")
     y1, z_word, w1 = attempt
 
+    # each stage halves the dimension: a 2k x 2k matrix over R is 2x2 over
+    # M_k(R), diagonalized there to a'u + 1, whose corner a'u is k x k over R
     stages = []
     current = w1
-    dim = m
-    while dim > 1:
-        if dim == 2:
-            dg = diagonalize_2x2(ring, ideal, current, guards)
-            w_next = matrix(ring, [[ring.mul(dg.a_prime, dg.u)]])
-            stages.append(LiftStage(dim, "base", ring, ideal, current, dg,
-                                    w_next))
-            current = w_next
-            dim = 1
-        else:
-            # view the 4x4 matrix as 2x2 over M_2(R)
-            mring = build_ring(MatrixSpec(ring.spec, 2), guards)
-            mideal = matrix_ideal(mring, ring, 2, ideal)
-            blocked = block_matrix(current, mring, 2)
-            dg = diagonalize_2x2(mring, mideal, blocked, guards)
-            w_elem = mring.mul(dg.a_prime, dg.u)
-            w_next = unblock_matrix(matrix(mring, [[w_elem]]), ring, 2)
-            stages.append(LiftStage(dim, "blocked", mring, mideal, current,
-                                    dg, w_next))
-            current = w_next
-            dim = 2
+    while current.n > 1:
+        k = current.n // 2
+        sring, sideal = stage_ring(ring, ideal, k, guards)
+        dg = diagonalize_2x2(sring, sideal, block_matrix(current, sring, k),
+                             guards)
+        w_next = unblock_matrix(
+            matrix(sring, [[sring.mul(dg.a_prime, dg.u)]]), ring, k)
+        stages.append(LiftStage(current.n, "base" if k == 1 else "blocked",
+                                sring, sideal, current, dg, w_next))
+        current = w_next
     y = current[0, 0]
 
     if ring.inverse(y) is None:
         raise AssertionError("lifted element is not a unit")
     if not ideal.contains(ring.sub(x, y)):
         raise AssertionError("lift does not agree with x modulo I")
-    oracle = oracle_lift(ring, ideal, x)
+    # the two asserts above prove that a lift exists, so the flag is True
     cert = LiftCertificate(ring, ideal, x, y, m, 1, y1, z_word, w1, stages,
-                           oracle is not None)
+                           True)
     return LiftResult(cert)
 
 

@@ -9,7 +9,6 @@ for membership in E_n(I) entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .config import DEFAULT, Guards
 from .errors import (DimensionMismatch, GuardExceeded, PreconditionFailed,
                      RingMismatch, SearchExhausted)
-from .rings import FiniteRing, Ideal, QuotientMap
+from .rings import (FiniteRing, Ideal, MatrixSpec, QuotientMap, build_ring,
+                    digits, pack, unpack)
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,8 @@ class RMatrix:
         return self.entries[i][j]
 
     def encode(self) -> int:
-        """Mixed-radix packing, row-major big-endian."""
-        code = 0
-        B = self.ring.size
-        for row in self.entries:
-            for x in row:
-                code = code * B + x
-        return code
+        """The code of this matrix as an element of M_n(R)."""
+        return pack([x for row in self.entries for x in row], self.ring.size)
 
     def transpose(self) -> "RMatrix":
         return RMatrix(self.ring, self.n,
@@ -65,12 +60,8 @@ def matrix(ring: FiniteRing, rows) -> RMatrix:
 
 
 def decode_matrix(ring: FiniteRing, n: int, code: int) -> RMatrix:
-    B = ring.size
-    flat = []
-    for _ in range(n * n):
-        flat.append(code % B)
-        code //= B
-    flat.reverse()
+    """Inverse of RMatrix.encode."""
+    flat = unpack(code, ring.size, n * n)
     return RMatrix(ring, n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
 
 
@@ -86,13 +77,6 @@ def zero_matrix(ring: FiniteRing, n: int) -> RMatrix:
     return RMatrix(ring, n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
 
-def scalar_matrix(ring: FiniteRing, n: int, a: int) -> RMatrix:
-    z = ring.zero
-    return RMatrix(ring, n,
-                   tuple(tuple(a if i == j else z for j in range(n))
-                         for i in range(n)))
-
-
 def _same_context(A: RMatrix, B: RMatrix) -> None:
     if A.ring is not B.ring:
         raise RingMismatch("matrices live over different rings")
@@ -106,16 +90,6 @@ def mat_add(A: RMatrix, B: RMatrix) -> RMatrix:
     return RMatrix(A.ring, A.n,
                    tuple(tuple(add(A.entries[i][j], B.entries[i][j])
                                for j in range(A.n)) for i in range(A.n)))
-
-
-def mat_neg(A: RMatrix) -> RMatrix:
-    neg = A.ring.neg
-    return RMatrix(A.ring, A.n,
-                   tuple(tuple(neg(x) for x in row) for row in A.entries))
-
-
-def mat_sub(A: RMatrix, B: RMatrix) -> RMatrix:
-    return mat_add(A, mat_neg(B))
 
 
 def mat_mul(A: RMatrix, B: RMatrix) -> RMatrix:
@@ -170,18 +144,6 @@ def map_entries(A: RMatrix, qmap: QuotientMap) -> RMatrix:
                    tuple(tuple(qmap.pi(x) for x in row) for row in A.entries))
 
 
-def lift_entries(A: RMatrix, qmap: QuotientMap) -> RMatrix:
-    """Entrywise least-preimage lift along a quotient map."""
-    if A.ring is not qmap.target:
-        raise RingMismatch("matrix is not over the map's target ring")
-    return RMatrix(qmap.source, A.n,
-                   tuple(tuple(qmap.lift(x) for x in row) for row in A.entries))
-
-
-def entries_in_ideal(A: RMatrix, ideal: Ideal) -> bool:
-    return all(ideal.contains(x) for row in A.entries for x in row)
-
-
 def congruent_mod(A: RMatrix, B: RMatrix, ideal: Ideal) -> bool:
     """A == B entrywise modulo the ideal."""
     _same_context(A, B)
@@ -197,72 +159,62 @@ def congruent_mod(A: RMatrix, B: RMatrix, ideal: Ideal) -> bool:
 def block_matrix(A: RMatrix, block_ring: FiniteRing, k: int) -> RMatrix:
     """Reinterpret a (b*k)x(b*k) matrix over R as bxb over M_k(R).
 
-    block_ring must be build_ring(MatrixSpec(spec-of-A.ring, k)).
+    block_ring must be build_ring(MatrixSpec(spec-of-A.ring, k)), or A.ring
+    itself when k = 1 (the block of a 1x1 block is its entry).
     """
     if A.n % k:
         raise DimensionMismatch(f"dimension {A.n} is not a multiple of {k}")
-    b = A.n // k
-    B = A.ring.size
-    rows = []
-    for bi in range(b):
-        row = []
-        for bj in range(b):
-            code = 0
-            for i in range(k):
-                for j in range(k):
-                    code = code * B + A.entries[bi * k + i][bj * k + j]
-            row.append(code)
-        rows.append(tuple(row))
-    return RMatrix(block_ring, b, tuple(rows))
+    b, B, a = A.n // k, A.ring.size, A.entries
+    return RMatrix(block_ring, b, tuple(
+        tuple(pack([a[bi * k + i][bj * k + j]
+                    for i in range(k) for j in range(k)], B)
+              for bj in range(b))
+        for bi in range(b)))
 
 
 def unblock_matrix(A: RMatrix, base_ring: FiniteRing, k: int) -> RMatrix:
     """Inverse of block_matrix."""
-    b = A.n
-    B = base_ring.size
-    rows = [[base_ring.zero] * (b * k) for _ in range(b * k)]
-    for bi in range(b):
-        for bj in range(b):
-            code = A.entries[bi][bj]
-            flat = []
-            for _ in range(k * k):
-                flat.append(code % B)
-                code //= B
-            flat.reverse()
-            for i in range(k):
-                for j in range(k):
-                    rows[bi * k + i][bj * k + j] = flat[i * k + j]
-    return RMatrix(base_ring, b * k, tuple(tuple(r) for r in rows))
+    b, B = A.n, base_ring.size
+    blocks = [[unpack(code, B, k * k) for code in row] for row in A.entries]
+    return RMatrix(base_ring, b * k, tuple(
+        tuple(blocks[r // k][c // k][(r % k) * k + c % k]
+              for c in range(b * k))
+        for r in range(b * k)))
 
 
 def matrix_ideal(block_ring: FiniteRing, base_ring: FiniteRing, k: int,
                  ideal: Ideal) -> Ideal:
     """M_k(I) inside the materialized M_k(R)."""
     B = base_ring.size
-    members = []
-    in_i = ideal.mask
-    for code in range(block_ring.size):
-        ok = True
-        c = code
-        for _ in range(k * k):
-            if not in_i[c % B]:
-                ok = False
-                break
-            c //= B
-        if ok:
-            members.append(code)
-    gens = []
-    one_pos_weight = B ** (k * k - 1)  # entry (0,0) slot
-    for g in ideal.generators:
-        gens.append(g * one_pos_weight)
-    return Ideal(block_ring, frozenset(members), tuple(gens))
+    inside = ideal.mask[digits(np.arange(block_ring.size), B, k * k)]
+    members = np.flatnonzero(inside.all(axis=1))
+    # each generator g of I gives g*e11
+    gens = tuple(pack([g] + [base_ring.zero] * (k * k - 1), B)
+                 for g in ideal.generators)
+    return Ideal(block_ring, frozenset(members.tolist()), gens)
+
+
+def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
+               guards: Guards = DEFAULT) -> tuple:
+    """(M_k(R), M_k(I)): a 2k x 2k matrix over R is 2x2 over M_k(R), and
+    M_k(I) is a separative exchange ideal of it whenever I is one of R.
+    (R, I) itself when k = 1."""
+    if k == 1:
+        return ring, ideal
+    mring = build_ring(MatrixSpec(ring.spec, k), guards)
+    return mring, matrix_ideal(mring, ring, k, ideal)
 
 
 # ---------------------------------------------------------------------------
 # Inverses
 # ---------------------------------------------------------------------------
 
-def try_inverse(A: RMatrix, guards: Guards = DEFAULT) -> Optional[RMatrix]:
+# try_inverse solves A*x = e_j over |R|**n candidate columns and refuses
+# when |R|**n exceeds 16 times this.
+SEARCH_CANDIDATES = 200_000
+
+
+def try_inverse(A: RMatrix) -> Optional[RMatrix]:
     """Two-sided inverse if A is in GL_n, else None.
 
     Solves A*X = 1 column by column over all |R|**n candidate columns: they
@@ -274,7 +226,7 @@ def try_inverse(A: RMatrix, guards: Guards = DEFAULT) -> Optional[RMatrix]:
     if n == 1:
         inv = ring.inverse(A.entries[0][0])
         return None if inv is None else matrix(ring, [[inv]])
-    if ring.size ** n > guards.search_candidates * 16:
+    if ring.size ** n > SEARCH_CANDIDATES * 16:
         raise GuardExceeded(
             f"column solve space |R|^{n} = {ring.size ** n} is too large")
     mul, add = ring.npmul, ring.npadd
@@ -304,10 +256,6 @@ def try_inverse(A: RMatrix, guards: Guards = DEFAULT) -> Optional[RMatrix]:
     if mat_mul(X, A) != identity(ring, n):
         return None  # one-sided only; cannot happen over a finite ring
     return X
-
-
-def is_invertible(A: RMatrix, guards: Guards = DEFAULT) -> bool:
-    return try_inverse(A, guards) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +299,6 @@ class ElemWord:
     def inverse(self, ring: FiniteRing) -> "ElemWord":
         return ElemWord(self.n, tuple(op.inverse(ring)
                                       for op in reversed(self.ops)))
-
-    def params(self) -> list:
-        return [op.r for op in self.ops]
 
     def op(self) -> "ElemWord":
         """The word that acts on A^T over R^op as this one acts on A over R:

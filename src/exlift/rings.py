@@ -9,8 +9,7 @@ for display and serialization.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -289,14 +288,18 @@ def _table_dtype(n: int):
     return np.min_scalar_type(max(n - 1, 0))
 
 
+# Largest n*n operation table we will materialize (entries, per table).
+TABLE_ENTRIES = 2**24
+
+
 def _check_guards(size: int, guards: Guards) -> None:
     if size > guards.carrier:
         raise GuardExceeded(
             f"carrier size {size} exceeds guard {guards.carrier}")
-    if size * size > guards.table_entries:
+    if size * size > TABLE_ENTRIES:
         raise GuardExceeded(
             f"operation table with {size * size} entries exceeds guard "
-            f"{guards.table_entries}")
+            f"{TABLE_ENTRIES}")
 
 
 _BUILD_CACHE: dict = {}
@@ -337,6 +340,39 @@ def _build_zmod(spec: ZmodSpec, guards: Guards) -> FiniteRing:
     mul = ((idx[:, None] * idx[None, :]) % n).astype(dt)
     neg = ((-idx) % n).astype(dt)
     return FiniteRing(n, add, mul, neg, 0, 1 % n, spec)
+
+
+# An element of M_k(R) or T_k(R) is coded by its free entries, row-major,
+# read as a big-endian base-|R| number.  These three functions are the only
+# code that packs or unpacks that layout.
+
+def pack(seq: Iterable[int], base: int) -> int:
+    """The big-endian base-``base`` code of a digit sequence."""
+    code = 0
+    for x in seq:
+        code = code * base + x
+    return code
+
+
+def unpack(code: int, base: int, width: int) -> list:
+    """The ``width`` base-``base`` digits of code, most significant first."""
+    out = []
+    for _ in range(width):
+        out.append(code % base)
+        code //= base
+    out.reverse()
+    return out
+
+
+def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
+    """(n, width) base-``base`` digits of codes, most significant first: the
+    vectorized ``unpack``."""
+    out = np.empty((len(codes), width), dtype=np.int64)
+    tmp = np.array(codes, dtype=np.int64)
+    for p in reversed(range(width)):
+        out[:, p] = tmp % base
+        tmp //= base
+    return out
 
 
 def _positions(k: int, triangular: bool):
@@ -385,16 +421,16 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     # tabulate U_r[row code of A, C] (row r of A*C, weighted into its part of
     # the code) and sum the U_r over a (B**n_0, ..., B**n_{k-1}, size) view
     badd, bmul = base.npadd, base.npmul
-    digits = np.indices((B,) * nfree).reshape(nfree, size)
+    entry = digits(np.arange(size), B, nfree).T     # entry[p][C]
     full = np.full((k, k, size), base.zero, dtype=np.intp)  # full[l, j][C]
     for p, (i, j) in enumerate(pos):
-        full[i, j] = digits[p]
+        full[i, j] = entry[p]
     rows = [[p for p, (i, _) in enumerate(pos) if i == r] for r in range(k)]
     mul = np.zeros([B ** len(ps) for ps in rows] + [size], dtype=dt)
     for r, ps in enumerate(rows):
         nr = len(ps)
         row = np.full((k, B ** nr), base.zero, dtype=np.intp)  # row[l][code]
-        row[[pos[p][1] for p in ps]] = np.indices((B,) * nr).reshape(nr, -1)
+        row[[pos[p][1] for p in ps]] = digits(np.arange(B ** nr), B, nr).T
         U = np.zeros((B ** nr, size), dtype=np.int64)
         for p in ps:
             j = pos[p][1]
@@ -405,8 +441,7 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
         mul += _on_axes(U.astype(dt), (r, k), k + 1)
 
     zero = 0
-    one = sum(w * (base.one if i == j else base.zero)
-              for w, (i, j) in zip(weights, pos))
+    one = pack((base.one if i == j else base.zero for i, j in pos), B)
     return FiniteRing(size, add.reshape(size, size), mul.reshape(size, size),
                       neg.reshape(size), zero, one, spec)
 
@@ -729,19 +764,12 @@ def element_from_descriptor(ring: FiniteRing, desc) -> int:
                 or any(not isinstance(r, (list, tuple)) or len(r) != k
                        for r in desc)):
             raise InvalidSpec(f"matrix element descriptor must be a {k}x{k} list")
-        entries = [[element_from_descriptor(base, desc[i][j]) for j in range(k)]
-                   for i in range(k)]
-        if tri:
-            for i in range(k):
-                for j in range(i):
-                    if entries[i][j] != base.zero:
-                        raise InvalidSpec(
-                            "triangular element has nonzero entry below diagonal")
-        pos = _positions(k, tri)
-        idx = 0
-        for (i, j) in pos:
-            idx = idx * base.size + entries[i][j]
-        return idx
+        if tri and any(element_from_descriptor(base, desc[i][j]) != base.zero
+                       for i in range(k) for j in range(i)):
+            raise InvalidSpec(
+                "triangular element has nonzero entry below diagonal")
+        return pack([element_from_descriptor(base, desc[i][j])
+                     for i, j in _positions(k, tri)], base.size)
     if isinstance(spec, ProductSpec):
         if not isinstance(desc, (list, tuple)) or len(desc) != 2:
             raise InvalidSpec("product element descriptor must be a pair")
@@ -768,16 +796,10 @@ def element_descriptor(ring: FiniteRing, idx: int):
         k = spec.k
         tri = isinstance(spec, TriangularSpec)
         pos = _positions(k, tri)
-        digits = []
-        tmp = idx
-        for _ in pos:
-            digits.append(tmp % base.size)
-            tmp //= base.size
-        digits.reverse()
         entries = [[element_descriptor(base, base.zero) for _ in range(k)]
                    for _ in range(k)]
-        for p, (i, j) in enumerate(pos):
-            entries[i][j] = element_descriptor(base, digits[p])
+        for (i, j), x in zip(pos, unpack(idx, base.size, len(pos))):
+            entries[i][j] = element_descriptor(base, x)
         return entries
     if isinstance(spec, ProductSpec):
         lring, rring = build_ring(spec.left), build_ring(spec.right)

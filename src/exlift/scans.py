@@ -19,44 +19,44 @@ from typing import Optional
 from .rings import FiniteRing, solve_pair_right, solve_right
 
 
+def _split(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
+    """(e, t, u): the least idempotent e with e in aR and 1-e in bR, with
+    the least t, u solving a*t = e and b*u = 1-e."""
+    for e in ring.idempotents():
+        t = solve_right(ring, a, e)
+        if t is None:
+            continue
+        u = solve_right(ring, b, ring.sub(ring.one, e))
+        if u is None:
+            continue
+        return e, t, u
+    return None
+
+
 def row_pass_witnesses(ring: FiniteRing, c: int, d: int) -> Optional[tuple]:
     """(x, y, e, r, s) for the unimodular row (c, d): c*x + d*y = 1, the least
     idempotent e with e in (c*x)R and 1-e in dR, and the normalized r, s with
     e = c*r, r*e = r, 1-e = d*s, s*(1-e) = s."""
-    one = ring.one
-    sol = solve_pair_right(ring, c, d, one)
+    sol = solve_pair_right(ring, c, d, ring.one)
     if sol is None:
         return None
     x, y = sol
-    a0 = ring.mul(c, x)
-    for e in ring.idempotents():
-        t = solve_right(ring, a0, e)
-        if t is None:
-            continue
-        s0 = solve_right(ring, d, ring.sub(one, e))
-        if s0 is None:
-            continue
-        r = ring.mul(ring.mul(x, t), e)
-        s = ring.mul(s0, ring.sub(one, e))
-        return x, y, e, r, s
-    return None
+    got = _split(ring, ring.mul(c, x), d)
+    if got is None:
+        return None
+    e, t, s0 = got
+    return (x, y, e, ring.mul(ring.mul(x, t), e),
+            ring.mul(s0, ring.sub(ring.one, e)))
 
 
 def corner_witnesses_right(ring: FiniteRing, e: int, w: int) -> Optional[tuple]:
     """(f, w1, w2) with f = e*w*w1 idempotent, w1*f = w1, and
     1-f = (1-e)*w*w2, w2*(1-f) = w2; least f first."""
-    one = ring.one
-    ew = ring.mul(e, w)
-    cw = ring.mul(ring.sub(one, e), w)
-    for f in ring.idempotents():
-        w10 = solve_right(ring, ew, f)
-        if w10 is None:
-            continue
-        w20 = solve_right(ring, cw, ring.sub(one, f))
-        if w20 is None:
-            continue
-        return f, ring.mul(w10, f), ring.mul(w20, ring.sub(one, f))
-    return None
+    got = _split(ring, ring.mul(e, w), ring.mul(ring.sub(ring.one, e), w))
+    if got is None:
+        return None
+    f, w10, w20 = got
+    return f, ring.mul(w10, f), ring.mul(w20, ring.sub(ring.one, f))
 
 
 def complement_right(ring: FiniteRing, cP: int, dP: int) -> Optional[int]:

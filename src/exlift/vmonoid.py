@@ -28,8 +28,8 @@ import numpy as np
 from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
                      NotDownwardClosed, SearchExhausted)
-from .matrices import RMatrix, decode_matrix, direct_sum
-from .rings import FiniteRing, Ideal, quotient_by
+from .matrices import RMatrix, direct_sum, matrix
+from .rings import FiniteRing, Ideal, digits, quotient_by
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +195,8 @@ def validate_order_ideal(m: FinMonoid, s: OrderIdeal) -> None:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
-
-
-def _digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
-    """(n, width) base-``base`` digits of codes, most significant first."""
-    out = np.empty((len(codes), width), dtype=np.int64)
-    tmp = np.array(codes, dtype=np.int64)
-    for p in reversed(range(width)):
-        out[:, p] = tmp % base
-        tmp //= base
-    return out
+# Largest vector space enumerated: the |R/J|**d vectors behind a class key.
+ENUMERATION = 2**25
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
@@ -244,16 +236,16 @@ def _semisimple_quotient(ring: FiniteRing) -> tuple:
     return got
 
 
-def _class_keys(ring: FiniteRing, ent: np.ndarray, guards: Guards) -> list:
+def _class_keys(ring: FiniteRing, ent: np.ndarray) -> list:
     """Class keys of the idempotents in an (n, d, d) array of entries of R."""
     qmap, comps = _semisimple_quotient(ring)
     S = qmap.target
     n, d = ent.shape[0], ent.shape[1]
     nv = S.size ** d
-    if nv > guards.enumeration:
+    if nv > ENUMERATION:
         raise GuardExceeded(
             f"|R/J|^{d} = {nv} vectors exceed the enumeration guard")
-    V = _digits(np.arange(nv), S.size, d)
+    V = digits(np.arange(nv), S.size, d)
     weights = S.size ** np.arange(d - 1, -1, -1, dtype=np.int64)
     ent = qmap.image[ent]
     out = []
@@ -280,19 +272,17 @@ def _key_sum(a: tuple, b: tuple) -> tuple:
     return tuple(x * y for x, y in zip(a, b))
 
 
-def class_key(ring: FiniteRing, *parts: RMatrix,
-              guards: Guards = DEFAULT) -> tuple:
+def class_key(ring: FiniteRing, *parts: RMatrix) -> tuple:
     """Complete Murray-von Neumann invariant of the direct sum of the given
     idempotent matrices, computed part by part."""
-    keys = [_class_keys(ring, np.array(A.entries, dtype=np.int64)[None],
-                        guards)[0] for A in parts]
+    keys = [_class_keys(ring, np.array(A.entries, dtype=np.int64)[None])[0]
+            for A in parts]
     return functools.reduce(_key_sum, keys)
 
 
-def equivalent_idempotents(ring: FiniteRing, A: RMatrix, B: RMatrix,
-                           guards: Guards = DEFAULT) -> bool:
+def equivalent_idempotents(ring: FiniteRing, A: RMatrix, B: RMatrix) -> bool:
     """Murray-von Neumann equivalence after zero padding, by class key."""
-    return class_key(ring, A, guards=guards) == class_key(ring, B, guards=guards)
+    return class_key(ring, A) == class_key(ring, B)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +317,7 @@ class VMonoid:
         return self.monoid.labels[index]
 
 
-def _wedderburn_data(ring: FiniteRing, guards: Guards) -> tuple:
+def _wedderburn_data(ring: FiniteRing) -> tuple:
     """((s_i, n_i) per component, [(code, rank vector)] per 1x1 idempotent).
 
     c_i*S = M_{n_i}(F_{q_i}) has simple module size s_i = q_i^{n_i}, the
@@ -340,7 +330,7 @@ def _wedderburn_data(ring: FiniteRing, guards: Guards) -> tuple:
         qmap, comps = _semisimple_quotient(ring)
         codes = ring.idempotents()
         keys = _class_keys(ring, np.array(codes, dtype=np.int64)
-                           .reshape(-1, 1, 1), guards)
+                           .reshape(-1, 1, 1))
         sizes = [len(np.unique(qmap.target.npmul[c])) for c in comps]
         simple = [min((key[i] for key in keys if key[i] > 1), default=2)
                   for i in range(len(comps))]
@@ -367,7 +357,9 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
     least idempotent code; the rest follow in (sum r, r) order.  [i] + [j]
     is the class whose key is the product of their keys, or the overflow
     element outside the box.  Each class is represented by a direct sum of
-    at most K 1x1 idempotents.
+    at most K 1x1 idempotents.  ``guards`` bounds nothing here (the class
+    keys are bounded by ``ENUMERATION``); it is accepted so that every
+    builder takes the same arguments.
     """
     if K < 1:
         raise InvalidSpec("truncation must be at least 1")
@@ -376,7 +368,7 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
     if got is not None:
         return got
 
-    components, ones = _wedderburn_data(ring, guards)
+    components, ones = _wedderburn_data(ring)
     degrees = [n for _, n in components]
     first_code: dict = {}       # rank vector -> least 1x1 idempotent
     for code, r in ones:
@@ -399,8 +391,8 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
 
     def representative(r):
         parts = max([-(-x // n) for x, n in zip(r, degrees)] + [1])
-        blocks = [decode_matrix(ring, 1, first_code[tuple(
-            min(n, max(0, x - p * n)) for x, n in zip(r, degrees))])
+        blocks = [matrix(ring, [[first_code[tuple(
+            min(n, max(0, x - p * n)) for x, n in zip(r, degrees))]]])
             for p in range(parts)]
         return functools.reduce(direct_sum, blocks)
 

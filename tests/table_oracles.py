@@ -1,9 +1,11 @@
-"""Brute-force oracles for the table kernels of ``rings`` and ``exchange``.
+"""Brute-force oracles for the table kernels of ``rings``, ``exchange`` and
+``matrices``.
 
 Each function is the plain scan the library's kernel replaced: the pair
 solve over the whole |R| x |R| grid, the exchange witness by a loop over
-idempotents, and the quotient tables by a loop over cosets.  The kernels
-must return exactly what these return.
+idempotents, the quotient tables by a loop over cosets, and M_k(I) by a
+loop over the codes of M_k(R).  The kernels must return exactly what these
+return.
 """
 
 from __future__ import annotations
@@ -84,3 +86,20 @@ def quotient_tables(ring: FiniteRing, ideal: Ideal):
         mul[i] = image[ring.npmul[ri, reps]]
     neg = image[ring.npneg[reps]]
     return image, reps, add, mul, neg
+
+
+def matrix_ideal_members(block_ring: FiniteRing, base_ring: FiniteRing,
+                         k: int, ideal: Ideal) -> list:
+    """The codes of M_k(R) whose k*k base-|R| digits all lie in I, one code
+    at a time."""
+    B = base_ring.size
+    members = []
+    for code in range(block_ring.size):
+        c = code
+        for _ in range(k * k):
+            if not ideal.contains(c % B):
+                break
+            c //= B
+        else:
+            members.append(code)
+    return members

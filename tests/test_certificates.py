@@ -34,12 +34,14 @@ def fresh_payloads():
     rr = L.reduce_row(z4, ideal, M.matrix(z4, [[1, 0], [2, 1]]))
     dg = L.diagonalize_2x2(z4, ideal, M.matrix(z4, [[1, 2], [2, 1]]))
     lf = L.lift_unit(z4, ideal, 3).certificate
+    lf4 = L.lift_unit(z4, ideal, 3, start_m=4).certificate
     t2, ideal_t2, alpha = t2_pair()
     rc_t2 = L.reduce_col(t2, ideal_t2, alpha)
     dg_t2 = L.diagonalize_2x2(t2, ideal_t2, alpha)
     return {"reduction": rr.to_payload(),
             "diagonalization": dg.to_payload(),
             "lift": lf.to_payload(),
+            "forced m=4 lift": lf4.to_payload(),
             "col reduction over T_2(Z/2)": rc_t2.to_payload(),
             "diagonalization over T_2(Z/2)": dg_t2.to_payload()}
 
@@ -103,6 +105,25 @@ def test_lift_certificate_rejects_stabilization_level_two():
         assert not ok
         assert "stabilization level" in {c["check"] for c in checks
                                          if not c["ok"]}
+
+
+def test_lift_certificate_rejects_level_and_oracle_flag_mutations():
+    # a stage's level follows from its dimension, and y being a unit with
+    # x - y in I proves that a lift exists, so only JSON true is accurate
+    z4, ideal = z4_pair()
+    payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
+    assert [st["level"] for st in payload["stages"]] == ["blocked", "base"]
+    for level in ("bogus", "", "base"):
+        mutated = copy.deepcopy(payload)
+        mutated["stages"][0]["level"] = level
+        ok, checks = C.verify_payload(mutated)
+        assert not ok and "stage 0 level" in {c["check"] for c in checks
+                                              if not c["ok"]}, level
+    for flag in ("no", 1, [0]):
+        mutated = dict(payload, oracle_confirmed=flag)
+        ok, checks = C.verify_payload(mutated)
+        assert not ok and "oracle flag accurate" in {
+            c["check"] for c in checks if not c["ok"]}, flag
 
 
 def test_lift_certificate_proves_a_lift_of_the_coset():

@@ -122,6 +122,23 @@ def test_quotient_tables_match_coset_loop(corpus_pairs_full, blocked_pairs):
         assert (q.zero, q.one) == (image[ring.zero], image[ring.one]), name
 
 
+def test_matrix_ideal_matches_code_loop(corpus_rings):
+    cases = [(base, 2) for base in _small_bases(corpus_rings)]
+    cases.append((R.build_ring(R.ZmodSpec(2)), 3))
+    for base, k in cases:
+        mring = R.build_ring(R.MatrixSpec(base.spec, k))
+        zero = R.element_descriptor(base, base.zero)
+        for ideal in R.all_ideals(base):
+            got = matrix_ideal(mring, base, k, ideal)
+            want = O.matrix_ideal_members(mring, base, k, ideal)
+            assert got.sorted_members == tuple(want), (base.describe(), k)
+            # each generator g of I becomes g*e11
+            assert got.generators == tuple(R.element_from_descriptor(
+                mring, [[R.element_descriptor(base, g) if i == j == 0 else zero
+                         for j in range(k)] for i in range(k)])
+                for g in ideal.generators), (base.describe(), k)
+
+
 def test_list_mirrors_equal_tables(corpus_rings):
     for _, ring in corpus_rings:
         assert ring._mul == [[int(v) for v in row] for row in ring.npmul]

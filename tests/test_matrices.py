@@ -250,6 +250,25 @@ def test_block_roundtrip():
     m2 = R.build_ring(R.MatrixSpec(R.ZmodSpec(2), 2))
     big = M.matrix(z2, [[1, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 1]])
     assert M.unblock_matrix(M.block_matrix(big, m2, 2), z2, 2) == big
+    # k = 2 over Z/3: each block is the M_2(R) element its descriptor names;
+    # k = 1: the block ring is R and blocking changes nothing
+    z3 = z(3)
+    m3 = R.build_ring(R.MatrixSpec(R.ZmodSpec(3), 2))
+    for seed in range(20):
+        rows = [[(seed * 7 + 5 * i + 3 * j * j) % 3 for j in range(4)]
+                for i in range(4)]
+        A = M.matrix(z3, rows)
+        blocked = M.block_matrix(A, m3, 2)
+        for bi in range(2):
+            for bj in range(2):
+                block = [row[2 * bj:2 * bj + 2]
+                         for row in rows[2 * bi:2 * bi + 2]]
+                assert blocked[bi, bj] == R.element_from_descriptor(m3, block)
+        assert M.unblock_matrix(blocked, z3, 2) == A
+        for n in (1, 2, 4):
+            B = M.matrix(z3, [row[:n] for row in rows[:n]])
+            assert M.block_matrix(B, z3, 1) == B
+            assert M.unblock_matrix(B, z3, 1) == B
 
 
 def test_matrix_ideal():

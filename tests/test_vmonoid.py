@@ -145,7 +145,7 @@ def _enumerate_idempotents(ring, k):
     for lo in range(0, total, chunk):
         hi = min(total, lo + chunk)
         codes = np.arange(lo, hi, dtype=np.int64)
-        ent = V._digits(codes, ring.size, k * k).reshape(-1, k, k)
+        ent = R.digits(codes, ring.size, k * k).reshape(-1, k, k)
         sq = np.empty_like(ent)
         for i in range(k):
             for j in range(k):
@@ -170,9 +170,9 @@ def oracle_v_monoid(ring, K):
         keys, members, index_of = [], [], {}
         for k in range(1, K + 1):
             codes = _enumerate_idempotents(ring, k)
-            ent = V._digits(codes, ring.size, k * k).reshape(-1, k, k)
+            ent = R.digits(codes, ring.size, k * k).reshape(-1, k, k)
             for code, key in zip(codes.tolist(),
-                                 V._class_keys(ring, ent, V.DEFAULT)):
+                                 V._class_keys(ring, ent)):
                 ci = index_of.setdefault(key, len(keys))
                 if ci == len(keys):
                     keys.append(key)
@@ -186,7 +186,7 @@ def oracle_v_monoid(ring, K):
 def oracle_order_ideal(ring, members, ideal):
     """Classes with an enumerated member whose entries all lie in I."""
     return {ci for ci, mem in enumerate(members)
-            if any(ideal.mask[V._digits(np.array([code]), ring.size,
+            if any(ideal.mask[R.digits(np.array([code]), ring.size,
                                         k * k)].all() for k, code in mem)}
 
 
@@ -258,7 +258,7 @@ def test_wedderburn_data_fails_loudly(monkeypatch, corrupt):
     ring._cache.pop("wedderburn", None)
     try:
         with pytest.raises(SearchExhausted):
-            V._wedderburn_data(ring, V.DEFAULT)
+            V._wedderburn_data(ring)
     finally:
         ring._cache.pop("wedderburn", None)
 

@@ -20,9 +20,9 @@ import numpy as np
 from exlift.config import DEFAULT, Guards
 from exlift.errors import GuardExceeded
 from exlift.ktheory import K0Element
-from exlift.matrices import RMatrix, identity
-from exlift.rings import FiniteRing, Ideal
-from exlift.vmonoid import _digits
+from exlift.matrices import SEARCH_CANDIDATES, RMatrix, identity
+from exlift.rings import FiniteRing, Ideal, digits
+from exlift.vmonoid import ENUMERATION
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,10 @@ class _Engine:
         got = self._vec_cache.get(d)
         if got is None:
             n = self.ring.size ** d
-            if n > self.guards.enumeration:
+            if n > ENUMERATION:
                 raise GuardExceeded(
                     f"|R|^{d} = {n} vectors exceed the enumeration guard")
-            got = self._vec_cache[d] = _digits(np.arange(n), self.ring.size, d)
+            got = self._vec_cache[d] = digits(np.arange(n), self.ring.size, d)
         return got
 
     def _encode_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -105,14 +105,14 @@ class _Engine:
         V = self._vectors(d)
         col = np.unique(self._encode_rows(self._matvec(arr, V)))
         row = len(np.unique(self._encode_rows(self._vecmat(V, arr))))
-        return _Idem(arr, d, len(col), row, col, _digits(col, self.ring.size, d))
+        return _Idem(arr, d, len(col), row, col, digits(col, self.ring.size, d))
 
     def ensure_cols(self, h: _Idem) -> None:
         if h.col_dig is not None:
             return
         V = self._vectors(h.d)
         h.col_enc = np.unique(self._encode_rows(self._matvec(h.arr, V)))
-        h.col_dig = _digits(h.col_enc, self.ring.size, h.d)
+        h.col_dig = digits(h.col_enc, self.ring.size, h.d)
 
     def idem_pad(self, h: _Idem, d: int) -> _Idem:
         if h.d == d:
@@ -135,7 +135,7 @@ class _Engine:
         arr[h1.d:, h1.d:] = h2.arr
         size = h1.col_size * h2.col_size
         if (h1.col_dig is not None and h2.col_dig is not None
-                and size <= self.guards.search_candidates):
+                and size <= SEARCH_CANDIDATES):
             dig = np.hstack([np.repeat(h1.col_dig, len(h2.col_dig), axis=0),
                              np.tile(h2.col_dig, (len(h1.col_dig), 1))])
             enc = np.sort(self._encode_rows(dig))
@@ -246,10 +246,10 @@ class _Engine:
                     if c not in seen:
                         seen.add(c)
                         level_mats.append((c, sums[i]))
-            if len(seen) > self.guards.search_candidates:
+            if len(seen) > SEARCH_CANDIDATES:
                 raise GuardExceeded(
                     f"additive closure of corner exceeds "
-                    f"{self.guards.search_candidates} candidates")
+                    f"{SEARCH_CANDIDATES} candidates")
             level_mats.sort(key=lambda t: t[0])
             for _, m in level_mats:
                 yield m
