@@ -191,7 +191,8 @@ def _check_monoid(obj: dict) -> dict:
     subset = obj.get("order_ideal")
     if subset is not None:
         if (not isinstance(subset, list)
-                or any(not isinstance(i, int) for i in subset)):
+                or any(type(i) is not int or not 0 <= i < m.size
+                       for i in subset)):
             raise InvalidSpec("order_ideal must be a list of element indices")
         s = OrderIdeal(frozenset(subset))
         ref = has_refinement_wrt(m, s)
@@ -266,7 +267,7 @@ def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
 
 
 def _index_report(ring, idl, x, guards) -> dict:
-    ix = k_index(ring, idl, x, guards)
+    ix = k_index(ring, idl, x)
     K = effective_truncation(ring, guards)
     vm = build_v_monoid(ring, K, guards)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .config import DEFAULT, Guards
 from .errors import NotAUnit, NotFredholm, RingMismatch
 from .matrices import (ElemWord, RMatrix, congruent_mod, direct_sum,
                        evaluate_word, is_idempotent, mat_mul, matrix,
@@ -67,11 +66,11 @@ class K0Element:
 
     @property
     def pos(self) -> RMatrix:
-        return _dsum(self.ring, self.pos_parts)
+        return _dsum(self.pos_parts)
 
     @property
     def neg(self) -> RMatrix:
-        return _dsum(self.ring, self.neg_parts)
+        return _dsum(self.neg_parts)
 
     def __add__(self, other: "K0Element") -> "K0Element":
         if self.ring is not other.ring or self.ideal.members != other.ideal.members:
@@ -87,7 +86,7 @@ class K0Element:
         return self + (-other)
 
 
-def _dsum(ring: FiniteRing, parts: tuple) -> RMatrix:
+def _dsum(parts: tuple) -> RMatrix:
     out = parts[0]
     for p in parts[1:]:
         out = direct_sum(out, p)
@@ -95,12 +94,11 @@ def _dsum(ring: FiniteRing, parts: tuple) -> RMatrix:
 
 
 def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int,
-                     lift: Optional[Callable[[int], int]] = None,
-                     guards: Guards = DEFAULT) -> K0Element:
+                     lift: Optional[Callable[[int], int]] = None) -> K0Element:
     """delta([ubar]) as [p] - [1+0], with p = v (1+0) v^-1 for a lifted
     Whitehead word v.  ``lift`` overrides the least-index entry lift (used to
     exercise well-definedness)."""
-    qmap = quotient_by(ring, ideal, guards)
+    qmap = quotient_by(ring, ideal)
     word_bar = whitehead_factor(qmap.target, ubar)
     if lift is None:
         lift = qmap.lift
@@ -124,14 +122,13 @@ def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int,
     return K0Element(ring, ideal, (p,), (e11,))
 
 
-def index(ring: FiniteRing, ideal: Ideal, x: int,
-          guards: Guards = DEFAULT) -> K0Element:
+def index(ring: FiniteRing, ideal: Ideal, x: int) -> K0Element:
     """index(x) = delta([pi(x)]); requires x Fredholm relative to I."""
-    qmap = quotient_by(ring, ideal, guards)
+    qmap = quotient_by(ring, ideal)
     xbar = qmap.pi(x)
     if qmap.target.inverse(xbar) is None:
         raise NotFredholm(f"pi({x}) is not a unit of R/I")
-    return connecting_delta(ring, ideal, xbar, guards=guards)
+    return connecting_delta(ring, ideal, xbar)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ witnesses it finds, and asserts the target contracts exactly before
 returning.  Searches that the theory guarantees to succeed scan in ascending
 carrier index and raise SearchExhausted on a miss, which always signals a
 bug, never a routine negative.
+
+The theorem's one hypothesis, I a separative exchange ideal of R, is checked
+once, by ``lift_unit`` on (R, I).  The steps below run over rings that
+inherit it and do not check it again: M_k(I) is a separative exchange ideal
+of M_k(R) whenever I is one of R (Ara-Goodearl-O'Meara-Pardo 1998), and
+exchange and separativity are left-right symmetric, so R^op inherits them
+too.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
 from .rings import (FiniteRing, Ideal, OppositeSpec, ideal_closure,
                     quotient_by, solve_right)
 from . import scans
-from .vmonoid import build_v_monoid, is_separative, v_order_ideal
+from .vmonoid import (_wedderburn_data, build_v_monoid, is_separative,
+                      v_order_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -64,31 +72,26 @@ def separative_exchange_status(ring: FiniteRing, ideal: Ideal,
 # Idempotent joining
 # ---------------------------------------------------------------------------
 
-def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int,
-                    guards: Guards = DEFAULT) -> int:
-    """Least idempotent g in e1*R + e2*R with [e1],[e2] <= [g] in the
-    truncated V(R) and RgR = Re1R + Re2R.
+def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int) -> int:
+    """Least idempotent g in e1*R + e2*R with [e1],[e2] <= [g] in V(R) and
+    RgR = Re1R + Re2R.
 
-    Over R^op the exchange verdict and the class order come from R:
-    exchange is left-right symmetric, and eR <-> Re gives V(R) = V(R^op)
-    with each idempotent in the same class, so R^op builds no V-monoid."""
+    The class of an idempotent is its rank vector over R/J(R), and [e] <= [g]
+    iff that vector is componentwise <= (V(R) = N^t, see ``vmonoid``).  Over
+    R^op the rank vectors come from R: eR <-> Re gives V(R) = V(R^op) with
+    each idempotent in the same class."""
     home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
     if ring.mul(e1, e1) != e1 or ring.mul(e2, e2) != e2:
         raise PreconditionFailed("join inputs must be idempotent")
     if not ideal.contains(e1):
         raise PreconditionFailed("first idempotent must lie in the ideal")
-    if not is_exchange_ideal(home, ideal):
-        raise PreconditionFailed("ideal is not exchange")
-    vm = build_v_monoid(home, effective_truncation(home, guards), guards)
-    le = vm.monoid.le_matrix()
-    c1 = vm.class_of[(1, e1)]
-    c2 = vm.class_of[(1, e2)]
+    rank = dict(_wedderburn_data(home)[1])
     target = ideal_closure(ring, [e1, e2]).members
     for g in ring.right_span(e1, e2):
         if ring.mul(g, g) != g:
             continue
-        cg = vm.class_of[(1, g)]
-        if not (le[c1][cg] and le[c2][cg]):
+        if not all(a <= c and b <= c
+                   for a, b, c in zip(rank[e1], rank[e2], rank[g])):
             continue
         if ideal_closure(ring, [g]).members != target:
             continue
@@ -117,15 +120,14 @@ class ReductionResult:
         return reduction_payload(self)
 
 
-def _check_entries(ring: FiniteRing, ideal: Ideal, alpha: RMatrix) -> None:
+def _check_entries(ideal: Ideal, alpha: RMatrix) -> None:
     if alpha.n != 2:
         raise PreconditionFailed("reduction works on 2x2 matrices")
     if not ideal.contains(alpha[0, 1]) or not ideal.contains(alpha[1, 0]):
         raise PreconditionFailed("off-diagonal entries must lie in the ideal")
 
 
-def _row_pass(ring: FiniteRing, ideal: Ideal, A: RMatrix, tag: str,
-              trace: dict):
+def _row_pass(ring: FiniteRing, A: RMatrix, tag: str, trace: dict):
     """One unimodular-row pass: ops making the last row (e*c, (1-e)*d)."""
     c, d = A[1, 0], A[1, 1]
     got = scans.row_pass_witnesses(ring, c, d)
@@ -144,23 +146,23 @@ def _require_invertible(alpha: RMatrix) -> None:
         raise PreconditionFailed("matrix is not invertible")
 
 
-def reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-               guards: Guards = DEFAULT) -> ReductionResult:
+def reduce_row(ring: FiniteRing, ideal: Ideal,
+               alpha: RMatrix) -> ReductionResult:
     """Right-multiply by a word in E_2(I) so the last row becomes (c', d')
     with c' in Rc, c'R = (1-h)R, d'R = hR and RhR = R."""
-    _check_entries(ring, ideal, alpha)
+    _check_entries(ideal, alpha)
     _require_invertible(alpha)
-    return _reduce_row(ring, ideal, alpha, guards)
+    return _reduce_row(ring, ideal, alpha)
 
 
-def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-                guards: Guards) -> ReductionResult:
+def _reduce_row(ring: FiniteRing, ideal: Ideal,
+                alpha: RMatrix) -> ReductionResult:
     """reduce_row on an alpha already checked by the caller."""
     one = ring.one
     trace: dict = {}
     c_orig, d_orig = alpha[1, 0], alpha[1, 1]
 
-    ops, A, e, r, s = _row_pass(ring, ideal, alpha, "pass1", trace)
+    ops, A, e, r, s = _row_pass(ring, alpha, "pass1", trace)
 
     # move w = e*c + (1-e)*d into position (2,2), then strip a full corner
     w = ring.add(A[1, 0], A[1, 1])
@@ -170,7 +172,7 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     f, w1, w2 = got
     f1 = ring.mul(ring.mul(w, w1), e)
     f2 = ring.mul(ring.mul(w, w2), ring.sub(one, e))
-    g = join_idempotent(ring, ideal, f1, f2, guards)
+    g = join_idempotent(ring, ideal, f1, f2)
     wprime = solve_right(ring, w, g)
     if wprime is None:
         raise SearchExhausted("join idempotent not in wR")
@@ -181,7 +183,7 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     trace["corner"] = {"w": w, "f": f, "w1": w1, "w2": w2,
                        "f1": f1, "f2": f2, "g": g, "wprime": wprime}
 
-    ops2, A, e2, r2, s2 = _row_pass(ring, ideal, A, "pass2", trace)
+    ops2, A, e2, r2, s2 = _row_pass(ring, A, "pass2", trace)
 
     cP, dP = A[1, 0], A[1, 1]
     h = scans.complement_right(ring, cP, dP)
@@ -213,23 +215,23 @@ def _assert_row_contracts(res: ReductionResult, c_orig: int) -> None:
         raise AssertionError("RhR != R")
 
 
-def reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-               guards: Guards = DEFAULT) -> ReductionResult:
+def reduce_col(ring: FiniteRing, ideal: Ideal,
+               alpha: RMatrix) -> ReductionResult:
     """Left-multiply by a word in E_2(I) so the last column becomes (b''; d'')
     with b'' in bR, Rb'' = R(1-k), Rd'' = Rk and RkR = R.
 
     This is reduce_row on alpha^T over R^op, transposed back: the row
     procedure's right ops and contracts over R^op are the column
     procedure's left ops and contracts over R."""
-    _check_entries(ring, ideal, alpha)
+    _check_entries(ideal, alpha)
     _require_invertible(alpha)
-    return _reduce_col(ring, ideal, alpha, guards)
+    return _reduce_col(ring, ideal, alpha)
 
 
-def _reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-                guards: Guards) -> ReductionResult:
+def _reduce_col(ring: FiniteRing, ideal: Ideal,
+                alpha: RMatrix) -> ReductionResult:
     """reduce_col on an alpha already checked by the caller."""
-    rr = _reduce_row(ring.op(), ideal, alpha.op(), guards)
+    rr = _reduce_row(ring.op(), ideal, alpha.op())
     return ReductionResult(ring, ideal, "col", alpha, rr.word.op(),
                            rr.result.op(), rr.h, rr.trace)
 
@@ -238,8 +240,7 @@ def _reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
 # Unit regularity
 # ---------------------------------------------------------------------------
 
-def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int,
-                         guards: Guards = DEFAULT) -> tuple:
+def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int) -> tuple:
     """(f, u, p, q) with d = f*u, f idempotent, u a unit; hypotheses of the
     underlying proposition (p, q exist with full two-sided span) are verified
     and PreconditionFailed names whichever fails."""
@@ -258,10 +259,6 @@ def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int,
         raise PreconditionFailed("RpR != R")
     if len(ideal_closure(ring, [q]).members) != ring.size:
         raise PreconditionFailed("RqR != R")
-    status = separative_exchange_status(ring, ideal, guards)
-    if not status["ok"]:
-        raise PreconditionFailed(
-            f"ideal is not separative exchange: {status}")
     got = scans.unit_regular_scan(ring, d)
     if got is None:
         raise SearchExhausted(f"no unit w with dwd = d for d={d}")
@@ -294,33 +291,30 @@ class DiagonalizationResult:
         return diagonalization_payload(self)
 
 
-def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-                    guards: Guards = DEFAULT) -> DiagonalizationResult:
+def diagonalize_2x2(ring: FiniteRing, ideal: Ideal,
+                    alpha: RMatrix) -> DiagonalizationResult:
     """Find units a', u and words gamma, beta, epsilon with
     gamma*alpha*beta*(1+u^-1)*epsilon = a'+1 and pi(a') = pi(a*u^-1)."""
-    _check_entries(ring, ideal, alpha)
+    _check_entries(ideal, alpha)
     one = ring.one
     if not ideal.contains(ring.sub(alpha[1, 1], one)):
         raise PreconditionFailed("entry (2,2) must be 1 modulo the ideal")
     _require_invertible(alpha)
-    status = separative_exchange_status(ring, ideal, guards)
-    if not status["ok"]:
-        raise PreconditionFailed(f"ideal is not separative exchange: {status}")
 
     a_orig = alpha[0, 0]
-    rr = _reduce_row(ring, ideal, alpha, guards)
+    rr = _reduce_row(ring, ideal, alpha)
 
     sigL = sigma_word_left(ring)
     sigR = sigma_word_right(ring)
     # a1 is alpha times elementary words, so invertible like alpha
     a1 = apply_elem_word(apply_elem_word(rr.result, ElemWord(2, tuple(sigR))),
                          ElemWord(2, tuple(sigL)))
-    _check_entries(ring, ideal, a1)
-    rc = _reduce_col(ring, ideal, a1, guards)
+    _check_entries(ideal, a1)
+    rc = _reduce_col(ring, ideal, a1)
     q = rc.h
     bP = rc.result[0, 1]
 
-    f, u, p, _ = unit_regular_witness(ring, ideal, bP, guards)
+    f, u, p, _ = unit_regular_witness(ring, ideal, bP)
     uinv = ring.inverse(u)
 
     a3 = apply_elem_word(rc.result, ElemWord(2, tuple(sigma_inv_word_left(ring))))
@@ -357,7 +351,7 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
 
     if ring.inverse(a_prime) is None:
         raise AssertionError("a' is not a unit")
-    qmap = quotient_by(ring, ideal, guards)
+    qmap = quotient_by(ring, ideal)
     if qmap.pi(a_prime) != qmap.pi(ring.mul(a_orig, uinv)):
         raise AssertionError("pi(a') != pi(a*u^-1)")
     replay = apply_elem_word(mat_mul(apply_elem_word(alpha, beta), lam), epsilon)
@@ -437,7 +431,7 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
         raise HypothesisFailed(f"ideal is not separative exchange: {status}")
 
     m = 2 if start_m <= 2 else 4
-    attempt = _find_w1(ring, ideal, qmap, x, m, guards)
+    attempt = _find_w1(ring, ideal, qmap, x, m)
     if attempt is None:
         # some unit y has pi(y) = pi(x), so the scan cannot miss
         raise SearchExhausted(f"no unit y1 of R with pi(y1) + 1_{m - 1} in "
@@ -451,8 +445,7 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
     while current.n > 1:
         k = current.n // 2
         sring, sideal = stage_ring(ring, ideal, k, guards)
-        dg = diagonalize_2x2(sring, sideal, block_matrix(current, sring, k),
-                             guards)
+        dg = diagonalize_2x2(sring, sideal, block_matrix(current, sring, k))
         w_next = unblock_matrix(
             matrix(sring, [[sring.mul(dg.a_prime, dg.u)]]), ring, k)
         stages.append(LiftStage(current.n, "base" if k == 1 else "blocked",
@@ -470,8 +463,7 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
     return LiftResult(cert)
 
 
-def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int,
-             guards: Guards):
+def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int):
     """Search units y1 of R, ascending, whose image y1 + 1_{m-1} is
     E_m(R/I)-equivalent to pi(x) + 1_{m-1}; returns (y1 as a 1x1 matrix,
     lifted word, w1)."""
@@ -480,7 +472,7 @@ def _find_w1(ring: FiniteRing, ideal: Ideal, qmap, x: int, m: int,
     for u in ring.units():
         y1 = matrix(ring, [[u]])
         base = direct_sum(matrix(S, [[qmap.pi(u)]]), identity(S, m - 1))
-        wbar = e_orbit_factor(S, m, target, base, guards)
+        wbar = e_orbit_factor(S, m, target, base)
         if wbar is None:
             continue
         z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))

@@ -356,19 +356,19 @@ def word_in_ideal(w: ElemWord, ideal: Ideal) -> bool:
     return all(ideal.contains(op.r) for op in w.ops)
 
 
-def sigma_word_right(ring: FiniteRing, n: int = 2) -> list:
+def sigma_word_right(ring: FiniteRing) -> list:
     """The signed permutation (0 1; -1 0) as three right ops e12(1)e21(-1)e12(1)."""
     one, neg1 = ring.one, ring.neg(ring.one)
     return [right_op(1, 2, one), right_op(2, 1, neg1), right_op(1, 2, one)]
 
 
-def sigma_word_left(ring: FiniteRing, n: int = 2) -> list:
+def sigma_word_left(ring: FiniteRing) -> list:
     """Same matrix as a left word (the expansion is a palindrome)."""
     one, neg1 = ring.one, ring.neg(ring.one)
     return [left_op(1, 2, one), left_op(2, 1, neg1), left_op(1, 2, one)]
 
 
-def sigma_inv_word_left(ring: FiniteRing, n: int = 2) -> list:
+def sigma_inv_word_left(ring: FiniteRing) -> list:
     """(0 -1; 1 0) as a left word."""
     one, neg1 = ring.one, ring.neg(ring.one)
     return [left_op(1, 2, neg1), left_op(2, 1, one), left_op(1, 2, neg1)]
@@ -514,8 +514,8 @@ def _reduce_to_diag(A: RMatrix):
     return ops, A[0, 0]
 
 
-def e_orbit_factor(ring: FiniteRing, n: int, A: RMatrix, B: RMatrix,
-                   guards: Guards = DEFAULT) -> Optional[ElemWord]:
+def e_orbit_factor(ring: FiniteRing, n: int, A: RMatrix,
+                   B: RMatrix) -> Optional[ElemWord]:
     """A word w of left ops with apply_elem_word(B, w) == A, if A is in
     E_n(R) * B; None otherwise.
 

@@ -9,6 +9,7 @@ for display and serialization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -115,13 +116,13 @@ def parse_ring_spec(obj) -> RingSpec:
     if kind == "zmod":
         _expect_fields(obj, {"type", "n"})
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:      # JSON true is no integer
             raise InvalidSpec("zmod requires an integer n >= 1")
         return ZmodSpec(n)
     if kind in ("matrix", "triangular"):
         _expect_fields(obj, {"type", "base", "k"})
         k = obj.get("k")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise InvalidSpec(f"{kind} requires an integer k >= 1")
         base = parse_ring_spec(obj.get("base"))
         return MatrixSpec(base, k) if kind == "matrix" else TriangularSpec(base, k)
@@ -375,10 +376,11 @@ def digits(codes: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def _positions(k: int, triangular: bool):
-    if triangular:
-        return [(i, j) for i in range(k) for j in range(k) if i <= j]
-    return [(i, j) for i in range(k) for j in range(k)]
+@functools.cache
+def _positions(k: int, triangular: bool) -> tuple:
+    """The free entries (i, j) of a k x k matrix, row-major."""
+    return tuple((i, j) for i in range(k) for j in range(k)
+                 if i <= j or not triangular)
 
 
 def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
@@ -753,7 +755,7 @@ def element_from_descriptor(ring: FiniteRing, desc) -> int:
     types, pairs for products, base descriptors for quotients and corners."""
     spec = ring.spec
     if isinstance(spec, ZmodSpec):
-        if not isinstance(desc, int):
+        if type(desc) is not int:            # JSON true is no integer
             raise InvalidSpec(f"zmod element descriptor must be int, got {desc!r}")
         return desc % spec.n
     if isinstance(spec, (MatrixSpec, TriangularSpec)):

@@ -358,8 +358,9 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
     is the class whose key is the product of their keys, or the overflow
     element outside the box.  Each class is represented by a direct sum of
     at most K 1x1 idempotents.  ``guards`` bounds nothing here (the class
-    keys are bounded by ``ENUMERATION``); it is accepted so that every
-    builder takes the same arguments.
+    keys are bounded by ``ENUMERATION``); it stays because the benchmark
+    harness in ``perfbench/`` calls build_v_monoid(ring, K, guards), and
+    that harness only changes together with the benchmark.
     """
     if K < 1:
         raise InvalidSpec("truncation must be at least 1")

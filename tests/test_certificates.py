@@ -246,3 +246,30 @@ def test_ideal_digest_detects_generator_mutation():
     mutated["ideal_generators"] = [3]
     ok, checks = C.verify_payload(mutated)
     assert not ok
+
+
+def test_bool_for_int_mutations_rejected():
+    # JSON true/false are ints to Python: every 0 -> false and 1 -> true leaf
+    # change of a forced m=4 certificate must fail, as any other change does
+    z4, ideal = z4_pair()
+    payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
+    paths = []
+
+    def walk(node, path):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, val in items:
+            walk(val, path + [key])
+        if type(node) is int and node in (0, 1):
+            paths.append(path)
+
+    walk(payload, [])
+    assert len(paths) == 582
+    for path in paths:
+        mutated = copy.deepcopy(payload)
+        node = mutated
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = bool(node[path[-1]])
+        ok, _ = C.verify_payload(mutated)
+        assert not ok, path

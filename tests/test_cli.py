@@ -98,3 +98,22 @@ def test_check_builds_v_monoid_at_full_truncation(tmp_path):
     assert report["v_monoid"]["overflow"] == 5
     assert report["v_monoid_components"] == [{"simple_size": 9, "degree": 2}]
     assert report["v_ideal_classes"] == ["0"]
+
+
+def test_check_refuses_bad_order_ideal_indices(tmp_path):
+    # the order ideal indexes the monoid table, so it is checked like the table
+    spec = tmp_path / "monoid.json"
+    for subset in ([0, 7], [0, -1], [0, True], [0, 1.0]):
+        spec.write_text(json.dumps({
+            "monoid": {"size": 2, "zero": 0, "op_table": [0, 1, 1, 1]},
+            "order_ideal": subset}))
+        res = CliRunner().invoke(main, ["check", "--spec", str(spec),
+                                        "--format", "machine"])
+        assert res.exit_code == 7, (subset, res.output, res.exception)
+    spec.write_text(json.dumps({
+        "monoid": {"size": 2, "zero": 0, "op_table": [0, 1, 1, 1]},
+        "order_ideal": [0, 1]}))
+    res = CliRunner().invoke(main, ["check", "--spec", str(spec),
+                                    "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["refinement_wrt_order_ideal"] is True

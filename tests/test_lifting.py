@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 
 import pytest
 
-from exlift import certificates as C, lifting as L, matrices as M, rings as R
+from exlift import (certificates as C, lifting as L, matrices as M,
+                    rings as R, vmonoid as V)
 from exlift.errors import (HypothesisFailed, NotFredholm, PreconditionFailed)
 from exlift.ktheory import (fredholm_elements, index, k0_zero_test,
                             whitehead_factor)
@@ -295,3 +297,89 @@ def test_elemword_parameters_stay_in_ideal(corpus_pairs):
             rc = L.reduce_col(ring, ideal, alpha)
             assert M.word_in_ideal(rr.word, ideal)
             assert M.word_in_ideal(rc.word, ideal)
+
+
+# ---------------------------------------------------------------------------
+# The hypothesis is checked once, at lift_unit; the stage rings inherit it
+# ---------------------------------------------------------------------------
+
+def test_stage_rings_inherit_separative_exchange(corpus_pairs):
+    # M_2(I) is a separative exchange ideal of M_2(R) when I is one of R
+    checked = 0
+    for name, ring, ideal, tags in corpus_pairs:
+        if ring.size ** 4 > 1296:
+            continue
+        assert L.separative_exchange_status(ring, ideal)["ok"], name
+        sring, sideal = M.stage_ring(ring, ideal, 2)
+        assert L.separative_exchange_status(sring, sideal)["ok"], name
+        checked += 1
+    assert checked == 20
+
+
+def _search_order(ring):
+    """[e] <= [g] on 1x1 idempotents by search: e is equivalent to some
+    idempotent f with fg = gf = f (x in eRf, y in fRe, xy = e, yx = f)."""
+    idems = ring.idempotents()
+    mul = ring.mul
+
+    def corner(e, f):
+        return {mul(mul(e, r), f) for r in ring.elements()}
+
+    equivalent = {(e, f): any(mul(x, y) == e and mul(y, x) == f
+                              for x in corner(e, f) for y in corner(f, e))
+                  for e in idems for f in idems}
+    return {(e, g): any(equivalent[e, f] for f in idems
+                        if mul(f, g) == f == mul(g, f))
+            for e in idems for g in idems}
+
+
+def test_rank_vector_order_is_the_v_monoid_order(corpus_rings):
+    # join_idempotent orders the 1x1 idempotents of R and of R^op by R's
+    # rank vectors.  On R that is the order of the truncated V-monoid; R^op
+    # has no V-monoid of its own (its elements have no descriptors), so
+    # there, as on R, it is checked against a witness search
+    for entry, ring in corpus_rings:
+        rank = dict(V._wedderburn_data(ring)[1])
+        idems = ring.idempotents()
+        by_rank = {(e, g): all(a <= b for a, b in zip(rank[e], rank[g]))
+                   for e in idems for g in idems}
+        for K in (1, 2):
+            vm = V.build_v_monoid(ring, K)
+            le = vm.monoid.le_matrix()
+            assert by_rank == {
+                (e, g): le[vm.class_of[(1, e)]][vm.class_of[(1, g)]]
+                for e in idems for g in idems}, (entry.name, K)
+        for side in (ring, ring.op()):
+            assert side.idempotents() == idems
+            assert _search_order(side) == by_rank, side.describe()
+
+
+def _matrix_degree(ring):
+    spec = ring.spec
+    if isinstance(spec, R.OppositeSpec):
+        spec = spec.base
+    return spec.k if isinstance(spec, R.MatrixSpec) else 1
+
+
+def test_lift_checks_the_hypothesis_only_on_the_base_ring(monkeypatch):
+    from exlift import exchange
+    seen = []
+    checks = [exchange.is_exchange_ideal, L.separative_exchange_status,
+              V.build_v_monoid]
+
+    def spy(fn):
+        def wrapped(ring, *args, **kwargs):
+            seen.append((fn.__name__, _matrix_degree(ring)))
+            return fn(ring, *args, **kwargs)
+        return wrapped
+
+    for name, mod in list(sys.modules.items()):
+        if name == "exlift" or name.startswith("exlift."):
+            for attr, val in list(vars(mod).items()):
+                if any(val is fn for fn in checks):
+                    monkeypatch.setattr(mod, attr, spy(val))
+    z4, ideal = z4_pair()
+    cert = L.lift_unit(z4, ideal, 3, start_m=4).certificate
+    assert [s.level for s in cert.stages] == ["blocked", "base"]
+    assert ("separative_exchange_status", 1) in seen
+    assert all(k == 1 for _, k in seen), seen
