@@ -13,12 +13,20 @@ The join idempotent's order condition ([f1], [f2] <= [g], by rank vector
 over R/J(R)) is not re-checked: it only picks which g the construction
 records, and the verifier checks the contracts the proof uses instead, that
 g is an idempotent in f1R + f2R and wR with RgR = Rf1R + Rf2R.
+
+Every element leaf is decoded by ``rings.element_from_descriptor``, which
+accepts an element's canonical descriptor only, so a leaf cannot be swapped
+for another name of the same element (a zmod int moved by n, another member
+of a quotient coset, a JSON bool).  ``dumps_certificate`` writes the text
+itself; its bytes are pinned by the golden digests in the tests, which hold
+it to ``json.dumps(payload, sort_keys=True, indent=1)`` as the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .config import DEFAULT, Guards
@@ -186,7 +194,55 @@ def save_certificate(payload: dict, path: str) -> None:
 
 
 def dumps_certificate(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """The certificate text: sorted keys, a one-space indent, ASCII only,
+    and a final newline.  Floats, non-str keys and values JSON has no form
+    for raise TypeError."""
+    out: list = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append the JSON text of value to out; nl is a newline plus the indent
+    of the line value starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("certificate keys must be str")
+        inner = nl + " "
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(value[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(
+            f"a certificate cannot hold a {type(value).__name__}")
 
 
 def load_certificate(path: str) -> dict:
@@ -331,7 +387,7 @@ def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
     A2 = apply_elem_word(A1, ElemWord(2, word.ops[2:4]))
     c2, d2 = A2[1, 0], A2[1, 1]
     _verify_row_pass(ring, rep, "pass2", c2, d2, p2)
-    e2, r2, s2 = p2["e"], p2["r"], p2["s"]
+    r2, s2 = p2["r"], p2["s"]
     rep.add("op5 from witnesses",
             word.ops[4] == right_op(2, 1, ring.neg(ring.mul(s2, c2))))
     rep.add("op6 from witnesses",
@@ -456,7 +512,6 @@ def _verify_lift(ring: FiniteRing, ideal: Ideal, payload: dict,
     recorded x' congruent to x mod I (the same lift of the same unit of R/I),
     and an x' outside that coset fails the "pi(w1) = pi(x)+1" check.
     """
-    one = ring.one
     x = element_from_descriptor(ring, payload["x"])
     y = element_from_descriptor(ring, payload["y"])
     m, k = payload["m"], payload["k"]

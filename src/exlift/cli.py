@@ -140,8 +140,9 @@ def _guards(guard: int | None, truncation: int | None = None) -> Guards:
 spec_opt = click.option("--spec", required=True, type=click.Path(),
                         help="Path to a ring/monoid spec file (JSON).")
 ideal_opt = click.option("--ideal", default=None,
-                         help="Ideal generators as a JSON list, overriding "
-                              "the spec file's ideal.")
+                         help="Ideal generators as a JSON list of canonical "
+                              "element descriptors, overriding the spec "
+                              "file's ideal.")
 trunc_opt = click.option("--truncation", "-K", default=None, type=int,
                          help="V-monoid truncation dimension (default 2).")
 guard_opt = click.option("--guard", default=None, type=int,
@@ -246,7 +247,8 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
 @spec_opt
 @ideal_opt
 @click.option("--element", required=True,
-              help="Element descriptor (JSON: int, entry lists, or pair).")
+              help="Canonical element descriptor (JSON: int in [0, n), "
+                   "entry lists, or pair).")
 @trunc_opt
 @guard_opt
 @fmt_opt
@@ -293,7 +295,8 @@ def _index_report(ring, idl, x, guards) -> dict:
 @main.command()
 @spec_opt
 @ideal_opt
-@click.option("--element", required=True, help="Element descriptor (JSON).")
+@click.option("--element", required=True,
+              help="Canonical element descriptor (JSON).")
 @trunc_opt
 @guard_opt
 @fmt_opt
@@ -378,7 +381,7 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
         from .ktheory import fredholm_elements
         entries = []
         failures = 0
-        for name, ring, ideal, tags in corpus_mod.corpus_pairs(
+        for name, ring, ideal, _tags in corpus_mod.corpus_pairs(
                 guards, include_slow=full):
             entry = {"pair": name, "ring_size": ring.size,
                      "ideal_size": len(ideal.members)}

@@ -59,16 +59,6 @@ CORPUS = [
 ]
 
 
-def _thaw_desc(g):
-    if isinstance(g, tuple):
-        return [_thaw_desc(x) for x in g]
-    return g
-
-
-def _descriptor_list(gens):
-    return [_thaw_desc(g) for g in gens]
-
-
 def corpus_rings(guards: Guards = DEFAULT):
     """(entry, ring) for every corpus entry, building each spec once."""
     return [(e, build_ring(e.spec, guards)) for e in CORPUS]
@@ -86,8 +76,7 @@ def corpus_pairs(guards: Guards = DEFAULT, include_slow: bool = True):
                 out.append((f"{entry.name} |I|={len(ideal.members)}",
                             ring, ideal, entry.tags))
         else:
-            gens = [element_from_descriptor(ring, g)
-                    for g in _descriptor_list(entry.generators)]
+            gens = [element_from_descriptor(ring, g) for g in entry.generators]
             ideal = ideal_closure(ring, gens)
             out.append((f"{entry.name}", ring, ideal, entry.tags))
     return out

@@ -128,7 +128,8 @@ def _check_entries(ideal: Ideal, alpha: RMatrix) -> None:
 
 
 def _row_pass(ring: FiniteRing, A: RMatrix, tag: str, trace: dict):
-    """One unimodular-row pass: ops making the last row (e*c, (1-e)*d)."""
+    """One unimodular-row pass: ops making the last row (e*c, (1-e)*d).
+    Returns the ops and the new matrix; the witnesses go to trace[tag]."""
     c, d = A[1, 0], A[1, 1]
     got = scans.row_pass_witnesses(ring, c, d)
     if got is None:
@@ -138,7 +139,7 @@ def _row_pass(ring: FiniteRing, A: RMatrix, tag: str, trace: dict):
     op2 = right_op(1, 2, ring.neg(ring.mul(r, d)))
     A = apply_elem_word(A, ElemWord(2, (op1, op2)))
     trace[tag] = {"x": x, "y": y, "e": e, "r": r, "s": s}
-    return [op1, op2], A, e, r, s
+    return [op1, op2], A
 
 
 def _require_invertible(alpha: RMatrix) -> None:
@@ -160,9 +161,10 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal,
     """reduce_row on an alpha already checked by the caller."""
     one = ring.one
     trace: dict = {}
-    c_orig, d_orig = alpha[1, 0], alpha[1, 1]
+    c_orig = alpha[1, 0]
 
-    ops, A, e, r, s = _row_pass(ring, alpha, "pass1", trace)
+    ops, A = _row_pass(ring, alpha, "pass1", trace)
+    e, r = trace["pass1"]["e"], trace["pass1"]["r"]
 
     # move w = e*c + (1-e)*d into position (2,2), then strip a full corner
     w = ring.add(A[1, 0], A[1, 1])
@@ -183,7 +185,7 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal,
     trace["corner"] = {"w": w, "f": f, "w1": w1, "w2": w2,
                        "f1": f1, "f2": f2, "g": g, "wprime": wprime}
 
-    ops2, A, e2, r2, s2 = _row_pass(ring, A, "pass2", trace)
+    ops2, A = _row_pass(ring, A, "pass2", trace)
 
     cP, dP = A[1, 0], A[1, 1]
     h = scans.complement_right(ring, cP, dP)

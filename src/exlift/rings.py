@@ -96,14 +96,19 @@ RingSpec = (
 )
 
 
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
+def _key(desc):
+    """desc with its lists frozen into tuples: the decode memo's key.  A
+    leaf that is not an int is refused here, before any lookup, since
+    True == 1 and 1.0 == 1 would find the entry of 1."""
+    if type(desc) is int:
+        return desc
+    if isinstance(desc, (list, tuple)):
+        return tuple([_key(v) for v in desc])
+    raise InvalidSpec(f"element descriptor leaves must be ints, got {desc!r}")
 
 
 def _thaw(value):
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return [_thaw(v) for v in value]
     return value
 
@@ -140,7 +145,7 @@ def parse_ring_spec(obj) -> RingSpec:
         gens = ideal.get("generators")
         if not isinstance(gens, list):
             raise InvalidSpec("ideal.generators must be a list")
-        return QuotientSpec(base, _freeze(gens))
+        return QuotientSpec(base, _key(gens))
     raise InvalidSpec(f"unknown ring spec type {kind!r}")
 
 
@@ -187,7 +192,8 @@ class FiniteRing:
     spec: RingSpec
 
     def __post_init__(self):
-        self._cache: dict = {}
+        # the element codec's memo maps, filled as elements are asked for
+        self._cache: dict = {"encode": {}, "decode": {}}
         if self.size <= _LIST_MIRROR_MAX:
             self._add = self.npadd.tolist()
             self._mul = self.npmul.tolist()
@@ -483,7 +489,7 @@ def _build_product(spec: ProductSpec, guards: Guards) -> FiniteRing:
 
 def _build_quotient(spec: QuotientSpec, guards: Guards) -> FiniteRing:
     base = build_ring(spec.base, guards)
-    gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
+    gens = [element_from_descriptor(base, g) for g in spec.generators]
     qmap = quotient_by(base, ideal_closure(base, gens), guards)
     shared = qmap.target
     # a ring of its own that carries the user's recipe for faithful
@@ -660,7 +666,7 @@ def quotient_by(ring: FiniteRing, ideal: Ideal,
     neg = named[ring.npneg[reps]]
 
     spec = QuotientSpec(ring.spec,
-                        tuple(element_descriptor_frozen(ring, g)
+                        tuple(_encode(ring, g)
                               for g in ideal.generators))
     target = FiniteRing(qsize, add, mul, neg,
                         int(image[ring.zero]), int(image[ring.one]), spec)
@@ -736,6 +742,21 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
 # ---------------------------------------------------------------------------
 # Element descriptors (external interface)
 # ---------------------------------------------------------------------------
+#
+# Every ring has one element codec.  Each element has exactly one descriptor,
+# and decoding accepts that descriptor only:
+#
+# - zmod(n): the int i with 0 <= i < n (no other residue, no bool);
+# - matrix(R, k), triangular(R, k): the k x k list of rows of descriptors of
+#   R, with R's zero below the diagonal of a triangular element;
+# - product(R, S): the pair [descriptor in R, descriptor in S];
+# - quotient(R, gens): the descriptor in R of the least member of the coset.
+#
+# Corner rings and opposite rings have none.  Lists and tuples are the same
+# descriptor.  Both directions are memoized in ``ring._cache``, one element
+# at a time as they are asked for, never by enumerating the carrier:
+# "encode" maps an index to its descriptor frozen into tuples, and
+# "decode" maps a frozen descriptor back to its index.
 
 def _recipe_quotient_map(ring: FiniteRing) -> QuotientMap:
     """The map base -> ring of a ring with a QuotientSpec, worked out from
@@ -744,77 +765,97 @@ def _recipe_quotient_map(ring: FiniteRing) -> QuotientMap:
     if got is None:
         spec = ring.spec
         base = build_ring(spec.base)
-        gens = [element_from_descriptor(base, _thaw(g)) for g in spec.generators]
+        gens = [element_from_descriptor(base, g) for g in spec.generators]
         got = quotient_by(base, ideal_closure(base, gens))
         ring._cache["recipe_quotient_map"] = got
     return got
 
 
 def element_from_descriptor(ring: FiniteRing, desc) -> int:
-    """Decode an element descriptor: ints for zmod, entry lists for matrix
-    types, pairs for products, base descriptors for quotients and corners."""
+    """The element whose canonical descriptor is desc (lists or tuples);
+    InvalidSpec for anything else."""
+    return _decode(ring, _key(desc))
+
+
+def _decode(ring: FiniteRing, key) -> int:
+    memo = ring._cache["decode"]
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _decode_new(ring, key)
+    return got
+
+
+def _decode_new(ring: FiniteRing, key) -> int:
     spec = ring.spec
     if isinstance(spec, ZmodSpec):
-        if type(desc) is not int:            # JSON true is no integer
-            raise InvalidSpec(f"zmod element descriptor must be int, got {desc!r}")
-        return desc % spec.n
+        if type(key) is not int or not 0 <= key < spec.n:
+            raise InvalidSpec(f"zmod({spec.n}) element descriptor must be an "
+                              f"int in [0, {spec.n}), got {key!r}")
+        return key
     if isinstance(spec, (MatrixSpec, TriangularSpec)):
-        base = build_ring(spec.base)
-        k = spec.k
+        base, k = build_ring(spec.base), spec.k
         tri = isinstance(spec, TriangularSpec)
-        if (not isinstance(desc, (list, tuple)) or len(desc) != k
-                or any(not isinstance(r, (list, tuple)) or len(r) != k
-                       for r in desc)):
+        if (type(key) is not tuple or len(key) != k
+                or any(type(row) is not tuple or len(row) != k
+                       for row in key)):
             raise InvalidSpec(f"matrix element descriptor must be a {k}x{k} list")
-        if tri and any(element_from_descriptor(base, desc[i][j]) != base.zero
+        if tri and any(_decode(base, key[i][j]) != base.zero
                        for i in range(k) for j in range(i)):
             raise InvalidSpec(
                 "triangular element has nonzero entry below diagonal")
-        return pack([element_from_descriptor(base, desc[i][j])
-                     for i, j in _positions(k, tri)], base.size)
+        return pack([_decode(base, key[i][j]) for i, j in _positions(k, tri)],
+                    base.size)
     if isinstance(spec, ProductSpec):
-        if not isinstance(desc, (list, tuple)) or len(desc) != 2:
+        if type(key) is not tuple or len(key) != 2:
             raise InvalidSpec("product element descriptor must be a pair")
         lring, rring = build_ring(spec.left), build_ring(spec.right)
-        return (element_from_descriptor(lring, desc[0]) * rring.size
-                + element_from_descriptor(rring, desc[1]))
+        return _decode(lring, key[0]) * rring.size + _decode(rring, key[1])
     if isinstance(spec, QuotientSpec):
         qmap = _recipe_quotient_map(ring)
-        return qmap.pi(element_from_descriptor(qmap.source, desc))
+        s = _decode(qmap.source, key)
+        if qmap.lift(qmap.pi(s)) != s:
+            raise InvalidSpec(f"quotient element descriptor {key!r} is not "
+                              f"the least member of its coset")
+        return qmap.pi(s)
     if isinstance(spec, CornerSpec):
         raise InvalidSpec("corner rings have no external element descriptors")
     raise InvalidSpec(f"cannot decode elements of {spec!r}")
 
 
 def element_descriptor(ring: FiniteRing, idx: int):
-    """Canonical descriptor of a carrier index (JSON-serializable)."""
+    """Canonical descriptor of a carrier index, as fresh JSON lists."""
+    return _thaw(_encode(ring, idx))
+
+
+def _encode(ring: FiniteRing, idx: int):
+    memo = ring._cache["encode"]
+    got = memo.get(idx)
+    if got is None:
+        if not 0 <= idx < ring.size:
+            raise InvalidSpec(f"element index {idx} outside carrier")
+        got = memo[idx] = _encode_new(ring, idx)
+    return got
+
+
+def _encode_new(ring: FiniteRing, idx: int):
     spec = ring.spec
-    if not (0 <= idx < ring.size):
-        raise InvalidSpec(f"element index {idx} outside carrier")
     if isinstance(spec, ZmodSpec):
-        return idx
+        return int(idx)
     if isinstance(spec, (MatrixSpec, TriangularSpec)):
-        base = build_ring(spec.base)
-        k = spec.k
-        tri = isinstance(spec, TriangularSpec)
-        pos = _positions(k, tri)
-        entries = [[element_descriptor(base, base.zero) for _ in range(k)]
-                   for _ in range(k)]
+        base, k = build_ring(spec.base), spec.k
+        pos = _positions(k, isinstance(spec, TriangularSpec))
+        entries = [[_encode(base, base.zero)] * k for _ in range(k)]
         for (i, j), x in zip(pos, unpack(idx, base.size, len(pos))):
-            entries[i][j] = element_descriptor(base, x)
-        return entries
+            entries[i][j] = _encode(base, x)
+        return tuple(map(tuple, entries))
     if isinstance(spec, ProductSpec):
         lring, rring = build_ring(spec.left), build_ring(spec.right)
-        return [element_descriptor(lring, idx // rring.size),
-                element_descriptor(rring, idx % rring.size)]
+        return (_encode(lring, idx // rring.size),
+                _encode(rring, idx % rring.size))
     if isinstance(spec, QuotientSpec):
         qmap = _recipe_quotient_map(ring)
-        return element_descriptor(qmap.source, qmap.lift(idx))
+        return _encode(qmap.source, qmap.lift(idx))
     raise InvalidSpec(f"cannot describe elements of {spec!r}")
-
-
-def element_descriptor_frozen(ring: FiniteRing, idx: int):
-    return _freeze(element_descriptor(ring, idx))
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def has_refinement_wrt(m: FinMonoid, s: OrderIdeal) -> CheckOutcome:
     for a in proper:
         for c in proper:
             solve[a].setdefault(t[a][c], []).append(c)
-    for total, pairs in by_sum.items():
+    for pairs in by_sum.values():
         for (x1, x2) in pairs:
             for (y1, y2) in pairs:
                 if not (x1 in s or x2 in s or y1 in s or y2 in s):

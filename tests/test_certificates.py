@@ -198,9 +198,9 @@ def mutate_leaves(payload, rng, limit):
 
 
 def _semantically_distinct(payload, mutated):
-    """zmod descriptors reduce modulo n, so ints may wrap to the same
-    element; only count a mutation when the canonical dump differs after a
-    verify-and-rebuild cycle is impossible, i.e. compare raw values."""
+    """A mutation counts when it changes the certificate's bytes.  Every
+    element has one descriptor, so a changed leaf is a changed claim or no
+    descriptor at all."""
     return C.dumps_certificate(payload) != C.dumps_certificate(mutated)
 
 
@@ -273,3 +273,158 @@ def test_bool_for_int_mutations_rejected():
         node[path[-1]] = bool(node[path[-1]])
         ok, _ = C.verify_payload(mutated)
         assert not ok, path
+
+
+# keys whose int values are no element descriptors (the ring recipe holds
+# descriptors of other rings)
+_NOT_ELEMENTS = {"version", "m", "k", "dim", "i", "j"}
+
+
+def element_leaf_paths(payload):
+    """Paths of every int leaf of payload that sits in an element
+    descriptor of the certificate's ring or of a stage ring."""
+    paths = []
+
+    def walk(node, path, key):
+        if isinstance(node, dict):
+            for k, val in node.items():
+                if k != "ring":
+                    walk(val, path + [k], k)
+        elif isinstance(node, list):
+            for i, val in enumerate(node):
+                walk(val, path + [i], key)
+        elif type(node) is int and key not in _NOT_ELEMENTS:
+            paths.append(path)
+
+    walk(payload, [], None)
+    return paths
+
+
+def with_leaf(payload, path, value):
+    mutated = copy.deepcopy(payload)
+    node = mutated
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return mutated
+
+
+def leaf(payload, path):
+    for step in path:
+        payload = payload[step]
+    return payload
+
+
+def test_zmod_leaf_shifted_by_n_fails():
+    # d + n and d - n name d's residue, yet only d is its descriptor: on the
+    # base stage (m = 2) and on the blocked M_2(Z/4) stage (forced m = 4)
+    z4, ideal = z4_pair()
+    for start_m in (2, 4):
+        payload = L.lift_unit(z4, ideal, 3, start_m=start_m).certificate \
+            .to_payload()
+        paths = element_leaf_paths(payload)
+        assert len(paths) > 50
+        assert [st["level"] for st in payload["stages"]] == (
+            ["blocked", "base"] if start_m == 4 else ["base"])
+        for path in paths:
+            for shift in (4, -4):
+                mutated = with_leaf(payload, path, leaf(payload, path) + shift)
+                ok, checks = C.verify_payload(mutated)
+                assert not ok, (start_m, path, shift)
+    payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
+    assert not C.verify_payload(dict(payload, y=payload["y"] + 4))[0]
+
+
+def test_quotient_leaf_naming_another_coset_member_fails():
+    # quotient(zmod(16),[4]) names each coset by its least member 0..3;
+    # d + 4 is another member of the same coset, and no descriptor
+    q = R.build_ring(R.QuotientSpec(R.ZmodSpec(16), (4,)))
+    assert [R.element_descriptor(q, i) for i in q.elements()] == [0, 1, 2, 3]
+    for gens in ([], [2]):
+        ideal = R.ideal_closure(q, [R.element_from_descriptor(q, g)
+                                    for g in gens])
+        payload = L.lift_unit(q, ideal, 3).certificate.to_payload()
+        assert C.verify_payload(payload)[0]
+        paths = element_leaf_paths(payload)
+        assert len(paths) > 50
+        for path in paths:
+            for other in (leaf(payload, path) + 4, leaf(payload, path) + 12):
+                mutated = with_leaf(payload, path, other)
+                ok, checks = C.verify_payload(mutated)
+                assert not ok, (gens, path, other)
+                assert "well-formed" in {c["check"] for c in checks
+                                         if not c["ok"]}
+    with pytest.raises(InvalidSpec):
+        R.element_from_descriptor(q, 5)
+    # over a structured base: the class of e12 in T_2(Z/2) mod (e12) is
+    # named by the zero matrix only
+    qt = R.build_ring(R.QuotientSpec(R.TriangularSpec(R.ZmodSpec(2), 2),
+                                     (((0, 1), (0, 0)),)))
+    assert R.element_from_descriptor(qt, [[0, 0], [0, 0]]) == qt.zero
+    with pytest.raises(InvalidSpec):
+        R.element_from_descriptor(qt, [[0, 1], [0, 0]])
+
+
+def test_bool_refused_after_its_int_is_memoized():
+    z2 = R.build_ring(R.ZmodSpec(2))
+    assert R.element_from_descriptor(z2, 1) == 1
+    assert z2._cache["decode"][1] == 1     # and True == 1 hashes alike
+    for desc in (True, False, 1.0):
+        with pytest.raises(InvalidSpec):
+            R.element_from_descriptor(z2, desc)
+    m2 = R.build_ring(R.MatrixSpec(R.ZmodSpec(2), 2))
+    one = R.element_from_descriptor(m2, [[1, 0], [0, 1]])
+    assert one == m2.one
+    assert R.element_from_descriptor(m2, ((1, 0), (0, 1))) == one
+    with pytest.raises(InvalidSpec):
+        R.element_from_descriptor(m2, [[True, 0], [0, 1]])
+
+
+def test_descriptor_copies_do_not_alias_the_memo():
+    m2 = R.build_ring(R.MatrixSpec(R.ZmodSpec(2), 2))
+    desc = R.element_descriptor(m2, m2.one)
+    assert desc == [[1, 0], [0, 1]]
+    desc[0][0] = 7
+    desc.append("junk")
+    assert R.element_descriptor(m2, m2.one) == [[1, 0], [0, 1]]
+    payload = fresh_payloads()["forced m=4 lift"]
+    payload["stages"][0]["input"][0][0] = 99
+    assert fresh_payloads()["forced m=4 lift"]["stages"][0]["input"][0][0] != 99
+
+
+def _oracle(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_writer_matches_json_on_fresh_payloads():
+    payloads = list(fresh_payloads().values())
+    for x in (1, 3):
+        for start_m in (2, 4):
+            payloads.append(L.lift_unit(*z4_pair(), x, start_m=start_m)
+                            .certificate.to_payload())
+    for payload in payloads:
+        assert C.dumps_certificate(payload) == _oracle(payload)
+
+
+def test_writer_matches_json_on_edge_shapes():
+    shapes = [
+        {}, [], {"a": []}, {"a": {}}, [[]], [{}], [[], {}, [[]], {"b": {}}],
+        (1, (2, 3)), {"t": ((), (4,), [(5, [6])])},
+        {"n": [-1, 0, -(2 ** 70), 2 ** 64 + 1]},
+        {"flags": [True, False, None], "one": True, "none": None},
+        [1, True, 2], [0, False], [None],
+        {"s": 'quote " backslash \\ slash / ctl \x00\x01\x1f\x7f tab\tnl\n'},
+        {"s": "café ☃ \U0001f600 \ud800"},
+        {"é": 1, "b": 2, "A": 3, "": 4, "a\"b": 5},
+        {"z": {"y": {"x": [[1, [2, [3]]], "w"]}}},
+        "bare string", 7, None, True,
+    ]
+    for value in shapes:
+        assert C.dumps_certificate(value) == _oracle(value), value
+
+
+def test_writer_refuses_what_json_would_coerce_or_reject():
+    for value in ({"a": 1.0}, [0.5], {1: 2}, {None: 0}, {"s": {1, 2}},
+                  [object()], {"b": b"x"}):
+        with pytest.raises(TypeError):
+            C.dumps_certificate(value)

@@ -117,3 +117,48 @@ def test_check_refuses_bad_order_ideal_indices(tmp_path):
                                     "--format", "machine"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["refinement_wrt_order_ideal"] is True
+
+
+def _zmod_spec(tmp_path, ring_obj, gens):
+    spec = tmp_path / "ring.json"
+    spec.write_text(json.dumps({"ring": ring_obj,
+                                "ideal": {"generators": gens}}))
+    return str(spec)
+
+
+def test_element_must_be_canonical(tmp_path):
+    # one strict decoder: 5 and true name no element of Z/4, though 5 = 1
+    # mod 4 and JSON true is the int 1 to Python
+    spec = _zmod_spec(tmp_path, {"type": "zmod", "n": 4}, [2])
+    for element in ("5", "-3", "true", "1.0"):
+        res = CliRunner().invoke(main, ["index", "--spec", spec,
+                                        "--element", element])
+        assert res.exit_code == 7, (element, res.output, res.exception)
+    res = CliRunner().invoke(main, ["index", "--spec", spec, "--element", "1",
+                                    "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["element"] == 1
+    for ideal in ("[6]", "[true]"):
+        res = CliRunner().invoke(main, ["index", "--spec", spec, "--ideal",
+                                        ideal, "--element", "1"])
+        assert res.exit_code == 7, (ideal, res.output, res.exception)
+
+
+def test_quotient_spec_generator_must_be_canonical(tmp_path):
+    # quotient(zmod(16), [4]) is a ring; its generator shifted by n is not
+    # a descriptor of Z/16, and the spec is refused as --element 20 would be
+    base = {"type": "zmod", "n": 16}
+    for gen, code in ((4, 0), (20, 7), (-12, 7)):
+        ring = {"type": "quotient", "base": base,
+                "ideal": {"generators": [gen]}}
+        res = CliRunner().invoke(main, ["check", "--spec",
+                                        _zmod_spec(tmp_path, ring, []),
+                                        "--format", "machine"])
+        assert res.exit_code == code, (gen, res.output, res.exception)
+    # a quotient element is named by the least member of its coset only
+    ring = {"type": "quotient", "base": base, "ideal": {"generators": [4]}}
+    spec = _zmod_spec(tmp_path, ring, [])
+    for element, code in (("1", 0), ("5", 7), ("13", 7)):
+        res = CliRunner().invoke(main, ["index", "--spec", spec,
+                                        "--element", element])
+        assert res.exit_code == code, (element, res.output, res.exception)

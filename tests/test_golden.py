@@ -86,3 +86,12 @@ def test_corpus_report_is_golden(mode):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 0, res.output
     assert res.output == json.dumps(golden, sort_keys=True, indent=1) + "\n"
+
+
+def test_writer_matches_json_on_golden_payloads(corpus_pairs):
+    # json.dumps is the oracle of the certificate writer's bytes
+    payloads = golden_payloads(corpus_pairs)
+    assert len(payloads) == 57
+    for name, payload in payloads.items():
+        assert C.dumps_certificate(payload) == json.dumps(
+            payload, sort_keys=True, indent=1) + "\n", name
