@@ -4,8 +4,8 @@ Exceeding a guard raises ``GuardExceeded`` instead of degrading to an
 approximate answer.  ``Guards`` holds the two settable ones: the largest
 carrier a ring construction may produce (the CLI's ``--guard`` and
 ``EXLIFT_GUARD``) and the V-monoid truncation.  The fixed bounds are
-constants next to the check they bound: ``rings.TABLE_ENTRIES``,
-``vmonoid.ENUMERATION`` and ``matrices.SEARCH_CANDIDATES``.
+constants next to the check they bound: ``rings.TABLE_ENTRIES`` and
+``vmonoid.ENUMERATION``.
 """
 
 from __future__ import annotations

@@ -24,14 +24,14 @@ from .errors import (HypothesisFailed, NotFredholm, PreconditionFailed,
                      SearchExhausted)
 from .exchange import is_exchange_ideal
 from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
-                       direct_sum, e_orbit_factor, identity, left_op, mat_mul,
-                       matrix, right_op, sigma_inv_word_left, sigma_word_left,
-                       sigma_word_right, stage_ring, try_inverse,
-                       unblock_matrix, word_in_ideal)
-from .rings import (FiniteRing, Ideal, OppositeSpec, ideal_closure,
-                    quotient_by, solve_right)
+                       decode_matrix, direct_sum, e_orbit_factor, identity,
+                       left_op, mat_mul, matrix, right_op, sigma_inv_word_left,
+                       sigma_word_left, sigma_word_right, stage_ring,
+                       try_inverse, unblock_matrix, word_in_ideal)
+from .rings import (FiniteRing, Ideal, MatrixSpec, OppositeSpec, build_ring,
+                    ideal_closure, quotient_by, solve_right)
 from . import scans
-from .vmonoid import (_wedderburn_data, build_v_monoid, is_separative,
+from .vmonoid import (build_v_monoid, class_key, is_separative,
                       v_order_ideal)
 
 
@@ -72,26 +72,44 @@ def separative_exchange_status(ring: FiniteRing, ideal: Ideal,
 # Idempotent joining
 # ---------------------------------------------------------------------------
 
+def _class_key(ring: FiniteRing, g: int) -> tuple:
+    """The class key of the idempotent g, read off R: on M_k(R), the key of
+    g's k x k entry matrix over R (Morita: V(M_k(R)) = V(R)); on any other
+    ring R, that of g itself (k = 1).  R^op reads from R.  Memoized per
+    ring, shared with its opposite."""
+    home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
+    memo = home._cache.setdefault("class_keys", {})
+    got = memo.get(g)
+    if got is None:
+        if isinstance(home.spec, MatrixSpec):
+            base, k = build_ring(home.spec.base), home.spec.k
+        else:
+            base, k = home, 1
+        got = memo[g] = class_key(base, decode_matrix(base, k, g))
+    return got
+
+
 def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int) -> int:
     """Least idempotent g in e1*R + e2*R with [e1],[e2] <= [g] in V(R) and
     RgR = Re1R + Re2R.
 
-    The class of an idempotent is its rank vector over R/J(R), and [e] <= [g]
-    iff that vector is componentwise <= (V(R) = N^t, see ``vmonoid``).  Over
-    R^op the rank vectors come from R: eR <-> Re gives V(R) = V(R^op) with
-    each idempotent in the same class."""
-    home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
+    V(R) = N^t by rank vector, and the class key (s_i^{r_i})_i of a rank
+    vector r grows with each r_i, so [e] <= [g] iff e's key is
+    componentwise <= g's (see ``vmonoid``).  On a stage ring M_k(R) the
+    keys are read off R (``_class_key``), so no invariant of M_k(R) itself
+    is computed.  Over R^op the keys come from R: eR <-> Re gives
+    V(R) = V(R^op) with each idempotent in the same class."""
     if ring.mul(e1, e1) != e1 or ring.mul(e2, e2) != e2:
         raise PreconditionFailed("join inputs must be idempotent")
     if not ideal.contains(e1):
         raise PreconditionFailed("first idempotent must lie in the ideal")
-    rank = dict(_wedderburn_data(home)[1])
+    k1, k2 = _class_key(ring, e1), _class_key(ring, e2)
     target = ideal_closure(ring, [e1, e2]).members
     for g in ring.right_span(e1, e2):
         if ring.mul(g, g) != g:
             continue
         if not all(a <= c and b <= c
-                   for a, b, c in zip(rank[e1], rank[e2], rank[g])):
+                   for a, b, c in zip(k1, k2, _class_key(ring, g))):
             continue
         if ideal_closure(ring, [g]).members != target:
             continue
@@ -353,8 +371,7 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal,
 
     if ring.inverse(a_prime) is None:
         raise AssertionError("a' is not a unit")
-    qmap = quotient_by(ring, ideal)
-    if qmap.pi(a_prime) != qmap.pi(ring.mul(a_orig, uinv)):
+    if not ideal.contains(ring.sub(a_prime, ring.mul(a_orig, uinv))):
         raise AssertionError("pi(a') != pi(a*u^-1)")
     replay = apply_elem_word(mat_mul(apply_elem_word(alpha, beta), lam), epsilon)
     replay = apply_elem_word(replay, gamma)

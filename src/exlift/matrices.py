@@ -14,8 +14,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import DEFAULT, Guards
-from .errors import (DimensionMismatch, GuardExceeded, PreconditionFailed,
-                     RingMismatch, SearchExhausted)
+from .errors import (DimensionMismatch, PreconditionFailed, RingMismatch,
+                     SearchExhausted)
 from .rings import (FiniteRing, Ideal, MatrixSpec, QuotientMap, build_ring,
                     digits, pack, unpack)
 
@@ -198,7 +198,13 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
                guards: Guards = DEFAULT) -> tuple:
     """(M_k(R), M_k(I)): a 2k x 2k matrix over R is 2x2 over M_k(R), and
     M_k(I) is a separative exchange ideal of it whenever I is one of R.
-    (R, I) itself when k = 1."""
+    (R, I) itself when k = 1.
+
+    M_k(R) keeps its operation tables, but no invariant of it is computed
+    from them: the class keys that order idempotents are read off R
+    (V(M_k(R)) = V(R) by Morita equivalence, see ``lifting._class_key``),
+    pi(a') = pi(a*u^-1) is a membership test in M_k(I) rather than a
+    quotient of M_k(R), and inverses come from elimination."""
     if k == 1:
         return ring, ideal
     mring = build_ring(MatrixSpec(ring.spec, k), guards)
@@ -207,54 +213,34 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
 
 # ---------------------------------------------------------------------------
 # Inverses
+#
+# A finite ring is Dedekind-finite, so an n x n matrix with a one-sided
+# inverse is invertible and its inverse is unique: every method returns the
+# same matrix, and certificates that record one do not depend on how it was
+# found.  The inverse comes from the elimination of the E_n(R) section below.
 # ---------------------------------------------------------------------------
 
-# try_inverse solves A*x = e_j over |R|**n candidate columns and refuses
-# when |R|**n exceeds 16 times this.
-SEARCH_CANDIDATES = 200_000
-
-
 def try_inverse(A: RMatrix) -> Optional[RMatrix]:
-    """Two-sided inverse if A is in GL_n, else None.
+    """Two-sided inverse if A is in GL_n, else None, by elimination.
 
-    Solves A*X = 1 column by column over all |R|**n candidate columns: they
-    are the cells of an (|R|,)*n grid, on which row i of A*x is the sum of
-    the rows mul[A[i, l]] broadcast along axis l.  Each column of X is the
-    first hit in C order, the least candidate code; X*A = 1 is then checked.
+    ``_reduce_to_diag`` decides invertibility and gives left ops W with
+    W*A = diag(d, 1, ..., 1), d a unit, so A^-1 = diag(d^-1, 1, ..., 1)*W:
+    W with its first row multiplied by d^-1.  A two-sided inverse is
+    unique, so no other method could return another matrix; X*A = A*X = 1
+    is checked all the same.
     """
+    red = _reduce_to_diag(A)
+    if red is None:
+        return None
+    ops, d = red
     ring, n = A.ring, A.n
-    if n == 1:
-        inv = ring.inverse(A.entries[0][0])
-        return None if inv is None else matrix(ring, [[inv]])
-    if ring.size ** n > SEARCH_CANDIDATES * 16:
-        raise GuardExceeded(
-            f"column solve space |R|^{n} = {ring.size ** n} is too large")
-    mul, add = ring.npmul, ring.npadd
-    grid = (ring.size,) * n
-
-    def along(l, a):                      # a*x_l over the grid, on axis l
-        shape = [1] * n
-        shape[l] = ring.size
-        return mul[a].reshape(shape)
-
-    rows = []                             # rows[i] = (A*x)_i on the grid
-    for i in range(n):
-        acc = along(0, A[i, 0])
-        for l in range(1, n):
-            acc = add[acc, along(l, A[i, l])]
-        rows.append(acc)
-    cols = []
-    for j in range(n):
-        ok = np.ones(grid, dtype=bool)
-        for i in range(n):
-            ok &= rows[i] == (ring.one if i == j else ring.zero)
-            if not ok.any():
-                return None
-        cols.append(np.unravel_index(int(np.argmax(ok)), grid))
-    X = RMatrix(ring, n, tuple(tuple(int(cols[j][i]) for j in range(n))
-                               for i in range(n)))
-    if mat_mul(X, A) != identity(ring, n):
-        return None  # one-sided only; cannot happen over a finite ring
+    W = apply_elem_word(identity(ring, n), ElemWord(n, tuple(ops)))
+    dinv = ring.inverse(d)
+    X = RMatrix(ring, n, (tuple(ring.mul(dinv, x) for x in W.entries[0]),)
+                + W.entries[1:])
+    one = identity(ring, n)
+    if mat_mul(X, A) != one or mat_mul(A, X) != one:
+        raise AssertionError("elimination inverse fails X*A = A*X = 1")
     return X
 
 

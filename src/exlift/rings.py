@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -177,6 +177,7 @@ def _expect_fields(obj: dict, allowed: set, where: str = "ring spec") -> None:
 # ---------------------------------------------------------------------------
 
 _LIST_MIRROR_MAX = 1024  # small rings keep list-of-list tables for fast scalar ops
+_CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
 
 
 @dataclass(eq=False)
@@ -231,22 +232,25 @@ class FiniteRing:
 
     # -- cached element sets --------------------------------------------------
     def units(self) -> tuple:
-        """All elements with a two-sided inverse, ascending."""
+        """All elements with a two-sided inverse, ascending.
+
+        Rows of the table are scanned in chunks for the first v with
+        u*v = 1, so no |R| x |R| temporary is made; each hit must also have
+        v*u = 1.  A finite ring is Dedekind-finite, so that first v is the
+        inverse."""
         got = self._cache.get("units")
         if got is None:
-            inv = self._cache["inverse_map"] = {}
-            out = []
-            one = self.one
-            for u in range(self.size):
-                row = self.npmul[u]
-                cands = np.flatnonzero(row == one)
-                for v in cands:
-                    v = int(v)
-                    if self.mul(v, u) == one:
-                        inv[u] = v
-                        out.append(u)
-                        break
-            got = self._cache["units"] = tuple(out)
+            inv = {}
+            step = max(1, _CHUNK // self.size)
+            for lo in range(0, self.size, step):
+                hit = self.npmul[lo:lo + step] == self.one
+                us = np.flatnonzero(hit.any(axis=1))
+                vs = hit[us].argmax(axis=1)
+                us += lo
+                ok = self.npmul[vs, us] == self.one
+                inv.update(zip(us[ok].tolist(), vs[ok].tolist()))
+            self._cache["inverse_map"] = inv
+            got = self._cache["units"] = tuple(inv)
         return got
 
     def inverse(self, u: int) -> Optional[int]:
@@ -264,13 +268,13 @@ class FiniteRing:
 
     def right_multiples(self, a: int) -> tuple:
         """Sorted tuple aR."""
-        return tuple(int(x) for x in np.unique(self.npmul[a]))
+        return tuple(np.unique(self.npmul[a]).tolist())
 
     def right_span(self, a: int, b: int) -> tuple:
         """Sorted tuple aR + bR."""
-        return tuple(int(x) for x in np.unique(
+        return tuple(np.unique(
             self.npadd[np.unique(self.npmul[a])[:, None],
-                       np.unique(self.npmul[b])[None, :]]))
+                       np.unique(self.npmul[b])[None, :]]).tolist())
 
     # -- the opposite ring ----------------------------------------------------
     def op(self) -> "FiniteRing":
@@ -389,13 +393,20 @@ def _positions(k: int, triangular: bool) -> tuple:
                  if i <= j or not triangular)
 
 
-def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
-    """table reshaped to broadcast along the given ascending axes of an
-    ndim-dimensional array."""
-    shape = [1] * ndim
-    for axis, n in zip(axes, table.shape):
-        shape[axis] = n
-    return table.reshape(shape)
+def _entrywise(table: np.ndarray, m: int, dt) -> np.ndarray:
+    """A unary or binary base table applied entrywise to the codes of m
+    entries.  The tables of the high and the low entries are joined by one
+    broadcast, so only the last join is full size."""
+    if m == 1:
+        return table.astype(dt)
+    hi, lo = _entrywise(table, m // 2, dt), _entrywise(table, m - m // 2, dt)
+    n = len(lo)
+    if table.ndim == 1:
+        return (hi[:, None] * n + lo[None, :]).reshape(-1)
+    # out[x*n + y, x'*n + y'] = hi[x, x']*n + lo[y, y'], broadcast along
+    # whole rows x'*n + y' so that the inner loop is long
+    return (np.repeat(hi * n, n, axis=1)[:, None, :]
+            + np.tile(lo, (1, len(hi)))[None, :, :]).reshape(len(hi) * n, -1)
 
 
 def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
@@ -409,49 +420,42 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     B = base.size
     dt = _table_dtype(size)
     # Layout: an element's code reads its free entries pos[0], pos[1], ... as
-    # a big-endian base-B number, so the carrier is a (B,)*nfree grid with one
-    # axis per free position.  pos is row-major, so a code is also the
-    # concatenation of one row code per matrix row, and the carrier is a
-    # (B**n_0, ..., B**n_{k-1}) grid too, n_r being the free entries of row r.
-    weights = [B ** (nfree - 1 - p) for p in range(nfree)]
+    # a big-endian base-B number.  pos is row-major, so a code is also the
+    # concatenation of one row code per matrix row.
+    add = _entrywise(base.npadd, nfree, dt)
+    neg = _entrywise(base.npneg, nfree, dt)
 
-    # addition and negation are entrywise: one weighted base table per free
-    # position, broadcast along that position's axes (every sum < size)
-    add = np.zeros((B,) * (2 * nfree), dtype=dt)
-    neg = np.zeros((B,) * nfree, dtype=dt)
-    for p, w in enumerate(weights):
-        add += _on_axes((base.npadd.astype(np.int64) * w).astype(dt),
-                        (p, nfree + p), 2 * nfree)
-        neg += _on_axes((base.npneg.astype(np.int64) * w).astype(dt),
-                        (p,), nfree)
-
-    # multiplication: row r of A*C depends only on row r of A and on C, so
-    # tabulate U_r[row code of A, C] (row r of A*C, weighted into its part of
-    # the code) and sum the U_r over a (B**n_0, ..., B**n_{k-1}, size) view
+    # multiplication: entry (r, j) of A*C is row r of A dotted with column j
+    # of C.  Per row r, tabulate that dot product D[row code, column code],
+    # gather it at the columns of every C into U_r[row code of A, C], the
+    # code of row r of A*C, and append U_r to the rows above with one
+    # broadcast, so only the last row's step is full size
     badd, bmul = base.npadd, base.npmul
     entry = digits(np.arange(size), B, nfree).T     # entry[p][C]
     full = np.full((k, k, size), base.zero, dtype=np.intp)  # full[l, j][C]
     for p, (i, j) in enumerate(pos):
         full[i, j] = entry[p]
-    rows = [[p for p, (i, _) in enumerate(pos) if i == r] for r in range(k)]
-    mul = np.zeros([B ** len(ps) for ps in rows] + [size], dtype=dt)
-    for r, ps in enumerate(rows):
-        nr = len(ps)
-        row = np.full((k, B ** nr), base.zero, dtype=np.intp)  # row[l][code]
-        row[[pos[p][1] for p in ps]] = digits(np.arange(B ** nr), B, nr).T
-        U = np.zeros((B ** nr, size), dtype=np.int64)
-        for p in ps:
-            j = pos[p][1]
-            acc = bmul[row[0][:, None], full[0, j][None, :]]
-            for l in range(1, k):
-                acc = badd[acc, bmul[row[l][:, None], full[l, j][None, :]]]
-            U += acc.astype(np.int64) * weights[p]
-        mul += _on_axes(U.astype(dt), (r, k), k + 1)
+    colcode = [pack(full[:, j], B) for j in range(k)]   # [j][C]
+    vec = digits(np.arange(B ** k), B, k).T        # vec[l][column code]
+    mul = None
+    for r in range(k):
+        cols = [j for i, j in pos if i == r]
+        nr = B ** len(cols)
+        row = np.full((k, nr), base.zero, dtype=np.intp)  # row[l][code]
+        row[cols] = digits(np.arange(nr), B, len(cols)).T
+        D = bmul[row[0][:, None], vec[0][None, :]]
+        for l in range(1, k):
+            D = badd[D, bmul[row[l][:, None], vec[l][None, :]]]
+        U = None
+        for j in cols:
+            g = D.take(colcode[j], axis=1)     # C order, unlike D[:, ...]
+            U = g.astype(dt) if U is None else U * B + g
+        mul = U if mul is None else (mul[:, None, :] * nr
+                                     + U[None]).reshape(-1, size)
 
     zero = 0
     one = pack((base.one if i == j else base.zero for i, j in pos), B)
-    return FiniteRing(size, add.reshape(size, size), mul.reshape(size, size),
-                      neg.reshape(size), zero, one, spec)
+    return FiniteRing(size, add, mul, neg, zero, one, spec)
 
 
 def _build_matrix(spec: MatrixSpec, guards: Guards) -> FiniteRing:
@@ -646,11 +650,19 @@ class QuotientMap:
 
 def quotient_by(ring: FiniteRing, ideal: Ideal,
                 guards: Guards = DEFAULT) -> QuotientMap:
-    """Quotient ring of additive cosets, canonicalized by least member index."""
+    """Quotient ring of additive cosets, canonicalized by least member index.
+
+    On R^op it is (R/I)^op over R's cosets: an ideal of R^op is one of R,
+    and R^op has no element descriptors to name the quotient's recipe."""
     key = ("quotient", ideal.members)
     got = ring._cache.get(key)
     if got is not None:
         return got
+    if isinstance(ring.spec, OppositeSpec):
+        q = quotient_by(ring.op(), ideal)
+        qmap = QuotientMap(ring, q.target.op(), q.image, q.section)
+        ring._cache[key] = qmap
+        return qmap
 
     members = np.fromiter(ideal.sorted_members, dtype=np.intp)
     # the least member of each coset a + I, then the ascending coset reps

@@ -29,7 +29,7 @@ from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
                      NotDownwardClosed, SearchExhausted)
 from .matrices import RMatrix, direct_sum, matrix
-from .rings import FiniteRing, Ideal, digits, quotient_by
+from .rings import _CHUNK, FiniteRing, Ideal, digits, quotient_by
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,6 @@ def validate_order_ideal(m: FinMonoid, s: OrderIdeal) -> None:
 # idempotent E in M_d(R), and the key of E (+) F is the componentwise product.
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
 # Largest vector space enumerated: the |R/J|**d vectors behind a class key.
 ENUMERATION = 2**25
 

@@ -1,11 +1,13 @@
 """Brute-force oracles for the table kernels of ``rings``, ``exchange`` and
 ``matrices``.
 
-Each function is the plain scan the library's kernel replaced: the pair
-solve over the whole |R| x |R| grid, the exchange witness by a loop over
-idempotents, the quotient tables by a loop over cosets, and M_k(I) by a
-loop over the codes of M_k(R).  The kernels must return exactly what these
-return.
+Each function is the plain scan or build the library's kernel replaced: the
+pair solve over the whole |R| x |R| grid, the exchange witness by a loop over
+idempotents, the quotient tables by a loop over cosets, M_k(I) by a loop
+over the codes of M_k(R), the M_k(R) and T_k(R) tables by one full-size
+pass per free entry and per row, the units by a loop over the carrier, and
+the inverse of a matrix by a search of every candidate column.  The kernels
+must return exactly what these return.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from exlift.exchange import ExchangeWitness
-from exlift.rings import FiniteRing, Ideal
+from exlift.matrices import RMatrix, identity, mat_mul, matrix
+from exlift.rings import FiniteRing, Ideal, _positions, digits, pack
 
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
@@ -103,3 +106,105 @@ def matrix_ideal_members(block_ring: FiniteRing, base_ring: FiniteRing,
         else:
             members.append(code)
     return members
+
+
+def _on_axes(table: np.ndarray, axes, ndim: int) -> np.ndarray:
+    """table reshaped to broadcast along the given ascending axes of an
+    ndim-dimensional array."""
+    shape = [1] * ndim
+    for axis, n in zip(axes, table.shape):
+        shape[axis] = n
+    return table.reshape(shape)
+
+
+def matrix_like_tables(base: FiniteRing, k: int, triangular: bool):
+    """(add, mul, neg, one) of M_k(base) or T_k(base) on the carrier grid:
+    one weighted base table broadcast per free position for add and neg,
+    and one row table U_r[row code of A, C] broadcast per row for mul, each
+    added into a full-size table."""
+    pos = _positions(k, triangular)
+    nfree = len(pos)
+    B = base.size
+    size = B ** nfree
+    dt = np.min_scalar_type(max(size - 1, 0))
+    weights = [B ** (nfree - 1 - p) for p in range(nfree)]
+    add = np.zeros((B,) * (2 * nfree), dtype=dt)
+    neg = np.zeros((B,) * nfree, dtype=dt)
+    for p, w in enumerate(weights):
+        add += _on_axes((base.npadd.astype(np.int64) * w).astype(dt),
+                        (p, nfree + p), 2 * nfree)
+        neg += _on_axes((base.npneg.astype(np.int64) * w).astype(dt),
+                        (p,), nfree)
+    badd, bmul = base.npadd, base.npmul
+    entry = digits(np.arange(size), B, nfree).T     # entry[p][C]
+    full = np.full((k, k, size), base.zero, dtype=np.intp)  # full[l, j][C]
+    for p, (i, j) in enumerate(pos):
+        full[i, j] = entry[p]
+    rows = [[p for p, (i, _) in enumerate(pos) if i == r] for r in range(k)]
+    mul = np.zeros([B ** len(ps) for ps in rows] + [size], dtype=dt)
+    for r, ps in enumerate(rows):
+        nr = len(ps)
+        row = np.full((k, B ** nr), base.zero, dtype=np.intp)  # row[l][code]
+        row[[pos[p][1] for p in ps]] = digits(np.arange(B ** nr), B, nr).T
+        U = np.zeros((B ** nr, size), dtype=np.int64)
+        for p in ps:
+            j = pos[p][1]
+            acc = bmul[row[0][:, None], full[0, j][None, :]]
+            for l in range(1, k):
+                acc = badd[acc, bmul[row[l][:, None], full[l, j][None, :]]]
+            U += acc.astype(np.int64) * weights[p]
+        mul += _on_axes(U.astype(dt), (r, k), k + 1)
+    one = pack((base.one if i == j else base.zero for i, j in pos), B)
+    return (add.reshape(size, size), mul.reshape(size, size),
+            neg.reshape(size), one)
+
+
+def units_and_inverses(ring: FiniteRing):
+    """(units ascending, {unit: inverse}): for each u, the candidates v with
+    u*v = 1 in ascending order, the first with v*u = 1 taken."""
+    inverse = {}
+    for u in range(ring.size):
+        for v in np.flatnonzero(ring.npmul[u] == ring.one):
+            if ring.mul(int(v), u) == ring.one:
+                inverse[u] = int(v)
+                break
+    return tuple(inverse), inverse
+
+
+def grid_inverse(A: RMatrix) -> Optional[RMatrix]:
+    """Two-sided inverse if A is in GL_n, else None, by solving A*X = 1
+    column by column over all |R|**n candidate columns: the cells of an
+    (|R|,)*n grid, on which row i of A*x is the sum of the rows mul[A[i, l]]
+    broadcast along axis l.  Each column of X is the least candidate code
+    that solves its equation; X*A = 1 is then checked."""
+    ring, n = A.ring, A.n
+    if n == 1:
+        inv = ring.inverse(A.entries[0][0])
+        return None if inv is None else matrix(ring, [[inv]])
+    mul, add = ring.npmul, ring.npadd
+    grid = (ring.size,) * n
+
+    def along(l, a):                      # a*x_l over the grid, on axis l
+        shape = [1] * n
+        shape[l] = ring.size
+        return mul[a].reshape(shape)
+
+    rows = []                             # rows[i] = (A*x)_i on the grid
+    for i in range(n):
+        acc = along(0, A[i, 0])
+        for l in range(1, n):
+            acc = add[acc, along(l, A[i, l])]
+        rows.append(acc)
+    cols = []
+    for j in range(n):
+        ok = np.ones(grid, dtype=bool)
+        for i in range(n):
+            ok &= rows[i] == (ring.one if i == j else ring.zero)
+            if not ok.any():
+                return None
+        cols.append(np.unravel_index(int(np.argmax(ok)), grid))
+    X = RMatrix(ring, n, tuple(tuple(int(cols[j][i]) for j in range(n))
+                               for i in range(n)))
+    if mat_mul(X, A) != identity(ring, n):
+        return None
+    return X

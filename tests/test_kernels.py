@@ -1,13 +1,13 @@
-"""The table kernels of ``rings`` and ``exchange`` against the brute-force
-scans in ``table_oracles``: exact answers, on every corpus pair and on
-M_2(R) with the ideals M_2(I) for |R| <= 6."""
+"""The table kernels of ``rings``, ``exchange`` and ``matrices`` against the
+brute-force scans in ``table_oracles``: exact answers, on every corpus pair
+and on M_2(R) with the ideals M_2(I) for |R| <= 6."""
 
 import random
 
 import numpy as np
 import pytest
 
-from exlift import exchange as E, rings as R
+from exlift import exchange as E, matrices as M, rings as R
 from exlift.matrices import matrix_ideal
 
 import table_oracles as O
@@ -145,3 +145,48 @@ def test_list_mirrors_equal_tables(corpus_rings):
         assert ring._add == [[int(v) for v in row] for row in ring.npadd]
         assert ring._neg == [int(v) for v in ring.npneg]
         assert all(type(v) is int for v in ring._mul[-1])
+
+
+def test_matrix_tables_match_per_position_build():
+    Z, Mat, Tri = R.ZmodSpec, R.MatrixSpec, R.TriangularSpec
+    specs = ([Mat(Z(n), 2) for n in range(1, 9)]
+             + [Mat(Z(2), 3), Tri(Z(4), 2), Tri(Z(2), 3), Tri(Z(3), 3),
+                Mat(Tri(Z(2), 2), 2),
+                Mat(R.ProductSpec(Z(2), Z(3)), 2)])
+    for spec in specs:
+        ring = R.build_ring(spec)
+        add, mul, neg, one = O.matrix_like_tables(
+            R.build_ring(spec.base), spec.k, isinstance(spec, Tri))
+        for got, want in ((ring.npadd, add), (ring.npmul, mul),
+                          (ring.npneg, neg)):
+            assert got.dtype == want.dtype, spec.describe()
+            assert got.flags["C_CONTIGUOUS"], spec.describe()   # row reads
+            assert np.array_equal(got, want), spec.describe()
+        assert (ring.zero, ring.one) == (0, one), spec.describe()
+
+
+def test_units_match_carrier_loop(corpus_rings, blocked_pairs):
+    rings = {ring.spec: ring for _, ring in corpus_rings}
+    rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
+    m2z8 = R.build_ring(R.MatrixSpec(R.ZmodSpec(8), 2))   # 16 row chunks
+    for ring in [*rings.values(), m2z8] + [r.op() for r in rings.values()]:
+        units, inverse = O.units_and_inverses(ring)
+        assert ring.units() == units, ring.describe()
+        assert ([ring.inverse(x) for x in ring.elements()]
+                == [inverse.get(x) for x in ring.elements()]), ring.describe()
+
+
+def test_inverse_by_elimination_matches_grid(corpus_rings):
+    rng = random.Random(12)
+    cases = [(ring, n) for ring in {r.spec: r for _, r in corpus_rings}.values()
+             for n in (2, 3) if ring.size ** n <= 4096]
+    cases.append((R.build_ring(R.MatrixSpec(R.ZmodSpec(4), 2)), 2))
+    invertible = singular = 0
+    for ring, n in cases:
+        for _ in range(40):
+            A = M.decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
+            want = O.grid_inverse(A)
+            assert M.try_inverse(A) == want, (ring.describe(), A)
+            invertible += want is not None
+            singular += want is None
+    assert invertible > 100 and singular > 100

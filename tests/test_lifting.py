@@ -235,6 +235,22 @@ def test_forced_m4_lift_over_larger_quotients():
         assert ok, [c for c in checks if not c["ok"]]
 
 
+def test_forced_m4_lift_through_m2_z8():
+    # the blocked stage runs over M_2(Z/8), 4,096 elements, where the 2x2
+    # inverse used to come from a refused |M_2(Z/8)|^2 column search
+    ring = z(8)
+    for gen in (2, 1):
+        ideal = R.ideal_closure(ring, [gen])
+        for x in fredholm_elements(ring, ideal):
+            cert = L.lift_unit(ring, ideal, x, start_m=4).certificate
+            assert [(s.dim, s.level, s.stage_ring.size) for s in cert.stages] \
+                == [(4, "blocked", 4096), (2, "base", 8)]
+            assert ideal.contains(ring.sub(x, cert.y))
+            payload = json.loads(C.dumps_certificate(cert.to_payload()))
+            ok, checks = C.verify_payload(payload)
+            assert ok, (gen, x, [c for c in checks if not c["ok"]])
+
+
 def _k0_witness(ring, ideal, x, y):
     """(p, a, b) for index(x) = [p] - [e11]: a = w*e11 and b = e11*w^-1 with
     w = v*diag(y^-1, y), v the lifted Whitehead word of connecting_delta."""
@@ -335,9 +351,8 @@ def _search_order(ring):
 
 def test_rank_vector_order_is_the_v_monoid_order(corpus_rings):
     # join_idempotent orders the 1x1 idempotents of R and of R^op by R's
-    # rank vectors.  On R that is the order of the truncated V-monoid; R^op
-    # has no V-monoid of its own (its elements have no descriptors), so
-    # there, as on R, it is checked against a witness search
+    # rank vectors.  On R that is the order of the truncated V-monoid; on
+    # R^op, as on R, it is checked against a witness search
     for entry, ring in corpus_rings:
         rank = dict(V._wedderburn_data(ring)[1])
         idems = ring.idempotents()
@@ -352,6 +367,28 @@ def test_rank_vector_order_is_the_v_monoid_order(corpus_rings):
         for side in (ring, ring.op()):
             assert side.idempotents() == idems
             assert _search_order(side) == by_rank, side.describe()
+
+
+def test_stage_class_keys_order_like_the_stage_ring(corpus_rings):
+    # join_idempotent reads the classes of M_2(R) off R; that order is the
+    # one of M_2(R)'s own rank vectors, on M_2(R) and on M_2(R)^op
+    bases = {ring.spec: ring for _, ring in corpus_rings
+             if ring.size ** 4 <= 1296}
+    assert len(bases) == 7
+    pairs = 0
+    for base in bases.values():
+        mring = R.build_ring(R.MatrixSpec(base.spec, 2))
+        rank = dict(V._wedderburn_data(mring)[1])
+        idems = mring.idempotents()
+        keys = {e: L._class_key(mring, e) for e in idems}
+        assert all(L._class_key(mring.op(), e) == keys[e] for e in idems)
+        for e in idems:
+            for g in idems:
+                assert (all(a <= b for a, b in zip(rank[e], rank[g]))
+                        == all(a <= b for a, b in zip(keys[e], keys[g]))), \
+                    (mring.describe(), e, g)
+                pairs += 1
+    assert pairs == 18316
 
 
 def _matrix_degree(ring):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from exlift import rings as R
+from exlift import rings as R, vmonoid as V
 from exlift.errors import GuardExceeded, InvalidSpec
 
 
@@ -222,6 +222,24 @@ def test_opposite_ring(corpus_rings):
         for a, b in rng.integers(ring.size, size=(6, 2)).tolist():
             assert ring.right_span(a, b) == _brute_span(ring, a, b)
             assert op.right_span(a, b) == _brute_span(op, a, b)
+
+
+def test_quotient_of_opposite_ring(corpus_pairs):
+    # R^op/I is (R/I)^op on R's cosets, and V(R^op) has V(R)'s components
+    assert len(corpus_pairs) == 37
+    for name, ring, ideal, _ in corpus_pairs:
+        q = R.quotient_by(ring, ideal)
+        op_ideal = R.ideal_closure(ring.op(), ideal.generators)
+        assert op_ideal.members == ideal.members, name
+        qop = R.quotient_by(ring.op(), op_ideal)
+        assert qop.source is ring.op() and qop.target is q.target.op(), name
+        assert np.array_equal(qop.target.npmul, q.target.npmul.T), name
+        assert np.array_equal(qop.image, q.image), name
+        assert np.array_equal(qop.section, q.section), name
+    for ring in {id(ring): ring for _, ring, _, _ in corpus_pairs}.values():
+        vm, vm_op = V.build_v_monoid(ring, 1), V.build_v_monoid(ring.op(), 1)
+        assert vm_op.components == vm.components, ring.describe()
+        assert len(vm_op.keys) == len(vm.keys), ring.describe()
 
 
 # -- oracles for the table kernels -------------------------------------------

@@ -20,9 +20,13 @@ import numpy as np
 from exlift.config import DEFAULT, Guards
 from exlift.errors import GuardExceeded
 from exlift.ktheory import K0Element
-from exlift.matrices import SEARCH_CANDIDATES, RMatrix, identity
+from exlift.matrices import RMatrix, identity
 from exlift.rings import FiniteRing, Ideal, digits
 from exlift.vmonoid import ENUMERATION
+
+# Largest candidate set the search materializes: column modules of a direct
+# sum, and the additive closure of a corner e*M*f.
+SEARCH_CANDIDATES = 200_000
 
 
 # ---------------------------------------------------------------------------
