@@ -14,6 +14,10 @@ over R/J(R)) is not re-checked: it only picks which g the construction
 records, and the verifier checks the contracts the proof uses instead, that
 g is an idempotent in f1R + f2R and wR with RgR = Rf1R + Rf2R.
 
+The two-sided ideal tests of a blocked stage over M_k(R) (RgR = Rf1R + Rf2R,
+RhR = R, RpR = R) are read off R by ``rings.entry_ideal``, since every
+ideal of M_k(R) is M_k(J) for an ideal J of R; aR = bR is a in bR and b in aR.
+
 Every element leaf is decoded by ``rings.element_from_descriptor``, which
 accepts an element's canonical descriptor only, so a leaf cannot be swapped
 for another name of the same element (a zmod int moved by n, another member
@@ -37,8 +41,9 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
                        sigma_word_right, stage_ring, try_inverse,
                        unblock_matrix, word_in_ideal)
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
-                    element_from_descriptor, ideal_closure, parse_ring_spec,
-                    quotient_by, ring_spec_obj, solve_right)
+                    element_from_descriptor, entry_ideal, ideal_closure,
+                    parse_ring_spec, quotient_by, ring_spec_obj,
+                    same_right_ideal, solve_right)
 from . import scans
 
 FORMAT = "exlift-cert"
@@ -321,19 +326,21 @@ def _verify(payload: dict, rep: _Report, guards: Guards) -> None:
 
 
 def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
-                      rep: _Report, expect_alpha: Optional[RMatrix]) -> None:
-    """Replay a row reduction.  A column reduction over R is the row
-    reduction of alpha^T over R^op (transposition is an anti-isomorphism
-    M_2(R) -> M_2(R^op)), so a side="col" payload is transposed into R^op
-    and replayed by the same checks."""
+                      rep: _Report, expect_alpha: Optional[RMatrix]) -> tuple:
+    """Replay a row reduction; returns its word and result over ring.  A
+    column reduction over R is the row reduction of alpha^T over R^op
+    (transposition is an anti-isomorphism M_2(R) -> M_2(R^op)), so a
+    side="col" payload is transposed into R^op and replayed by the same
+    checks."""
     side = content.get("side")
+    word = _word_from_desc(ring, 2, content["word"])
+    result = _mat_from_desc(ring, content["result"], 2)
+    decoded = word, result
     if not rep.add("reduction side", side in ("row", "col")):
-        return
+        return decoded
     alpha = _mat_from_desc(ring, content["alpha"], 2)
     if expect_alpha is not None:
         rep.add("reduction input chains", alpha == expect_alpha)
-    word = _word_from_desc(ring, 2, content["word"])
-    result = _mat_from_desc(ring, content["result"], 2)
     h = element_from_descriptor(ring, content["h"])
     t = content["trace"]
     p1 = {k: element_from_descriptor(ring, v) for k, v in t["pass1"].items()}
@@ -376,8 +383,8 @@ def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
             ring.mul(g, g) == g and ring.mul(w, wp) == g)
     rep.add("wprime canonical", wp == solve_right(ring, w, g))
     rep.add("g spans f1,f2",
-            ideal_closure(ring, [g]).members
-            == ideal_closure(ring, [f1, f2]).members)
+            entry_ideal(ring, [g]).members
+            == entry_ideal(ring, [f1, f2]).members)
     rep.add("g in f1R+f2R", g in ring.right_span(f1, f2))
     rep.add("op3 from witnesses",
             word.ops[2] == right_op(1, 2, ring.mul(r, c0)))
@@ -397,10 +404,10 @@ def _verify_reduction(ring: FiniteRing, ideal: Ideal, content: dict,
     rep.add("h canonical", h == scans.complement_right(ring, cP, dP))
     rep.add("1-h in ideal", ideal.contains(ring.sub(one, h)))
     rep.add("c' in Rc", solve_right(ring.op(), c0, cP) is not None)
-    rep.add("c'R = (1-h)R",
-            ring.right_multiples(cP) == ring.right_multiples(ring.sub(one, h)))
-    rep.add("d'R = hR", ring.right_multiples(dP) == ring.right_multiples(h))
-    rep.add("RhR = R", len(ideal_closure(ring, [h]).members) == ring.size)
+    rep.add("c'R = (1-h)R", same_right_ideal(ring, cP, ring.sub(one, h)))
+    rep.add("d'R = hR", same_right_ideal(ring, dP, h))
+    rep.add("RhR = R", entry_ideal(ring, [h]).is_full())
+    return decoded
 
 
 def _verify_row_pass(ring, rep, tag, c, d, wit) -> None:
@@ -438,15 +445,13 @@ def _verify_diagonalization(ring: FiniteRing, ideal: Ideal, content: dict,
     trace = {k: element_from_descriptor(ring, v)
              for k, v in content["trace"].items()}
 
-    rr = content["row_reduction"]
-    _verify_reduction(ring, ideal, rr, rep, alpha)
-    rr_result = _mat_from_desc(ring, rr["result"], 2)
+    rr_word, rr_result = _verify_reduction(
+        ring, ideal, content["row_reduction"], rep, alpha)
     sigL = ElemWord(2, tuple(sigma_word_left(ring)))
     sigR = ElemWord(2, tuple(sigma_word_right(ring)))
     a1 = apply_elem_word(apply_elem_word(rr_result, sigR), sigL)
     rc = content["col_reduction"]
-    _verify_reduction(ring, ideal, rc, rep, a1)
-    rc_result = _mat_from_desc(ring, rc["result"], 2)
+    rc_word, rc_result = _verify_reduction(ring, ideal, rc, rep, a1)
 
     uinv = ring.inverse(u)
     if not rep.add("u is a unit", uinv is not None):
@@ -462,10 +467,8 @@ def _verify_diagonalization(ring: FiniteRing, ideal: Ideal, content: dict,
     rep.add("b' = f u", ring.mul(f, u) == b_prime)
     rep.add("p idempotent", ring.mul(p, p) == p)
     rep.add("1-p in ideal", ideal.contains(ring.sub(one, p)))
-    rep.add("(1-p)R = b'R",
-            ring.right_multiples(ring.sub(one, p))
-            == ring.right_multiples(b_prime))
-    rep.add("RpR = R", len(ideal_closure(ring, [p]).members) == ring.size)
+    rep.add("(1-p)R = b'R", same_right_ideal(ring, ring.sub(one, p), b_prime))
+    rep.add("RpR = R", entry_ideal(ring, [p]).is_full())
 
     lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
     a4 = mat_mul(apply_elem_word(rc_result,
@@ -483,12 +486,10 @@ def _verify_diagonalization(ring: FiniteRing, ideal: Ideal, content: dict,
     rep.add("epsilon from witnesses", epsilon.ops == eps_expect)
     a6 = apply_elem_word(a4, ElemWord(2, epsilon.ops[:2]))
     rep.add("z' recorded", z_prime == a6[0, 1])
-    rc_word = _word_from_desc(ring, 2, rc["word"])
     gamma_expect = (tuple(sigma_word_left(ring)) + rc_word.ops
                     + tuple(sigma_inv_word_left(ring))
                     + (left_op(1, 2, ring.neg(z_prime)),))
     rep.add("gamma composition", gamma.ops == gamma_expect)
-    rr_word = _word_from_desc(ring, 2, rr["word"])
     beta_expect = rr_word.ops + tuple(sigma_word_right(ring))
     rep.add("beta composition", beta.ops == beta_expect)
 

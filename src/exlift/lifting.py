@@ -28,8 +28,8 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
                        left_op, mat_mul, matrix, right_op, sigma_inv_word_left,
                        sigma_word_left, sigma_word_right, stage_ring,
                        try_inverse, unblock_matrix, word_in_ideal)
-from .rings import (FiniteRing, Ideal, MatrixSpec, OppositeSpec, build_ring,
-                    ideal_closure, quotient_by, solve_right)
+from .rings import (FiniteRing, Ideal, entry_ideal, morita_base, quotient_by,
+                    same_right_ideal, solve_right)
 from . import scans
 from .vmonoid import (build_v_monoid, class_key, is_separative,
                       v_order_ideal)
@@ -77,14 +77,10 @@ def _class_key(ring: FiniteRing, g: int) -> tuple:
     g's k x k entry matrix over R (Morita: V(M_k(R)) = V(R)); on any other
     ring R, that of g itself (k = 1).  R^op reads from R.  Memoized per
     ring, shared with its opposite."""
-    home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
+    home, base, k = morita_base(ring)
     memo = home._cache.setdefault("class_keys", {})
     got = memo.get(g)
     if got is None:
-        if isinstance(home.spec, MatrixSpec):
-            base, k = build_ring(home.spec.base), home.spec.k
-        else:
-            base, k = home, 1
         got = memo[g] = class_key(base, decode_matrix(base, k, g))
     return got
 
@@ -96,22 +92,24 @@ def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int) -> int:
     V(R) = N^t by rank vector, and the class key (s_i^{r_i})_i of a rank
     vector r grows with each r_i, so [e] <= [g] iff e's key is
     componentwise <= g's (see ``vmonoid``).  On a stage ring M_k(R) the
-    keys are read off R (``_class_key``), so no invariant of M_k(R) itself
-    is computed.  Over R^op the keys come from R: eR <-> Re gives
-    V(R) = V(R^op) with each idempotent in the same class."""
+    keys and the ideals RgR are read off R (``_class_key``,
+    ``entry_ideal``: RgR = M_k(J) for J generated by g's entries), so
+    no invariant of M_k(R) itself is computed.  Over R^op both come from
+    R: eR <-> Re gives V(R) = V(R^op) with each idempotent in the same
+    class, and R^op has R's two-sided ideals."""
     if ring.mul(e1, e1) != e1 or ring.mul(e2, e2) != e2:
         raise PreconditionFailed("join inputs must be idempotent")
     if not ideal.contains(e1):
         raise PreconditionFailed("first idempotent must lie in the ideal")
     k1, k2 = _class_key(ring, e1), _class_key(ring, e2)
-    target = ideal_closure(ring, [e1, e2]).members
+    target = entry_ideal(ring, [e1, e2]).members
     for g in ring.right_span(e1, e2):
         if ring.mul(g, g) != g:
             continue
         if not all(a <= c and b <= c
                    for a, b, c in zip(k1, k2, _class_key(ring, g))):
             continue
-        if ideal_closure(ring, [g]).members != target:
+        if entry_ideal(ring, [g]).members != target:
             continue
         return g
     raise SearchExhausted(
@@ -216,6 +214,8 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal,
 
 
 def _assert_row_contracts(res: ReductionResult, c_orig: int) -> None:
+    """aR = bR is tested as a in bR and b in aR, and RhR = R off R on a
+    stage ring M_k(R) (``entry_ideal``: its ideals are M_k(J))."""
     ring, ideal = res.ring, res.ideal
     if not word_in_ideal(res.word, ideal):
         raise AssertionError("row reduction word leaves E_2(I)")
@@ -227,11 +227,11 @@ def _assert_row_contracts(res: ReductionResult, c_orig: int) -> None:
         raise AssertionError("h fails its idempotent/ideal contract")
     if solve_right(ring.op(), c_orig, cP) is None:
         raise AssertionError("c' is not a left multiple of c")
-    if ring.right_multiples(cP) != ring.right_multiples(ring.sub(ring.one, h)):
+    if not same_right_ideal(ring, cP, ring.sub(ring.one, h)):
         raise AssertionError("c'R != (1-h)R")
-    if ring.right_multiples(dP) != ring.right_multiples(h):
+    if not same_right_ideal(ring, dP, h):
         raise AssertionError("d'R != hR")
-    if len(ideal_closure(ring, [h]).members) != ring.size:
+    if not entry_ideal(ring, [h]).is_full():
         raise AssertionError("RhR != R")
 
 
@@ -275,9 +275,9 @@ def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int) -> tuple:
     if gen_l is None:
         raise PreconditionFailed("no idempotent 1-q with Rd = R(1-q)")
     q = ring.sub(one, gen_l)
-    if len(ideal_closure(ring, [p]).members) != ring.size:
+    if not entry_ideal(ring, [p]).is_full():
         raise PreconditionFailed("RpR != R")
-    if len(ideal_closure(ring, [q]).members) != ring.size:
+    if not entry_ideal(ring, [q]).is_full():
         raise PreconditionFailed("RqR != R")
     got = scans.unit_regular_scan(ring, d)
     if got is None:

@@ -17,7 +17,7 @@ from .config import DEFAULT, Guards
 from .errors import (DimensionMismatch, PreconditionFailed, RingMismatch,
                      SearchExhausted)
 from .rings import (FiniteRing, Ideal, MatrixSpec, QuotientMap, build_ring,
-                    digits, pack, unpack)
+                    digits, distinct, pack, unpack)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
     from them: the class keys that order idempotents are read off R
     (V(M_k(R)) = V(R) by Morita equivalence, see ``lifting._class_key``),
     pi(a') = pi(a*u^-1) is a membership test in M_k(I) rather than a
-    quotient of M_k(R), and inverses come from elimination."""
+    quotient of M_k(R), two-sided ideals are M_k(J) for ideals J of R
+    (``rings.entry_ideal``), and inverses come from elimination."""
     if k == 1:
         return ring, ideal
     mring = build_ring(MatrixSpec(ring.spec, k), guards)
@@ -442,8 +443,8 @@ def _left_span(ring: FiniteRing, elems) -> np.ndarray:
     """Membership mask of the left ideal R*e_1 + ... + R*e_k."""
     span = np.array([ring.zero])
     for e in elems:
-        span = np.unique(ring.npadd[span[:, None],
-                                    np.unique(ring.npmul[:, e])[None, :]])
+        Re = distinct(ring.npmul[:, e], ring.size)
+        span = distinct(ring.npadd[span[:, None], Re[None, :]], ring.size)
     mask = np.zeros(ring.size, dtype=bool)
     mask[span] = True
     return mask

@@ -180,6 +180,14 @@ _LIST_MIRROR_MAX = 1024  # small rings keep list-of-list tables for fast scalar 
 _CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
 
 
+def distinct(values, size: int) -> np.ndarray:
+    """The distinct carrier indices among values, ascending, from a mask:
+    numpy 2's ``np.unique`` imports ``numpy.ma`` on its first call."""
+    mask = np.zeros(size, dtype=bool)
+    mask[values] = True
+    return np.flatnonzero(mask)
+
+
 @dataclass(eq=False)
 class FiniteRing:
     """A finite unital ring as carrier indices plus total operation tables."""
@@ -268,13 +276,13 @@ class FiniteRing:
 
     def right_multiples(self, a: int) -> tuple:
         """Sorted tuple aR."""
-        return tuple(np.unique(self.npmul[a]).tolist())
+        return tuple(distinct(self.npmul[a], self.size).tolist())
 
     def right_span(self, a: int, b: int) -> tuple:
         """Sorted tuple aR + bR."""
-        return tuple(np.unique(
-            self.npadd[np.unique(self.npmul[a])[:, None],
-                       np.unique(self.npmul[b])[None, :]]).tolist())
+        aR, bR = (distinct(self.npmul[x], self.size) for x in (a, b))
+        return tuple(distinct(self.npadd[aR[:, None], bR[None, :]],
+                              self.size).tolist())
 
     # -- the opposite ring ----------------------------------------------------
     def op(self) -> "FiniteRing":
@@ -595,6 +603,37 @@ def ideal_closure(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     return Ideal(ring, frozenset(members.tolist()), gens)
 
 
+def morita_base(ring: FiniteRing) -> tuple:
+    """(home, R, k): home is ring, or the ring it is the opposite of (same
+    carrier); R and k are home's base and size if home = M_k(R), else home
+    and 1.  Every element of ring is the code of a k x k matrix over R.
+    Memoized per ring."""
+    got = ring._cache.get("morita_base")
+    if got is None:
+        home = ring.op() if isinstance(ring.spec, OppositeSpec) else ring
+        got = ring._cache["morita_base"] = (
+            (home, build_ring(home.spec.base), home.spec.k)
+            if isinstance(home.spec, MatrixSpec) else (home, home, 1))
+    return got
+
+
+def entry_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
+    """The ideal J of a ring R generated by the entries of gens, where ring
+    is read off R by ``morita_base`` (recursively): the two-sided ideal of
+    ring generated by gens is M_k(J), as e_1i*g*e_j1 = g_ij*e_11 and R^op
+    has R's two-sided ideals.  J is an ideal of R, not of ring: compare two
+    results for one ring, or test is_full() for "gens generate ring"."""
+    key = ("entry_ideal", frozenset(gens))
+    got = ring._cache.get(key)
+    if got is None:
+        _, base, k = morita_base(ring)
+        got = ring._cache[key] = (
+            ideal_closure(ring, sorted(key[1])) if base is ring else
+            entry_ideal(base, [x for g in key[1]
+                               for x in unpack(g, base.size, k * k)]))
+    return got
+
+
 def full_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, frozenset(range(ring.size)), (ring.one,))
 
@@ -667,7 +706,7 @@ def quotient_by(ring: FiniteRing, ideal: Ideal,
     members = np.fromiter(ideal.sorted_members, dtype=np.intp)
     # the least member of each coset a + I, then the ascending coset reps
     rep = ring.npadd[:, members].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
+    reps = distinct(rep, ring.size)
     qsize = len(reps)
     image = np.searchsorted(reps, rep).astype(np.int64)
 
@@ -700,7 +739,7 @@ def corner_ring(ring: FiniteRing, e: int):
     if ring.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
     row = ring.npmul[e]
-    exe = np.unique(ring.npmul[row, e])
+    exe = distinct(ring.npmul[row, e], ring.size)
     embed = [int(x) for x in exe]
     index_of = {x: i for i, x in enumerate(embed)}
     m = len(embed)
@@ -734,6 +773,12 @@ def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
     """Least x with a*x == target."""
     hits = np.flatnonzero(ring.npmul[a] == target)
     return int(hits[0]) if len(hits) else None
+
+
+def same_right_ideal(ring: FiniteRing, a: int, b: int) -> bool:
+    """aR = bR, as a in bR and b in aR."""
+    return (solve_right(ring, b, a) is not None
+            and solve_right(ring, a, b) is not None)
 
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,

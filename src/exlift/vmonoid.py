@@ -29,7 +29,8 @@ from .config import DEFAULT, Guards
 from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
                      NotDownwardClosed, SearchExhausted)
 from .matrices import RMatrix, direct_sum, matrix
-from .rings import _CHUNK, FiniteRing, Ideal, digits, quotient_by
+from .rings import (_CHUNK, FiniteRing, Ideal, digits, distinct,
+                    quotient_by)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,8 @@ def _wedderburn_data(ring: FiniteRing) -> tuple:
         codes = ring.idempotents()
         keys = _class_keys(ring, np.array(codes, dtype=np.int64)
                            .reshape(-1, 1, 1))
-        sizes = [len(np.unique(qmap.target.npmul[c])) for c in comps]
+        sizes = [len(distinct(qmap.target.npmul[c], qmap.target.size))
+                 for c in comps]
         simple = [min((key[i] for key in keys if key[i] > 1), default=2)
                   for i in range(len(comps))]
         degrees = [round(math.log(z, s)) for z, s in zip(sizes, simple)]

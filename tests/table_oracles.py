@@ -5,9 +5,10 @@ Each function is the plain scan or build the library's kernel replaced: the
 pair solve over the whole |R| x |R| grid, the exchange witness by a loop over
 idempotents, the quotient tables by a loop over cosets, M_k(I) by a loop
 over the codes of M_k(R), the M_k(R) and T_k(R) tables by one full-size
-pass per free entry and per row, the units by a loop over the carrier, and
-the inverse of a matrix by a search of every candidate column.  The kernels
-must return exactly what these return.
+pass per free entry and per row, the units by a loop over the carrier, the
+inverse of a matrix by a search of every candidate column, and the sorted
+sets aR and aR + bR by ``np.unique``.  The kernels must return exactly what
+these return.
 """
 
 from __future__ import annotations
@@ -208,3 +209,15 @@ def grid_inverse(A: RMatrix) -> Optional[RMatrix]:
     if mat_mul(X, A) != identity(ring, n):
         return None
     return X
+
+
+def unique_right_multiples(ring: FiniteRing, a: int) -> tuple:
+    """Sorted aR by np.unique."""
+    return tuple(np.unique(ring.npmul[a]).tolist())
+
+
+def unique_right_span(ring: FiniteRing, a: int, b: int) -> tuple:
+    """Sorted aR + bR by np.unique."""
+    return tuple(np.unique(
+        ring.npadd[np.unique(ring.npmul[a])[:, None],
+                   np.unique(ring.npmul[b])[None, :]]).tolist())

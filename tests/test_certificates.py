@@ -139,6 +139,20 @@ def test_lift_certificate_proves_a_lift_of_the_coset():
     assert "pi(w1) = pi(x)+1" in {c["check"] for c in checks if not c["ok"]}
 
 
+def test_certificate_verifies_in_a_cold_process(tmp_path, cold_python):
+    # the verifier needs nothing the lift left in ring._cache
+    z4, ideal = z4_pair()
+    payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
+    path = tmp_path / "m4.json"
+    C.save_certificate(payload, str(path))
+    out = cold_python(
+        "import sys\n"
+        "from exlift import certificates as C\n"
+        "ok, checks = C.verify_payload(C.load_certificate(sys.argv[1]))\n"
+        "print(ok, len(checks))\n", str(path))
+    assert out.split() == ["True", str(len(C.verify_payload(payload)[1]))]
+
+
 def test_save_load_roundtrip(tmp_path):
     payload = fresh_payloads()["lift"]
     path = tmp_path / "cert.json"

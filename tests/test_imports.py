@@ -6,6 +6,7 @@ inside a string annotation.
 """
 
 import ast
+import json
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "exlift"
@@ -46,3 +47,22 @@ def test_no_unused_imports_in_src():
     found = {path.name: unused_imports(path)
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: got for name, got in found.items() if got} == {}
+
+
+def test_lift_and_verify_leave_numpy_ma_unimported(cold_python):
+    # numpy 2's np.unique imports numpy.ma on its first call (16-24 ms);
+    # numpy 1 imports it with numpy, so there is nothing to check there
+    before, after, ok = json.loads(cold_python(
+        "import json, sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from exlift import certificates, corpus, ktheory, lifting\n"
+        "ok = True\n"
+        "for _, ring, ideal, _ in corpus.corpus_pairs(include_slow=False):\n"
+        "    x = ktheory.fredholm_elements(ring, ideal)[0]\n"
+        "    cert = lifting.lift_unit(ring, ideal, x).certificate\n"
+        "    ok &= certificates.verify_payload(cert.to_payload())[0]\n"
+        "print(json.dumps([before, 'numpy.ma' in sys.modules, ok]))\n"))
+    assert ok
+    if not before:
+        assert not after

@@ -190,3 +190,19 @@ def test_inverse_by_elimination_matches_grid(corpus_rings):
             invertible += want is not None
             singular += want is None
     assert invertible > 100 and singular > 100
+
+
+def test_mask_sets_match_np_unique(corpus_rings):
+    rng = random.Random(14)
+    for ring in {r.spec: r for _, r in corpus_rings}.values():
+        for ring in (ring, ring.op()):
+            assert all(ring.right_multiples(a)
+                       == O.unique_right_multiples(ring, a)
+                       for a in ring.elements()), ring.describe()
+            for _ in range(30):
+                a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+                assert (ring.right_span(a, b)
+                        == O.unique_right_span(ring, a, b)), ring.describe()
+            values = ring.npmul[rng.randrange(ring.size)]
+            assert np.array_equal(R.distinct(values, ring.size),
+                                  np.unique(values))

@@ -420,3 +420,32 @@ def test_lift_checks_the_hypothesis_only_on_the_base_ring(monkeypatch):
     assert [s.level for s in cert.stages] == ["blocked", "base"]
     assert ("separative_exchange_status", 1) in seen
     assert all(k == 1 for _, k in seen), seen
+
+
+def test_forced_m4_lift_closes_no_ideal_of_a_stage_ring(monkeypatch):
+    # the stage step's ideal tests over M_2(Z/8) (RgR, RhR, RpR, RqR) are
+    # read off Z/8, in the lift and in the verifier; each side starts from
+    # freshly built rings, so no memo an earlier test left answers for it
+    seen = []
+    real = R.ideal_closure
+
+    def spy(ring, gens):
+        seen.append((ring.describe(), _matrix_degree(ring)))
+        return real(ring, gens)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "exlift" or name.startswith("exlift."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    ring = z(8)
+    ideal = R.ideal_closure(ring, [2])
+    x = fredholm_elements(ring, ideal)[0]
+    cert = L.lift_unit(ring, ideal, x, start_m=4).certificate
+    assert [s.stage_ring.size for s in cert.stages] == [4096, 8]
+    payload = json.loads(C.dumps_certificate(cert.to_payload()))
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    assert C.verify_payload(payload)[0]
+    assert ("zmod(8)", 1) in seen        # the verifier rebuilds I
+    assert all(k == 1 for _, k in seen), seen

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from exlift import rings as R, vmonoid as V
+from exlift import matrices as M, rings as R, vmonoid as V
 from exlift.errors import GuardExceeded, InvalidSpec
 
 
@@ -280,6 +281,52 @@ def test_ideal_closure_matches_fixpoint(corpus_rings):
     for a in rng.integers(m2z6.size, size=25).tolist():
         assert R.ideal_closure(m2z6, [a]).members == _fixpoint_closure(m2z6,
                                                                        [a])
+
+
+# -- ideal tests read off R --------------------------------------------------
+
+def test_entry_ideal_matches_closure(corpus_rings):
+    # on M_2(R) and M_2(R)^op the helper gives the J of R whose M_2(J) is
+    # the closure there; on R and R^op, R's closure
+    bases = {ring.spec: ring for entry, ring in corpus_rings
+             if "slow" not in entry.tags and ring.size ** 4 <= 4096}
+    t2 = R.TriangularSpec(R.ZmodSpec(2), 2)
+    assert t2 in bases and len(bases) == 9
+    cases = []
+    for base in bases.values():
+        mring = R.build_ring(R.MatrixSpec(base.spec, 2))
+        assert R.morita_base(mring.op()) == (mring, base, 2)
+        cases += [(mring, mring, base), (mring.op(), mring, base),
+                  (base, None, base), (base.op(), None, base)]
+    rng = random.Random(13)
+    checked = 0
+    for ring, home, base in cases:
+        draws = [[rng.randrange(ring.size)] for _ in range(20)]
+        pairs = [[rng.randrange(ring.size), rng.randrange(ring.size)]
+                 for _ in range(20)]
+        for gens in [[e] for e in ring.idempotents()] + draws + pairs:
+            got = R.entry_ideal(ring, gens)
+            assert got.ring is base, ring.describe()
+            if home is not None:
+                got = M.matrix_ideal(home, base, 2, got)
+            assert (got.members == R.ideal_closure(ring, gens).members), \
+                (ring.describe(), gens)
+            checked += 1
+    assert checked > 2000
+
+
+def test_same_right_ideal_matches_right_multiples():
+    specs = [R.ZmodSpec(8), R.TriangularSpec(R.ZmodSpec(2), 2),
+             R.MatrixSpec(R.ZmodSpec(2), 2)]
+    for spec in specs:
+        ring = R.build_ring(spec)
+        for ring in (ring, ring.op()):
+            sets = [ring.right_multiples(a) for a in ring.elements()]
+            same = [[R.same_right_ideal(ring, a, b) for b in ring.elements()]
+                    for a in ring.elements()]
+            assert same == [[sa == sb for sb in sets] for sa in sets], \
+                ring.describe()
+            assert any(map(any, same)) and not all(map(all, same))
 
 
 def _gathered_matrix_tables(base, k, triangular):
