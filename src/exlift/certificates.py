@@ -277,12 +277,6 @@ class _Report:
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def first_failure(self) -> Optional[dict]:
-        for c in self.checks:
-            if not c["ok"]:
-                return c
-        return None
-
 
 def verify_payload(payload: dict, guards: Guards = DEFAULT):
     """Replays a certificate payload; returns (ok, list of check records).

@@ -4,6 +4,11 @@ An ElemWord is the certificate vocabulary of the whole library: a sequence of
 row/column transvections 1 + r*e_ij, applied on the left or the right.  Words
 replay deterministically, invert by reversing and negating, and can be tested
 for membership in E_n(I) entry by entry.
+
+A word replays on one mutable copy of the matrix's rows: each op updates a
+row or a column in place, reading the ring's list mirrors of its tables when
+the ring keeps them (its numpy tables otherwise), and one RMatrix is built
+after the last op.
 """
 
 from __future__ import annotations
@@ -308,29 +313,32 @@ def right_op(i: int, j: int, r: int) -> ElemOp:
     return ElemOp(RIGHT, i, j, r)
 
 
-def apply_elem_op(A: RMatrix, op: ElemOp) -> RMatrix:
-    ring, n = A.ring, A.n
-    if not (1 <= op.i <= n and 1 <= op.j <= n):
-        raise DimensionMismatch(f"op indices ({op.i},{op.j}) outside dimension {n}")
-    add, mul = ring.add, ring.mul
-    rows = [list(r) for r in A.entries]
-    i, j, r = op.i - 1, op.j - 1, op.r
-    if op.side == LEFT:
-        # row_i += r * row_j
-        rows[i] = [add(rows[i][c], mul(r, rows[j][c])) for c in range(n)]
-    else:
-        # col_j += col_i * r
-        for x in range(n):
-            rows[x][j] = add(rows[x][j], mul(rows[x][i], r))
-    return RMatrix(ring, n, tuple(tuple(r) for r in rows))
-
-
 def apply_elem_word(A: RMatrix, w: ElemWord) -> RMatrix:
-    if w.n != A.n:
-        raise DimensionMismatch(f"word dimension {w.n} != matrix dimension {A.n}")
+    ring, n = A.ring, A.n
+    if w.n != n:
+        raise DimensionMismatch(f"word dimension {w.n} != matrix dimension {n}")
+    add, mul = ((ring._add, ring._mul) if ring._add is not None
+                else (ring.npadd, ring.npmul))
+    rows = [list(row) for row in A.entries]
     for op in w.ops:
-        A = apply_elem_op(A, op)
-    return A
+        if not (1 <= op.i <= n and 1 <= op.j <= n):
+            raise DimensionMismatch(
+                f"op indices ({op.i},{op.j}) outside dimension {n}")
+        i, j, r = op.i - 1, op.j - 1, op.r
+        if op.side == LEFT:
+            # row_i += r * row_j
+            ri, rj, mr = rows[i], rows[j], mul[r]
+            for c in range(n):
+                ri[c] = add[ri[c]][mr[rj[c]]]
+        else:
+            # col_j += col_i * r
+            for row in rows:
+                row[j] = add[row[j]][mul[row[i]][r]]
+    return RMatrix(ring, n, tuple(tuple(map(int, row)) for row in rows))
+
+
+def apply_elem_op(A: RMatrix, op: ElemOp) -> RMatrix:
+    return apply_elem_word(A, ElemWord(A.n, (op,)))
 
 
 def evaluate_word(ring: FiniteRing, w: ElemWord) -> RMatrix:

@@ -274,9 +274,16 @@ class FiniteRing:
             self._cache["idempotents"] = got
         return got
 
+    def mul_row(self, a: int) -> list:
+        """a*x over all x, as a list: the list mirror's own row (callers only
+        read it) when the ring keeps mirrors, else the table row converted."""
+        if self._mul is not None:
+            return self._mul[a]
+        return self.npmul[a].tolist()
+
     def right_multiples(self, a: int) -> tuple:
         """Sorted tuple aR."""
-        return tuple(distinct(self.npmul[a], self.size).tolist())
+        return tuple(sorted(set(self.mul_row(a))))
 
     def right_span(self, a: int, b: int) -> tuple:
         """Sorted tuple aR + bR."""
@@ -771,8 +778,10 @@ def regular_witness(ring: FiniteRing, x: int) -> Optional[int]:
 
 def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
     """Least x with a*x == target."""
-    hits = np.flatnonzero(ring.npmul[a] == target)
-    return int(hits[0]) if len(hits) else None
+    try:
+        return ring.mul_row(a).index(target)
+    except ValueError:
+        return None
 
 
 def same_right_ideal(ring: FiniteRing, a: int, b: int) -> bool:
@@ -785,15 +794,13 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
                      target: int) -> Optional[tuple]:
     """Least (x, y) lexicographic with c*x + d*y == target: the least x
     with target - c*x in dR, then the least y with d*y equal to it."""
-    dy = ring.npmul[d]
-    in_dR = np.zeros(ring.size, dtype=bool)
-    in_dR[dy] = True
-    rest = ring.npadd[target, ring.npneg[ring.npmul[c]]]    # target - c*x
-    xs = np.flatnonzero(in_dR[rest])
-    if len(xs) == 0:
-        return None
-    x = int(xs[0])
-    return x, int(np.argmax(dy == rest[x]))
+    dy = ring.mul_row(d)
+    dR = set(dy)
+    for x, cx in enumerate(ring.mul_row(c)):
+        rest = ring.sub(target, cx)
+        if rest in dR:
+            return x, dy.index(rest)
+    return None
 
 
 # ---------------------------------------------------------------------------

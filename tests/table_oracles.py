@@ -9,6 +9,11 @@ pass per free entry and per row, the units by a loop over the carrier, the
 inverse of a matrix by a search of every candidate column, and the sorted
 sets aR and aR + bR by ``np.unique``.  The kernels must return exactly what
 these return.
+
+The vectorized row scans (``solve_right`` and the pair solve over a
+membership mask of dR) and the replay of a word one op at a time, each op
+building a new matrix, are the references for the list-row kernels and the
+in-place replay.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from exlift.exchange import ExchangeWitness
-from exlift.matrices import RMatrix, identity, mat_mul, matrix
+from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
+                             matrix)
 from exlift.rings import FiniteRing, Ideal, _positions, digits, pack
 
 
@@ -32,6 +38,44 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
         return None
     x, y = hits[0]
     return int(x), int(y)
+
+
+def solve_right_numpy(ring: FiniteRing, a: int, target: int) -> Optional[int]:
+    """Least x with a*x == target, by flatnonzero on the table row."""
+    hits = np.flatnonzero(ring.npmul[a] == target)
+    return int(hits[0]) if len(hits) else None
+
+
+def solve_pair_right_mask(ring: FiniteRing, c: int, d: int,
+                          target: int) -> Optional[tuple]:
+    """Least (x, y) lexicographic with c*x + d*y == target: the least x
+    with target - c*x in a membership mask of dR, then the least y."""
+    dy = ring.npmul[d]
+    in_dR = np.zeros(ring.size, dtype=bool)
+    in_dR[dy] = True
+    rest = ring.npadd[target, ring.npneg[ring.npmul[c]]]    # target - c*x
+    xs = np.flatnonzero(in_dR[rest])
+    if len(xs) == 0:
+        return None
+    x = int(xs[0])
+    return x, int(np.argmax(dy == rest[x]))
+
+
+def replay_per_op(A: RMatrix, w: ElemWord) -> RMatrix:
+    """w applied to A one op at a time, each op through scalar ring calls
+    into a new matrix."""
+    ring, n = A.ring, A.n
+    for op in w.ops:
+        rows = [list(r) for r in A.entries]
+        i, j, r = op.i - 1, op.j - 1, op.r
+        if op.side == LEFT:
+            rows[i] = [ring.add(rows[i][c], ring.mul(r, rows[j][c]))
+                       for c in range(n)]
+        else:
+            for x in range(n):
+                rows[x][j] = ring.add(rows[x][j], ring.mul(rows[x][i], r))
+        A = RMatrix(ring, n, tuple(tuple(r) for r in rows))
+    return A
 
 
 def exchange_witness_unital(ring: FiniteRing,

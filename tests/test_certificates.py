@@ -245,6 +245,16 @@ def test_mutation_reports_name_failing_contract():
     assert any(not c["ok"] and c["check"] for c in checks)
 
 
+def test_op_index_outside_the_matrix_is_a_failed_check():
+    payload = fresh_payloads()["reduction"]
+    mutated = copy.deepcopy(payload)
+    mutated["word"][2]["j"] = 3
+    ok, checks = C.verify_payload(mutated)
+    assert not ok
+    assert [c["check"] for c in checks if not c["ok"]] == ["well-formed"]
+    assert "op indices out of range" in checks[-1]["detail"]
+
+
 def test_ring_digest_detects_spec_mutation():
     payload = fresh_payloads()["reduction"]
     mutated = copy.deepcopy(payload)

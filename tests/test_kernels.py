@@ -1,6 +1,8 @@
 """The table kernels of ``rings``, ``exchange`` and ``matrices`` against the
 brute-force scans in ``table_oracles``: exact answers, on every corpus pair
-and on M_2(R) with the ideals M_2(I) for |R| <= 6."""
+and on M_2(R) with the ideals M_2(I) for |R| <= 6.  The list-row scans and
+the in-place word replay are also checked on M_2(R) up to 4,096 elements,
+where rings keep no list mirrors, and on the opposite rings."""
 
 import random
 
@@ -206,3 +208,70 @@ def test_mask_sets_match_np_unique(corpus_rings):
             values = ring.npmul[rng.randrange(ring.size)]
             assert np.array_equal(R.distinct(values, ring.size),
                                   np.unique(values))
+
+
+@pytest.fixture(scope="module")
+def scan_rings(corpus_rings):
+    """Every corpus ring, M_2(R) for each corpus ring R with |M_2(R)| <=
+    4096, and the opposite of each: the rings the 2x2 step runs on, with
+    and without list mirrors (M_2(Z/6), M_2(Z/8) and M_2(T_2(Z/2)) have
+    none)."""
+    bases = list({r.spec: r for _, r in corpus_rings}.values())
+    rings = bases + [R.build_ring(R.MatrixSpec(base.spec, 2))
+                     for base in bases if base.size ** 4 <= 4096]
+    return rings + [ring.op() for ring in rings]
+
+
+def _random_word(ring, n, rng, length):
+    ops = []
+    for _ in range(length):
+        i, j = rng.sample(range(1, n + 1), 2)
+        ops.append(M.ElemOp(rng.choice((M.LEFT, M.RIGHT)), i, j,
+                            rng.randrange(ring.size)))
+    return M.ElemWord(n, tuple(ops))
+
+
+def test_scan_rings_cover_both_row_forms(scan_rings):
+    mirrored = [ring._mul is not None for ring in scan_rings]
+    assert any(mirrored) and not all(mirrored)
+    assert max(ring.size for ring in scan_rings) == 4096
+
+
+def test_word_replay_matches_per_op_replay(scan_rings):
+    rng = random.Random(15)
+    for ring in scan_rings:
+        for n in (2, 4):
+            for _ in range(3):
+                A = M.decode_matrix(ring, n,
+                                    rng.randrange(ring.size ** (n * n)))
+                w = _random_word(ring, n, rng, 50)
+                got = M.apply_elem_word(A, w)
+                assert got == O.replay_per_op(A, w), (ring.describe(), n)
+                assert all(type(x) is int for row in got.entries
+                           for x in row), ring.describe()
+
+
+def test_row_scans_match_numpy_forms(scan_rings):
+    rng = random.Random(16)
+    for ring in scan_rings:
+        size = ring.size
+        if size <= 64:
+            pairs = [(a, t) for a in range(size) for t in range(size)]
+        else:
+            pairs = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(250)]
+            # as many targets in aR, so that the solves also hit
+            pairs += [(a, ring.mul(a, rng.randrange(size))) for a, _ in pairs]
+        hits = 0
+        for a, t in pairs:
+            want = O.solve_right_numpy(ring, a, t)
+            assert R.solve_right(ring, a, t) == want, (ring.describe(), a, t)
+            hits += want is not None
+            # (a, t) as the row (c, d) of a pair solve for 1
+            assert (R.solve_pair_right(ring, a, t, ring.one)
+                    == O.solve_pair_right_mask(ring, a, t, ring.one)), \
+                (ring.describe(), a, t)
+        assert 0 < hits < len(pairs), ring.describe()
+        for a in (range(size) if size <= 64 else {a for a, _ in pairs}):
+            assert (ring.right_multiples(a)
+                    == O.unique_right_multiples(ring, a)), (ring.describe(), a)

@@ -65,6 +65,19 @@ def test_apply_elem_word_examples():
     assert M.apply_elem_word(A, w) == M.matrix(z2, [[1, 1], [0, 1]])
 
 
+def test_word_replay_refuses_an_op_outside_the_matrix():
+    # the in-place replay checks every op, not only the first
+    z4 = z(4)
+    A = M.matrix(z4, [[1, 2], [0, 1]])
+    ops = [M.left_op(1, 2, 1), M.right_op(2, 1, 3), M.left_op(1, 3, 1)]
+    with pytest.raises(DimensionMismatch):
+        M.apply_elem_word(A, M.word(2, ops))
+    with pytest.raises(DimensionMismatch):
+        M.apply_elem_word(A, M.word(2, ops[:2] + [M.right_op(0, 2, 1)]))
+    with pytest.raises(DimensionMismatch):
+        M.apply_elem_op(A, ops[2])
+
+
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(["left", "right"]),
               st.sampled_from([(1, 2), (2, 1)]),
