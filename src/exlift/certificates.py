@@ -23,7 +23,11 @@ accepts an element's canonical descriptor only, so a leaf cannot be swapped
 for another name of the same element (a zmod int moved by n, another member
 of a quotient coset, a JSON bool).  ``dumps_certificate`` writes the text
 itself; its bytes are pinned by the golden digests in the tests, which hold
-it to ``json.dumps(payload, sort_keys=True, indent=1)`` as the oracle.
+it to ``json.dumps(payload, sort_keys=True, indent=1)`` as the oracle.  The
+writer dispatches on a value's exact type first (list, dict, int and str,
+what payloads are built of), writes a list of exact ints with one join and
+a dict's int and str values without a recursive call; subclasses, bools and
+None go through an isinstance chain, which refuses what JSON cannot hold.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from typing import Optional
 
 from .config import DEFAULT, Guards
 from .errors import InvalidSpec
-from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
-                       direct_sum, identity, left_op, map_entries, mat_mul,
-                       matrix, right_op, sigma_inv_word_left, sigma_word_left,
-                       sigma_word_right, stage_ring, try_inverse,
-                       unblock_matrix, word_in_ideal)
+from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, RMatrix,
+                       apply_elem_word, block_matrix, direct_sum, identity,
+                       left_op, map_entries, mat_mul, matrix, right_op,
+                       sigma_inv_word_left, sigma_word_left, sigma_word_right,
+                       stage_ring, try_inverse, unblock_matrix, word_in_ideal)
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
                     element_from_descriptor, entry_ideal, ideal_closure,
                     parse_ring_spec, quotient_by, ring_spec_obj,
@@ -88,22 +92,23 @@ def _word_desc(ring: FiniteRing, w: ElemWord) -> list:
              "r": element_descriptor(ring, op.r)} for op in w.ops]
 
 
+_OP_KEYS = frozenset(("side", "i", "j", "r"))
+
+
 def _word_from_desc(ring: FiniteRing, n: int, desc) -> ElemWord:
     if not isinstance(desc, list):
         raise InvalidSpec("word payload must be a list of ops")
     ops = []
     for rec in desc:
-        if not isinstance(rec, dict) or set(rec) != {"side", "i", "j", "r"}:
+        if not isinstance(rec, dict) or rec.keys() != _OP_KEYS:
             raise InvalidSpec("malformed op record")
-        if rec["side"] not in ("left", "right"):
-            raise InvalidSpec(f"unknown op side {rec['side']!r}")
-        if rec["i"] == rec["j"] or not all(
-                type(rec[key]) is int and 1 <= rec[key] <= n
-                for key in ("i", "j")):
+        side, i, j = rec["side"], rec["i"], rec["j"]
+        if side not in (LEFT, RIGHT):
+            raise InvalidSpec(f"unknown op side {side!r}")
+        if (type(i) is not int or type(j) is not int or i == j
+                or not (1 <= i <= n and 1 <= j <= n)):
             raise InvalidSpec("op indices out of range")
-        ops.append(
-            (left_op if rec["side"] == "left" else right_op)(
-                rec["i"], rec["j"], element_from_descriptor(ring, rec["r"])))
+        ops.append(ElemOp(side, i, j, element_from_descriptor(ring, rec["r"])))
     return ElemWord(n, tuple(ops))
 
 
@@ -211,19 +216,34 @@ def dumps_certificate(payload: dict) -> str:
 def _write(value, nl: str, out: list) -> None:
     """Append the JSON text of value to out; nl is a newline plus the indent
     of the line value starts on."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
+    kind = type(value)
+    if kind is not list and kind is not dict and kind is not int \
+            and kind is not str:
+        if isinstance(value, str):
+            kind = str
+        elif value is None or value is True or value is False:
+            out.append("null" if value is None
+                       else "true" if value else "false")
             return
+        elif isinstance(value, int):
+            kind = int
+        elif isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            raise TypeError(
+                f"a certificate cannot hold a {type(value).__name__}")
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif not value:
+        out.append("[]" if kind is list else "{}")
+    elif kind is list:
         inner = nl + " "
-        if all(type(v) is int for v in value):
-            out.append("[" + inner + ("," + inner).join(map(str, value))
+        if not [v for v in value if type(v) is not int]:
+            out.append("[" + inner + ("," + inner).join(map(repr, value))
                        + nl + "]")
             return
         sep = "[" + inner
@@ -232,30 +252,33 @@ def _write(value, nl: str, out: list) -> None:
             _write(v, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("certificate keys must be str")
+    else:
         inner = nl + " "
         sep = "{" + inner
         for k in sorted(value):
-            out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(value[k], inner, out)
+            if not isinstance(k, str):
+                raise TypeError("certificate keys must be str")
+            v = value[k]
+            head = sep + encode_basestring_ascii(k) + ": "
+            if type(v) is int:
+                out.append(head + repr(v))
+            elif type(v) is str:
+                out.append(head + encode_basestring_ascii(v))
+            else:
+                out.append(head)
+                _write(v, inner, out)
             sep = "," + inner
         out.append(nl + "}")
-    else:
-        raise TypeError(
-            f"a certificate cannot hold a {type(value).__name__}")
 
 
 def load_certificate(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"certificate is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidSpec(f"cannot read certificate {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidSpec("certificate must be a JSON object")
     return payload

@@ -84,6 +84,8 @@ def _load_spec_file(path: str) -> dict:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise InvalidSpec(f"spec file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidSpec(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

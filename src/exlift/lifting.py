@@ -24,14 +24,14 @@ from .errors import (HypothesisFailed, NotFredholm, PreconditionFailed,
                      SearchExhausted)
 from .exchange import is_exchange_ideal
 from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
-                       decode_matrix, direct_sum, e_orbit_factor, identity,
-                       left_op, mat_mul, matrix, right_op, sigma_inv_word_left,
-                       sigma_word_left, sigma_word_right, stage_ring,
-                       try_inverse, unblock_matrix, word_in_ideal)
-from .rings import (FiniteRing, Ideal, entry_ideal, morita_base, quotient_by,
-                    same_right_ideal, solve_right)
+                       direct_sum, e_orbit_factor, identity, left_op, mat_mul,
+                       matrix, right_op, sigma_inv_word_left, sigma_word_left,
+                       sigma_word_right, stage_ring, try_inverse,
+                       unblock_matrix, word_in_ideal)
+from .rings import (FiniteRing, Ideal, digits, entry_ideal, morita_base,
+                    quotient_by, same_right_ideal, solve_right)
 from . import scans
-from .vmonoid import (build_v_monoid, class_key, is_separative,
+from .vmonoid import (_class_keys, build_v_monoid, is_separative,
                       v_order_ideal)
 
 
@@ -76,13 +76,16 @@ def _class_key(ring: FiniteRing, g: int) -> tuple:
     """The class key of the idempotent g, read off R: on M_k(R), the key of
     g's k x k entry matrix over R (Morita: V(M_k(R)) = V(R)); on any other
     ring R, that of g itself (k = 1).  R^op reads from R.  Memoized per
-    ring, shared with its opposite."""
+    ring, shared with its opposite, and filled on first use for every
+    idempotent of the ring by one batch over R."""
     home, base, k = morita_base(ring)
-    memo = home._cache.setdefault("class_keys", {})
-    got = memo.get(g)
-    if got is None:
-        got = memo[g] = class_key(base, decode_matrix(base, k, g))
-    return got
+    memo = home._cache.get("class_keys")
+    if memo is None:
+        idems = home.idempotents()
+        ent = digits(idems, base.size, k * k).reshape(-1, k, k)
+        memo = home._cache["class_keys"] = dict(
+            zip(idems, _class_keys(base, ent)))
+    return memo[g]
 
 
 def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int) -> int:

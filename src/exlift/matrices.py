@@ -9,11 +9,15 @@ A word replays on one mutable copy of the matrix's rows: each op updates a
 row or a column in place, reading the ring's list mirrors of its tables when
 the ring keeps them (its numpy tables otherwise), and one RMatrix is built
 after the last op.
+
+RMatrix, ElemOp and ElemWord are tuples (``namedtuple`` subclasses): cheap
+to build, immutable, and compared and hashed field by field.  RMatrix and
+ElemOp check their fields in ``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional
 
 import numpy as np
@@ -25,17 +29,17 @@ from .rings import (FiniteRing, Ideal, MatrixSpec, QuotientMap, build_ring,
                     digits, distinct, pack, unpack)
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(namedtuple("RMatrix", "ring n entries")):
     """Immutable n x n matrix; entries are carrier indices of ``ring``."""
 
-    ring: FiniteRing
-    n: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise DimensionMismatch(f"entries are not {self.n}x{self.n}")
+    def __new__(cls, ring: FiniteRing, n: int, entries: tuple):
+        # entries: tuple of row tuples; a list of the ragged rows, since a
+        # comprehension costs less than any() over a generator
+        if len(entries) != n or [r for r in entries if len(r) != n]:
+            raise DimensionMismatch(f"entries are not {n}x{n}")
+        return tuple.__new__(cls, (ring, n, entries))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -258,32 +262,27 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class ElemOp:
+class ElemOp(namedtuple("ElemOp", "side i j r")):
     """One transvection 1 + r*e_ij (i != j, 1-based indices)."""
 
-    side: str
-    i: int
-    j: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.i == self.j:
+    def __new__(cls, side: str, i: int, j: int, r: int):
+        if side not in (LEFT, RIGHT):
+            raise ValueError(f"bad side {side!r}")
+        if i == j:
             raise ValueError("elementary ops need i != j")
+        return tuple.__new__(cls, (side, i, j, r))
 
     def inverse(self, ring: FiniteRing) -> "ElemOp":
         return ElemOp(self.side, self.i, self.j, ring.neg(self.r))
 
 
-@dataclass(frozen=True)
-class ElemWord:
+class ElemWord(namedtuple("ElemWord", "n ops")):
     """Ordered ElemOps; left ops multiply on the left in list order, right
-    ops on the right in list order."""
+    ops on the right in list order.  Its length is the number of ops."""
 
-    n: int
-    ops: tuple
+    __slots__ = ()
 
     def __len__(self):
         return len(self.ops)

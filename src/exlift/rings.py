@@ -276,9 +276,12 @@ class FiniteRing:
 
     def mul_row(self, a: int) -> list:
         """a*x over all x, as a list: the list mirror's own row (callers only
-        read it) when the ring keeps mirrors, else the table row converted."""
+        read it) when the ring keeps mirrors, else the table row converted,
+        or for the zero element the zero row, which needs no table."""
         if self._mul is not None:
             return self._mul[a]
+        if a == self.zero:
+            return [self.zero] * self.size
         return self.npmul[a].tolist()
 
     def right_multiples(self, a: int) -> tuple:
@@ -888,7 +891,21 @@ def _decode_new(ring: FiniteRing, key) -> int:
 
 def element_descriptor(ring: FiniteRing, idx: int):
     """Canonical descriptor of a carrier index, as fresh JSON lists."""
-    return _thaw(_encode(ring, idx))
+    return _thaw_as(ring.spec, _encode(ring, idx))
+
+
+def _thaw_as(spec: RingSpec, key):
+    """A frozen descriptor of an element of spec's ring as fresh lists, by
+    the shape of its descriptors."""
+    if isinstance(spec, ZmodSpec):
+        return key
+    if isinstance(spec, (MatrixSpec, TriangularSpec)):
+        if isinstance(spec.base, ZmodSpec):    # rows of ints, thawed as is
+            return [list(row) for row in key]
+        return [[_thaw_as(spec.base, x) for x in row] for row in key]
+    if isinstance(spec, ProductSpec):
+        return [_thaw_as(spec.left, key[0]), _thaw_as(spec.right, key[1])]
+    return _thaw_as(spec.base, key)    # a quotient: its base's descriptor
 
 
 def _encode(ring: FiniteRing, idx: int):

@@ -23,15 +23,14 @@ from .rings import FiniteRing, solve_pair_right, solve_right
 
 def _split(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
     """(e, t, u): the least idempotent e with e in aR and 1-e in bR, with
-    the least t, u solving a*t = e and b*u = 1-e."""
+    the least t, u solving a*t = e and b*u = 1-e (``solve_right`` on the
+    rows of a and b, read once)."""
+    row_a, row_b = ring.mul_row(a), ring.mul_row(b)
     for e in ring.idempotents():
-        t = solve_right(ring, a, e)
-        if t is None:
+        try:
+            return e, row_a.index(e), row_b.index(ring.sub(ring.one, e))
+        except ValueError:
             continue
-        u = solve_right(ring, b, ring.sub(ring.one, e))
-        if u is None:
-            continue
-        return e, t, u
     return None
 
 

@@ -34,6 +34,19 @@ def corpus_rings():
 
 
 @pytest.fixture(scope="session")
+def scan_rings(corpus_rings):
+    """Every corpus ring, M_2(R) for each corpus ring R with |M_2(R)| <=
+    4096, and the opposite of each: the rings the 2x2 step runs on, with
+    and without list mirrors (M_2(Z/6), M_2(Z/8) and M_2(T_2(Z/2)) have
+    none)."""
+    from exlift import rings as R
+    bases = list({r.spec: r for _, r in corpus_rings}.values())
+    rings = bases + [R.build_ring(R.MatrixSpec(base.spec, 2))
+                     for base in bases if base.size ** 4 <= 4096]
+    return rings + [ring.op() for ring in rings]
+
+
+@pytest.fixture(scope="session")
 def cold_python():
     """Run Python source in a fresh interpreter that imports this checkout's
     ``exlift``; returns its stdout."""

@@ -10,10 +10,10 @@ inverse of a matrix by a search of every candidate column, and the sorted
 sets aR and aR + bR by ``np.unique``.  The kernels must return exactly what
 these return.
 
-The vectorized row scans (``solve_right`` and the pair solve over a
-membership mask of dR) and the replay of a word one op at a time, each op
-building a new matrix, are the references for the list-row kernels and the
-in-place replay.
+The vectorized row scans (``solve_right``, the idempotent split of
+``scans._split`` and the pair solve over a membership mask of dR) and the
+replay of a word one op at a time, each op building a new matrix, are the
+references for the list-row kernels and the in-place replay.
 """
 
 from __future__ import annotations
@@ -44,6 +44,18 @@ def solve_right_numpy(ring: FiniteRing, a: int, target: int) -> Optional[int]:
     """Least x with a*x == target, by flatnonzero on the table row."""
     hits = np.flatnonzero(ring.npmul[a] == target)
     return int(hits[0]) if len(hits) else None
+
+
+def split_numpy(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
+    """(e, t, u) with e the least idempotent that a*t = e and b*u = 1-e
+    both solve, and t, u the least solutions, by the numpy solve on the
+    table rows."""
+    for e in ring.idempotents():
+        t = solve_right_numpy(ring, a, e)
+        u = solve_right_numpy(ring, b, ring.sub(ring.one, e))
+        if t is not None and u is not None:
+            return e, t, u
+    return None
 
 
 def solve_pair_right_mask(ring: FiniteRing, c: int, d: int,

@@ -1,6 +1,8 @@
 import copy
+import enum
 import json
 import random
+from collections import OrderedDict, defaultdict
 
 import pytest
 
@@ -445,6 +447,65 @@ def test_writer_matches_json_on_edge_shapes():
     ]
     for value in shapes:
         assert C.dumps_certificate(value) == _oracle(value), value
+
+
+def test_writer_matches_json_on_subclasses():
+    class Level(enum.IntEnum):
+        LOW = 1
+        HIGH = 7
+
+    class Big(int):               # JSON writes the int, not these
+        def __repr__(self):
+            return "Big"
+
+        __str__ = __repr__
+
+    class Text(str):
+        def __repr__(self):
+            return "Text"
+
+    class Row(list):
+        pass
+
+    class Pair(tuple):
+        pass
+
+    shapes = [
+        Level.HIGH, Big(2 ** 70), Text('a"b'), Row([1, 2]), Row([]),
+        Pair((3, [4])), Pair(()), [Level.LOW, 2, Big(-3)], [1, Text("x")],
+        OrderedDict([("b", Level.LOW), ("a", Text("x")), ("c", Big(0))]),
+        OrderedDict(), defaultdict(list, {"k": Row([Big(5), True, None])}),
+        {Text("key"): Row([Level.HIGH, Pair(()), OrderedDict([("z", [])])])},
+        {"x": Big(1), "y": Text("t"), "z": Pair((Level.LOW,)), "b": False},
+        M.ElemOp("left", 1, 2, 3), [M.ElemWord(2, ())],
+    ]
+    for value in shapes:
+        assert C.dumps_certificate(value) == _oracle(value), value
+
+
+def test_descriptors_by_shape_match_the_generic_thaw(scan_rings):
+    # every corpus ring and M_2(R) up to 4,096 elements (opposite rings
+    # have no descriptors)
+    count = 0
+    for ring in scan_rings:
+        if isinstance(ring.spec, R.OppositeSpec):
+            continue
+        for idx in range(ring.size):
+            first = R.element_descriptor(ring, idx)
+            second = R.element_descriptor(ring, idx)
+            assert first == R._thaw(R._encode(ring, idx)), (ring.describe(),
+                                                              idx)
+            assert not _list_ids(first) & _list_ids(second), idx
+            count += 1
+    assert count > 10000
+
+
+def _list_ids(value) -> set:
+    """The ids of value and of every list nested in it, if value is one."""
+    if not isinstance(value, list):
+        assert type(value) is int
+        return set()
+    return {id(value)}.union(*map(_list_ids, value))
 
 
 def test_writer_refuses_what_json_would_coerce_or_reject():

@@ -162,3 +162,16 @@ def test_quotient_spec_generator_must_be_canonical(tmp_path):
         res = CliRunner().invoke(main, ["index", "--spec", spec,
                                         "--element", element])
         assert res.exit_code == code, (element, res.output, res.exception)
+
+
+def test_unreadable_certificate_and_spec_files_exit_7(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    latin1 = tmp_path / "latin1.json"          # not UTF-8
+    latin1.write_bytes(b'{"ring": {"type": "zmod", "n": 4}, "x": "\xe9"}')
+    for args in (["verify", missing], ["verify", str(latin1)],
+                 ["check", "--spec", missing],
+                 ["check", "--spec", str(latin1)],
+                 ["lift", "--spec", str(latin1), "--element", "1"]):
+        res = CliRunner().invoke(main, args + ["--format", "machine"])
+        assert res.exit_code == 7, (args, res.output, res.exception)
+        assert isinstance(res.exception, SystemExit), args

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from exlift import exchange as E, matrices as M, rings as R
+from exlift import exchange as E, matrices as M, rings as R, scans
 from exlift.matrices import matrix_ideal
 
 import table_oracles as O
@@ -210,18 +210,6 @@ def test_mask_sets_match_np_unique(corpus_rings):
                                   np.unique(values))
 
 
-@pytest.fixture(scope="module")
-def scan_rings(corpus_rings):
-    """Every corpus ring, M_2(R) for each corpus ring R with |M_2(R)| <=
-    4096, and the opposite of each: the rings the 2x2 step runs on, with
-    and without list mirrors (M_2(Z/6), M_2(Z/8) and M_2(T_2(Z/2)) have
-    none)."""
-    bases = list({r.spec: r for _, r in corpus_rings}.values())
-    rings = bases + [R.build_ring(R.MatrixSpec(base.spec, 2))
-                     for base in bases if base.size ** 4 <= 4096]
-    return rings + [ring.op() for ring in rings]
-
-
 def _random_word(ring, n, rng, length):
     ops = []
     for _ in range(length):
@@ -275,3 +263,37 @@ def test_row_scans_match_numpy_forms(scan_rings):
         for a in (range(size) if size <= 64 else {a for a, _ in pairs}):
             assert (ring.right_multiples(a)
                     == O.unique_right_multiples(ring, a)), (ring.describe(), a)
+
+
+def test_split_and_zero_row_match_numpy_forms():
+    # M_2(Z/6) and M_2(Z/8) keep no list mirrors: their rows are converted,
+    # but for the zero row, which mul_row builds without reading the table
+    rng = random.Random(17)
+    hits = misses = 0
+    for n in (6, 8):
+        mring = R.build_ring(R.MatrixSpec(R.ZmodSpec(n), 2))
+        for ring in (mring, mring.op()):
+            assert ring._mul is None
+            zero_row = ring.mul_row(ring.zero)
+            assert zero_row == ring.npmul[ring.zero].tolist()
+            assert all(type(x) is int for x in zero_row)
+            size, idems = ring.size, ring.idempotents()
+            args = [(ring.zero, ring.zero), (ring.zero, ring.one),
+                    (ring.one, ring.zero), (ring.one, ring.one)]
+            for e in rng.sample(idems, 20):
+                args.append((e, ring.sub(ring.one, e)))
+            args += [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(60)]
+            for a, b in args:
+                want = O.split_numpy(ring, a, b)
+                assert scans._split(ring, a, b) == want, \
+                    (ring.describe(), a, b)
+                hits += want is not None
+                misses += want is None
+                for t in (ring.zero, ring.one, ring.mul(a, b)):
+                    assert (R.solve_right(ring, a, t)
+                            == O.solve_right_numpy(ring, a, t)), (a, t)
+                    assert (R.solve_pair_right(ring, a, b, t)
+                            == O.solve_pair_right_mask(ring, a, b, t)), \
+                        (a, b, t)
+    assert hits and misses

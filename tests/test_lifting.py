@@ -391,6 +391,23 @@ def test_stage_class_keys_order_like_the_stage_ring(corpus_rings):
     assert pairs == 18316
 
 
+def test_class_key_batch_matches_per_idempotent_keys(scan_rings):
+    # _class_key fills its memo for all idempotents by one batch over R
+    count = 0
+    for ring in scan_rings:
+        home, base, k = R.morita_base(ring)
+        home._cache.pop("class_keys", None)
+        idems = ring.idempotents()
+        L._class_key(ring, idems[-1])
+        assert len(home._cache["class_keys"]) == len(idems)
+        for g in idems:
+            assert (L._class_key(ring, g)
+                    == V.class_key(base, M.decode_matrix(base, k, g))), \
+                (ring.describe(), g)
+            count += 1
+    assert count > 1000
+
+
 def _matrix_degree(ring):
     spec = ring.spec
     if isinstance(spec, R.OppositeSpec):

@@ -292,3 +292,39 @@ def test_matrix_ideal():
     mi_full = M.matrix_ideal(m2, z2, 2, R.full_ideal(z2))
     assert len(mi_full.members) == 16
     R.verify_ideal(mi_full)
+
+
+def test_value_types_are_immutable_values():
+    z4 = z(4)
+    A, B = M.matrix(z4, [[1, 2], [3, 0]]), M.matrix(z4, [[1, 2], [3, 0]])
+    op, op2 = M.ElemOp("left", 1, 2, 3), M.left_op(1, 2, 3)
+    w, w2 = M.ElemWord(2, (op,)), M.word(2, [op2])
+    for x, y, fields in ((A, B, ("ring", "n", "entries")),
+                         (op, op2, ("side", "i", "j", "r")),
+                         (w, w2, ("n", "ops"))):
+        assert x == y and hash(x) == hash(y) and x is not y
+        assert {x: "found"}[y] == "found" and len({x, y}) == 1
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == y                      # nothing was changed
+    assert A != M.matrix(z4, [[1, 2], [3, 1]])
+    assert A != M.RMatrix(z4.op(), 2, A.entries)   # rings compare by identity
+    assert op != M.right_op(1, 2, 3) and w != M.ElemWord(3, (op,))
+    assert A[1, 0] == 3 and A.n == 2 and repr(A) == "RMatrix(((1, 2), (3, 0)))"
+    assert len(w) == 1 and len(M.ElemWord(2, ())) == 0
+    assert w.inverse(z4) == M.ElemWord(2, (M.left_op(1, 2, 1),))
+    assert w.op() == M.ElemWord(2, (M.right_op(2, 1, 3),))
+
+
+def test_value_type_constructor_errors():
+    z4 = z(4)
+    for side, i, j in (("up", 1, 2), ("left", 2, 2), ("right", 1, 1)):
+        with pytest.raises(ValueError):
+            M.ElemOp(side, i, j, 0)
+    for n, rows in ((2, ((1, 2), (3,))), (2, ((1, 2),)), (1, ((1, 2),)),
+                    (2, ((1, 2), (3, 0), (0, 0)))):
+        with pytest.raises(DimensionMismatch):
+            M.RMatrix(z4, n, rows)
