@@ -319,6 +319,7 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
             raise VerificationFailed(
                 f"freshly emitted certificate failed verification: "
                 f"{[c for c in checks if not c['ok']][:1]}")
+        least = oracle_lift(ring, idl, x)
         report = {
             "format": "exlift-report", "version": 1, "kind": "lift",
             "ring": ring_spec_obj(ring.spec),
@@ -326,10 +327,9 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
             "truncation": effective_truncation(ring, guards),
             "lifted": True,
             "y": element_descriptor(ring, cert.y),
-            "oracle_confirmed": cert.oracle_confirmed,
-            "oracle_least_unit": element_descriptor(
-                ring, oracle_lift(ring, idl, x)),
-            "orbit": {"m": cert.m, "k": cert.k, "y1": payload["y1"],
+            "oracle_confirmed": least is not None,
+            "oracle_least_unit": element_descriptor(ring, least),
+            "orbit": {"m": cert.m, "y1": payload["y1"],
                       "word_len": len(cert.z_word)},
             "stages": [{"dim": s.dim, "level": s.level} for s in cert.stages],
             "certificate_checks": len(checks),
@@ -348,15 +348,18 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
 @fmt_opt
 @out_opt
 def verify(cert_file, guard, fmt, out):
-    """Replay a certificate file; nonzero exit if any contract fails."""
+    """Replay a certificate file; nonzero exit if any contract fails.  The
+    report echoes the claim the certificate states: ring recipe, ideal
+    generators, x, y and m."""
     try:
         guards = _guards(guard)
         payload = certs.load_certificate(cert_file)
-        ok, checks = certs.verify_payload(payload, guards)
+        ok, checks, claim = certs.verify_claim(payload, guards)
         report = {
             "format": "exlift-report", "version": 1, "kind": "verify",
             "certificate": cert_file,
             "ok": ok,
+            "claim": claim,
             "checks_total": len(checks),
             "checks_failed": [c for c in checks if not c["ok"]],
         }

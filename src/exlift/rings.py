@@ -289,10 +289,21 @@ class FiniteRing:
         return tuple(sorted(set(self.mul_row(a))))
 
     def right_span(self, a: int, b: int) -> tuple:
-        """Sorted tuple aR + bR."""
-        aR, bR = (distinct(self.npmul[x], self.size) for x in (a, b))
-        return tuple(distinct(self.npadd[aR[:, None], bR[None, :]],
-                              self.size).tolist())
+        """Sorted tuple aR + bR: the additive subgroup that aR and the
+        elements of bR generate.  It grows from aR by the cyclic subgroup of
+        each element of bR still outside it, one coset span + i*t at a
+        time, so the cost grows with the size of the result."""
+        span = set(self.mul_row(a))
+        for t in set(self.mul_row(b)):
+            if t in span:
+                continue
+            old, x = list(span), t
+            while x not in span:             # span + <t>, coset by coset
+                row = (self._add[x] if self._add is not None
+                       else self.npadd[x].tolist())
+                span.update([row[s] for s in old])
+                x = row[t]
+        return tuple(sorted(span))
 
     # -- the opposite ring ----------------------------------------------------
     def op(self) -> "FiniteRing":

@@ -25,7 +25,7 @@ import numpy as np
 from exlift.exchange import ExchangeWitness
 from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
                              matrix)
-from exlift.rings import FiniteRing, Ideal, _positions, digits, pack
+from exlift.rings import FiniteRing, Ideal, _positions, digits, distinct, pack
 
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
@@ -277,3 +277,11 @@ def unique_right_span(ring: FiniteRing, a: int, b: int) -> tuple:
     return tuple(np.unique(
         ring.npadd[np.unique(ring.npmul[a])[:, None],
                    np.unique(ring.npmul[b])[None, :]]).tolist())
+
+
+def right_span_numpy(ring: FiniteRing, a: int, b: int) -> tuple:
+    """Sorted aR + bR by a mask over aR and bR, then over the |aR| x |bR|
+    grid of their sums."""
+    aR, bR = (distinct(ring.npmul[x], ring.size) for x in (a, b))
+    return tuple(distinct(ring.npadd[aR[:, None], bR[None, :]],
+                          ring.size).tolist())

@@ -8,6 +8,11 @@ import pytest
 
 from exlift import certificates as C, lifting as L, matrices as M, rings as R
 from exlift.errors import InvalidSpec
+from exlift.ktheory import fredholm_elements
+
+import certificates_v1 as V1
+import tamper as T
+from reduction_contracts import reduction_contract_failures
 
 
 def z4_pair():
@@ -31,21 +36,25 @@ def t2_pair():
     return t2, R.ideal_closure(t2, [e12]), alpha
 
 
+def m2_orbit_pair():
+    """M_2(Z/2) with the zero ideal and x = [[0, 1], [1, 1]], whose lift
+    records a 10-op orbit word."""
+    m2 = R.build_ring(R.MatrixSpec(R.ZmodSpec(2), 2))
+    return m2, R.zero_ideal(m2), R.element_from_descriptor(m2, [[0, 1],
+                                                                [1, 1]])
+
+
 def fresh_payloads():
     z4, ideal = z4_pair()
-    rr = L.reduce_row(z4, ideal, M.matrix(z4, [[1, 0], [2, 1]]))
-    dg = L.diagonalize_2x2(z4, ideal, M.matrix(z4, [[1, 2], [2, 1]]))
-    lf = L.lift_unit(z4, ideal, 3).certificate
-    lf4 = L.lift_unit(z4, ideal, 3, start_m=4).certificate
-    t2, ideal_t2, alpha = t2_pair()
-    rc_t2 = L.reduce_col(t2, ideal_t2, alpha)
-    dg_t2 = L.diagonalize_2x2(t2, ideal_t2, alpha)
-    return {"reduction": rr.to_payload(),
-            "diagonalization": dg.to_payload(),
-            "lift": lf.to_payload(),
-            "forced m=4 lift": lf4.to_payload(),
-            "col reduction over T_2(Z/2)": rc_t2.to_payload(),
-            "diagonalization over T_2(Z/2)": dg_t2.to_payload()}
+    t2, ideal_t2, _ = t2_pair()
+    m2, zero, x = m2_orbit_pair()
+    lift = lambda ring, ideal, x, m=2: L.lift_unit(
+        ring, ideal, x, start_m=m).certificate.to_payload()
+    return {"lift": lift(z4, ideal, 3),
+            "forced m=4 lift": lift(z4, ideal, 3, 4),
+            "lift over T_2(Z/2)": lift(t2, ideal_t2, t2.one),
+            "forced m=4 lift over T_2(Z/2)": lift(t2, ideal_t2, t2.one, 4),
+            "lift with an orbit word": lift(m2, zero, x)}
 
 
 def test_fresh_certificates_verify():
@@ -55,10 +64,16 @@ def test_fresh_certificates_verify():
 
 
 def test_col_reduction_certificate():
+    # the column reduction meets its contracts, checked outside the lift,
+    # and a lift certificate replays its column reductions
     z4, ideal = z4_pair()
     rc = L.reduce_col(z4, ideal, M.matrix(z4, [[1, 2], [0, 1]]))
-    ok, checks = C.verify_payload(rc.to_payload())
-    assert ok
+    assert rc.side == "col" and reduction_contract_failures(rc) == []
+    t2, ideal_t2, alpha = t2_pair()
+    rc = L.reduce_col(t2, ideal_t2, alpha)
+    assert reduction_contract_failures(rc) == []
+    ok, checks = C.verify_payload(fresh_payloads()["lift over T_2(Z/2)"])
+    assert ok and [c["check"] for c in checks].count("RhR = R") == 2
 
 
 def test_col_payload_replays_as_row_reduction_over_opposite_ring():
@@ -75,14 +90,17 @@ def test_col_payload_replays_as_row_reduction_over_opposite_ring():
     assert rc.word.op() == rr.word and rc.result.op() == rr.result
     assert {op.side for op in rc.word.ops} == {"left"}
     assert rc.word != L.reduce_row(t2, full, alpha).word.op()
-    ok, checks = C.verify_payload(rc.to_payload())
-    names = [c["check"] for c in checks]
-    assert ok and "h canonical" in names
-    payload = rc.to_payload()
-    payload["h"] = R.element_descriptor(t2, t2.zero)
+    assert reduction_contract_failures(rc) == []
+    # the verifier derives the column reduction's h over R^op the same way:
+    # a recorded g_col that is no idempotent fails there
+    payload = L.lift_unit(t2, full, t2.zero).certificate.to_payload()
     ok, checks = C.verify_payload(payload)
-    assert not ok and "h canonical" in {c["check"] for c in checks
-                                        if not c["ok"]}
+    names = [c["check"] for c in checks]
+    assert ok and names.count("h found") == 2
+    payload["stages"][0]["g_col"] = [[0, 1], [0, 0]]
+    ok, checks = C.verify_payload(payload)
+    assert not ok and "g idempotent in wR" in {c["check"] for c in checks
+                                               if not c["ok"]}
 
 
 def test_m4_lift_certificate():
@@ -94,38 +112,43 @@ def test_m4_lift_certificate():
 
 def test_lift_certificate_rejects_stabilization_level_two():
     # y1 + 1 as a 2x2 y1 pads to the same w1, yet lift_unit only records
-    # units of R (k = 1), so the verifier refuses k = 2
+    # units of R, so y1 is an element and a v1-style k field is unknown
     z4, ideal = z4_pair()
     for start_m in (2, 4):
         payload = L.lift_unit(z4, ideal, 3, start_m=start_m).certificate \
             .to_payload()
-        [[y1]] = payload["y1"]
-        padded = dict(payload, k=2, y1=[[y1, R.element_descriptor(z4, 0)],
-                                        [R.element_descriptor(z4, 0),
-                                         R.element_descriptor(z4, 1)]])
-        ok, checks = C.verify_payload(json.loads(json.dumps(padded)))
-        assert not ok
-        assert "stabilization level" in {c["check"] for c in checks
-                                         if not c["ok"]}
+        y1 = payload["y1"]
+        for mutated, failed in ((dict(payload, y1=[[y1, 0], [0, 1]]),
+                                 "well-formed"),
+                                (dict(payload, k=2), "fields"),
+                                (dict(payload, m=1), "stabilization level")):
+            ok, checks = C.verify_payload(json.loads(json.dumps(mutated)))
+            assert not ok
+            assert failed in {c["check"] for c in checks if not c["ok"]}
 
 
 def test_lift_certificate_rejects_level_and_oracle_flag_mutations():
-    # a stage's level follows from its dimension, and y being a unit with
-    # x - y in I proves that a lift exists, so only JSON true is accurate
+    # a stage's level and dimension follow from m, and y being a unit with
+    # x - y in I proves that a lift exists: version 1's "level", "dim" and
+    # "oracle_confirmed" fields are unknown to version 2, and the stages
+    # come in the order the dimension halves
     z4, ideal = z4_pair()
     payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
-    assert [st["level"] for st in payload["stages"]] == ["blocked", "base"]
-    for level in ("bogus", "", "base"):
+    for key, value in (("level", "blocked"), ("dim", 4)):
         mutated = copy.deepcopy(payload)
-        mutated["stages"][0]["level"] = level
+        mutated["stages"][0][key] = value
         ok, checks = C.verify_payload(mutated)
-        assert not ok and "stage 0 level" in {c["check"] for c in checks
-                                              if not c["ok"]}, level
-    for flag in ("no", 1, [0]):
+        assert not ok and "stage 0 fields" in {c["check"] for c in checks
+                                               if not c["ok"]}, key
+    for flag in (True, "no", 1, [0]):
         mutated = dict(payload, oracle_confirmed=flag)
         ok, checks = C.verify_payload(mutated)
-        assert not ok and "oracle flag accurate" in {
-            c["check"] for c in checks if not c["ok"]}, flag
+        assert not ok and "fields" in {c["check"] for c in checks
+                                       if not c["ok"]}, flag
+    swapped = dict(payload, stages=payload["stages"][::-1])
+    ok, checks = C.verify_payload(swapped)
+    assert not ok and "well-formed" in {c["check"] for c in checks
+                                        if not c["ok"]}
 
 
 def test_lift_certificate_proves_a_lift_of_the_coset():
@@ -133,8 +156,11 @@ def test_lift_certificate_proves_a_lift_of_the_coset():
     payload = fresh_payloads()["lift"]
     assert R.element_from_descriptor(z4, payload["x"]) == 3
     congruent = dict(payload, x=R.element_descriptor(z4, 1))
-    ok, checks = C.verify_payload(congruent)
+    ok, checks, claim = C.verify_claim(congruent)
     assert ok, [c for c in checks if not c["ok"]]
+    # the same lift of the same unit of R/I: the report names x = 1
+    assert claim == {"ring": {"type": "zmod", "n": 4},
+                     "ideal_generators": [2], "x": 1, "y": 1, "m": 2}
     other = dict(payload, x=R.element_descriptor(z4, 2))
     ok, checks = C.verify_payload(other)
     assert not ok
@@ -175,103 +201,115 @@ def test_load_rejects_garbage(tmp_path):
         C.load_certificate(str(path))
 
 
-def mutate_leaves(payload, rng, limit):
-    """Distinct single-leaf mutations of a JSON payload (ints flipped,
-    booleans negated, strings extended)."""
-    paths = []
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            for key, val in node.items():
-                walk(val, path + [key])
-        elif isinstance(node, list):
-            for i, val in enumerate(node):
-                walk(val, path + [i])
-        else:
-            paths.append(path)
-
-    walk(payload, [])
-    rng.shuffle(paths)
-    out = []
-    for path in paths:
-        if len(out) >= limit:
-            break
-        mutated = copy.deepcopy(payload)
-        node = mutated
-        for step in path[:-1]:
-            node = node[step]
-        leaf = node[path[-1]]
-        if isinstance(leaf, bool):
-            node[path[-1]] = not leaf
-        elif isinstance(leaf, int):
-            node[path[-1]] = leaf + 1
-        elif isinstance(leaf, str):
-            node[path[-1]] = leaf + "x"
-        else:
-            continue
-        out.append((path, mutated))
-    return out
-
-
-def _semantically_distinct(payload, mutated):
-    """A mutation counts when it changes the certificate's bytes.  Every
-    element has one descriptor, so a changed leaf is a changed claim or no
-    descriptor at all."""
-    return C.dumps_certificate(payload) != C.dumps_certificate(mutated)
+def test_version_1_certificate_fails_the_format_check():
+    z4, ideal = z4_pair()
+    cert = L.lift_unit(z4, ideal, 3).certificate
+    ok, checks = C.verify_payload(V1.lift_payload(cert))
+    assert not ok and checks == [{"check": "format", "ok": False,
+                                  "detail": "format='exlift-cert' version=1"}]
 
 
 def test_single_field_mutations_rejected():
+    # every mutant by the sweep's rules, on a sample of 50 paths of each
+    # fresh certificate: each fails, or verifies as ``tamper`` allows
     rng = random.Random(20260809)
     for kind, payload in fresh_payloads().items():
-        rejected = 0
-        tried = 0
-        for path, mutated in mutate_leaves(payload, rng, 120):
-            if not _semantically_distinct(payload, mutated):
-                continue
-            tried += 1
-            ok, checks = C.verify_payload(mutated)
-            assert not ok, (kind, path)
-            rejected += 1
-            if rejected >= 50:
-                break
-        assert rejected >= min(50, tried), kind
-        assert tried >= 30, (kind, tried)  # payloads carry plenty of leaves
+        found = list(T.mutants(payload))
+        assert len(found) >= 60, (kind, len(found))
+        failed = 0
+        for path, mutated in rng.sample(found, min(50, len(found))):
+            verdict, detail = T.judge(payload, path, mutated)
+            assert verdict != "problem", detail
+            failed += verdict == "failed"
+        assert failed >= 40, (kind, failed)
+
+
+# one certificate per ring shape, and the forced m=4 Z/4 certificate
+SWEEP = {"zmod": ("zmod(8) |I|=2", 2),
+         "quotient": ("quotient(zmod(16),[4]) |I|=2", 2),
+         "matrix": ("matrix(zmod(2),2)+zero", 2),
+         "triangular": ("triangular(zmod(2),2)", 2),
+         "product": ("zmod(2)xM2(zmod(2))+left", 2),
+         "forced m=4": ("zmod(4) |I|=2", 4)}
+
+
+@pytest.mark.parametrize("shape", sorted(SWEEP))
+def test_tamper_sweep(shape, corpus_pairs):
+    # every mutant by every rule; the full sweep over the corpus runs as
+    # ``python tests/tamper.py``
+    name, m = SWEEP[shape]
+    ring, ideal = next((r, i) for n, r, i, _ in corpus_pairs if n == name)
+    x = fredholm_elements(ring, ideal)[-1]
+    payload = L.lift_unit(ring, ideal, x, start_m=m).certificate.to_payload()
+    count, problems, verified = T.sweep(payload)
+    assert problems == [] and count >= 80, (count, problems)
+    assert verified <= set(T.CLAIM_FIELDS) | T.ALTERNATIVE_WITNESSES
 
 
 def test_mutation_reports_name_failing_contract():
-    payload = fresh_payloads()["diagonalization"]
+    payload = fresh_payloads()["lift"]
     mutated = copy.deepcopy(payload)
-    mutated["u"] = (mutated["u"] + 2) % 4
+    mutated["stages"][0]["u"] = 0
     ok, checks = C.verify_payload(mutated)
     assert not ok
-    assert any(not c["ok"] and c["check"] for c in checks)
+    assert [c["check"] for c in checks if not c["ok"]] == ["u is a unit"]
 
 
 def test_op_index_outside_the_matrix_is_a_failed_check():
-    payload = fresh_payloads()["reduction"]
+    payload = fresh_payloads()["lift with an orbit word"]
     mutated = copy.deepcopy(payload)
-    mutated["word"][2]["j"] = 3
+    mutated["z_word"][2]["j"] = 3
     ok, checks = C.verify_payload(mutated)
     assert not ok
     assert [c["check"] for c in checks if not c["ok"]] == ["well-formed"]
     assert "op indices out of range" in checks[-1]["detail"]
 
 
+def _fails_or_names_its_claim(mutated):
+    """A changed claim field fails, or verifies a true claim the report
+    names."""
+    ok, checks, claim = C.verify_claim(mutated)
+    if ok:
+        assert claim == {k: mutated[k] for k in T.CLAIM_FIELDS}
+        assert T.claim_holds(claim)
+    return ok
+
+
 def test_ring_digest_detects_spec_mutation():
-    payload = fresh_payloads()["reduction"]
+    # the recipe is the claim: zmod(5) in place of zmod(4)
+    payload = fresh_payloads()["lift"]
     mutated = copy.deepcopy(payload)
     mutated["ring"]["n"] = 5
-    ok, checks = C.verify_payload(mutated)
-    assert not ok
-    assert any(c["check"] == "ring digest" and not c["ok"] for c in checks)
+    assert not _fails_or_names_its_claim(mutated)
 
 
 def test_ideal_digest_detects_generator_mutation():
+    # the generators are part of the claim: (3) = Z/4 makes x - y in I true
+    # for every x, so this one verifies, as the lift of 3 modulo Z/4
     payload = fresh_payloads()["lift"]
     mutated = copy.deepcopy(payload)
     mutated["ideal_generators"] = [3]
-    ok, checks = C.verify_payload(mutated)
-    assert not ok
+    assert _fails_or_names_its_claim(mutated)
+    mutated["ideal_generators"] = [0]
+    assert not _fails_or_names_its_claim(mutated)
+
+
+def test_swapped_ring_recipes_fail_or_name_themselves():
+    # four recipes build the tables of quotient(zmod(16),[4]); a table
+    # digest let each of them verify as if it were the original.  Now each
+    # fails, or verifies with a report naming the recipe it carries
+    q = R.build_ring(R.QuotientSpec(R.ZmodSpec(16), (4,)))
+    ideal = R.ideal_closure(q, [2])
+    payload = L.lift_unit(q, ideal, 3).certificate.to_payload()
+    assert C.verify_payload(payload)[0]
+    base = lambda n: {"type": "zmod", "n": n}
+    recipes = [(16, 12), (20, 4), (8, 4), (4, 0)]
+    verified = 0
+    for n, gen in recipes:
+        ring = {"type": "quotient", "base": base(n),
+                "ideal": {"generators": [gen]}}
+        verified += _fails_or_names_its_claim(dict(payload, ring=ring))
+    assert verified == 4
 
 
 def test_bool_for_int_mutations_rejected():
@@ -290,7 +328,7 @@ def test_bool_for_int_mutations_rejected():
             paths.append(path)
 
     walk(payload, [])
-    assert len(paths) == 582
+    assert len(paths) == 34
     for path in paths:
         mutated = copy.deepcopy(payload)
         node = mutated
@@ -303,7 +341,7 @@ def test_bool_for_int_mutations_rejected():
 
 # keys whose int values are no element descriptors (the ring recipe holds
 # descriptors of other rings)
-_NOT_ELEMENTS = {"version", "m", "k", "dim", "i", "j"}
+_NOT_ELEMENTS = {"version", "m", "i", "j"}
 
 
 def element_leaf_paths(payload):
@@ -326,21 +364,6 @@ def element_leaf_paths(payload):
     return paths
 
 
-def with_leaf(payload, path, value):
-    mutated = copy.deepcopy(payload)
-    node = mutated
-    for step in path[:-1]:
-        node = node[step]
-    node[path[-1]] = value
-    return mutated
-
-
-def leaf(payload, path):
-    for step in path:
-        payload = payload[step]
-    return payload
-
-
 def test_zmod_leaf_shifted_by_n_fails():
     # d + n and d - n name d's residue, yet only d is its descriptor: on the
     # base stage (m = 2) and on the blocked M_2(Z/4) stage (forced m = 4)
@@ -349,12 +372,12 @@ def test_zmod_leaf_shifted_by_n_fails():
         payload = L.lift_unit(z4, ideal, 3, start_m=start_m).certificate \
             .to_payload()
         paths = element_leaf_paths(payload)
-        assert len(paths) > 50
-        assert [st["level"] for st in payload["stages"]] == (
-            ["blocked", "base"] if start_m == 4 else ["base"])
+        assert len(paths) == (11 if start_m == 2 else 39)
+        assert len(payload["stages"]) == start_m // 2
         for path in paths:
             for shift in (4, -4):
-                mutated = with_leaf(payload, path, leaf(payload, path) + shift)
+                mutated = T.with_value(payload, path,
+                                       T.at(payload, path) + shift)
                 ok, checks = C.verify_payload(mutated)
                 assert not ok, (start_m, path, shift)
     payload = L.lift_unit(z4, ideal, 3, start_m=4).certificate.to_payload()
@@ -369,17 +392,20 @@ def test_quotient_leaf_naming_another_coset_member_fails():
     for gens in ([], [2]):
         ideal = R.ideal_closure(q, [R.element_from_descriptor(q, g)
                                     for g in gens])
-        payload = L.lift_unit(q, ideal, 3).certificate.to_payload()
-        assert C.verify_payload(payload)[0]
-        paths = element_leaf_paths(payload)
-        assert len(paths) > 50
-        for path in paths:
-            for other in (leaf(payload, path) + 4, leaf(payload, path) + 12):
-                mutated = with_leaf(payload, path, other)
-                ok, checks = C.verify_payload(mutated)
-                assert not ok, (gens, path, other)
-                assert "well-formed" in {c["check"] for c in checks
-                                         if not c["ok"]}
+        for start_m in (2, 4):
+            payload = L.lift_unit(q, ideal, 3, start_m=start_m).certificate \
+                .to_payload()
+            assert C.verify_payload(payload)[0]
+            paths = element_leaf_paths(payload)
+            assert len(paths) >= 10
+            for path in paths:
+                for other in (T.at(payload, path) + 4,
+                              T.at(payload, path) + 12):
+                    mutated = T.with_value(payload, path, other)
+                    ok, checks = C.verify_payload(mutated)
+                    assert not ok, (gens, path, other)
+                    assert "well-formed" in {c["check"] for c in checks
+                                             if not c["ok"]}
     with pytest.raises(InvalidSpec):
         R.element_from_descriptor(q, 5)
     # over a structured base: the class of e12 in T_2(Z/2) mod (e12) is
@@ -414,8 +440,8 @@ def test_descriptor_copies_do_not_alias_the_memo():
     desc.append("junk")
     assert R.element_descriptor(m2, m2.one) == [[1, 0], [0, 1]]
     payload = fresh_payloads()["forced m=4 lift"]
-    payload["stages"][0]["input"][0][0] = 99
-    assert fresh_payloads()["forced m=4 lift"]["stages"][0]["input"][0][0] != 99
+    payload["stages"][0]["u"][0][0] = 99
+    assert fresh_payloads()["forced m=4 lift"]["stages"][0]["u"][0][0] != 99
 
 
 def _oracle(payload):

@@ -18,7 +18,7 @@ def test_lift_report_shows_the_orbit_step(tmp_path):
     report = json.loads(res.output)
     # the least unit y1 differs from x by a member of W(M_2(Z/2)); the orbit
     # word is that member's fixed word: 4 generator ops + 6 Whitehead ops
-    assert report["orbit"] == {"m": 2, "k": 1, "y1": [[[[0, 1], [1, 0]]]],
+    assert report["orbit"] == {"m": 2, "y1": [[0, 1], [1, 0]],
                                "word_len": 10}
     assert report["lifted"] and report["oracle_confirmed"]
 
@@ -175,3 +175,30 @@ def test_unreadable_certificate_and_spec_files_exit_7(tmp_path):
         res = CliRunner().invoke(main, args + ["--format", "machine"])
         assert res.exit_code == 7, (args, res.output, res.exception)
         assert isinstance(res.exception, SystemExit), args
+
+
+def test_verify_report_echoes_the_claim(tmp_path):
+    # the claim a certificate proves: recipe, ideal generators, x, y and m
+    ring = {"type": "quotient", "base": {"type": "zmod", "n": 16},
+            "ideal": {"generators": [4]}}
+    spec = _zmod_spec(tmp_path, ring, [2])
+    cert = str(tmp_path / "cert.json")
+    res = CliRunner().invoke(main, ["lift", "--spec", spec, "--element", "3",
+                                    "--cert-out", cert, "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["verify", cert, "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["ok"] and report["claim"] == {
+        "ring": ring, "ideal_generators": [2], "x": 3, "y": 1, "m": 2}
+
+
+def test_version_1_certificate_fails_verify(tmp_path):
+    import certificates_v1
+    cert = str(tmp_path / "v1.json")
+    certificates_v1.main(cert)
+    res = CliRunner().invoke(main, ["verify", cert, "--format", "machine"])
+    assert res.exit_code == 6, (res.output, res.exception)
+    report = json.loads(res.stdout)
+    assert [c["check"] for c in report["checks_failed"]] == ["format"]
+    assert report["claim"] is None

@@ -2,10 +2,15 @@
 payloads over noncommutative rings, and the ``exlift corpus --format
 machine`` report, default and ``--full``.
 
-A refactor of the reduction, scan or certificate code must leave every
-digest unchanged.  The digests live in ``golden_certificates.json``, the
-corpus reports in ``golden_corpus.json``; a deliberate change to either
-means writing new ones and saying why.
+The version 1 payloads, built by the test oracle ``certificates_v1``, hold
+every word, matrix and witness the reductions, diagonalizations and lifts
+compute, so their digests (``golden_certificates.json``) pin the
+computation.  The version 2 payloads the library writes, the claim and the
+witnesses checked by property, are pinned beside them
+(``golden_certificates_v2.json``).  A refactor of the reduction, scan or
+certificate code must leave every digest unchanged, and the corpus reports
+(``golden_corpus.json``) too; a deliberate change to either means writing
+new ones and saying why.
 """
 
 import hashlib
@@ -16,11 +21,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import certificates_v1 as V1
+
 from exlift import certificates as C, lifting as L, matrices as M, rings as R
 from exlift.cli import main
 from exlift.ktheory import fredholm_elements
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_certificates.json")
+GOLDEN_V2 = os.path.join(os.path.dirname(__file__),
+                         "golden_certificates_v2.json")
 GOLDEN_CORPUS = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
 T2 = R.TriangularSpec(R.ZmodSpec(2), 2)
@@ -41,8 +50,9 @@ def _is_commutative(ring):
     return np.array_equal(ring.npmul, ring.npmul.T)
 
 
-def golden_payloads(corpus_pairs):
-    """name -> payload for every pinned certificate."""
+def golden_results(corpus_pairs):
+    """name -> reduction result or lift certificate, for every pinned
+    certificate."""
     out = {}
     for name, spec, gens, alpha in REDUCTION_INPUTS:
         ring = R.build_ring(spec)
@@ -50,19 +60,33 @@ def golden_payloads(corpus_pairs):
             ring, [R.element_from_descriptor(ring, g) for g in gens])
         A = M.matrix(ring, [[R.element_from_descriptor(ring, v) for v in row]
                             for row in alpha])
-        out[f"reduce_row {name}"] = L.reduce_row(ring, ideal, A).to_payload()
-        out[f"reduce_col {name}"] = L.reduce_col(ring, ideal, A).to_payload()
+        out[f"reduce_row {name}"] = L.reduce_row(ring, ideal, A)
+        out[f"reduce_col {name}"] = L.reduce_col(ring, ideal, A)
     for name, ring, ideal, tags in corpus_pairs:
         if _is_commutative(ring):
             continue
         for x in fredholm_elements(ring, ideal):
             desc = json.dumps(R.element_descriptor(ring, x))
-            cert = L.lift_unit(ring, ideal, x).certificate
-            out[f"lift {name} x={desc}"] = cert.to_payload()
+            out[f"lift {name} x={desc}"] = L.lift_unit(ring, ideal,
+                                                      x).certificate
     z4 = R.build_ring(R.ZmodSpec(4))
-    cert = L.lift_unit(z4, R.ideal_closure(z4, [2]), 3, start_m=4).certificate
-    out["lift zmod(4) |I|=2 x=3 m=4"] = cert.to_payload()
+    out["lift zmod(4) |I|=2 x=3 m=4"] = L.lift_unit(
+        z4, R.ideal_closure(z4, [2]), 3, start_m=4).certificate
     return out
+
+
+def golden_payloads(corpus_pairs):
+    """name -> version 1 payload for every pinned certificate."""
+    return {name: (V1.lift_payload(res) if isinstance(res, L.LiftCertificate)
+                   else V1.reduction_payload(res))
+            for name, res in golden_results(corpus_pairs).items()}
+
+
+def golden_payloads_v2(corpus_pairs):
+    """name -> version 2 payload for every pinned lift."""
+    return {name: res.to_payload()
+            for name, res in golden_results(corpus_pairs).items()
+            if isinstance(res, L.LiftCertificate)}
 
 
 def _digest(payload):
@@ -75,6 +99,18 @@ def test_golden_certificate_digests(corpus_pairs):
     got = {name: _digest(p) for name, p in golden_payloads(corpus_pairs).items()}
     assert sorted(got) == sorted(golden)
     assert [n for n in golden if got[n] != golden[n]] == []
+
+
+def test_golden_v2_certificate_digests(corpus_pairs):
+    # the payloads the library writes and verifies, beside the version 1
+    # transcripts that pin the computation
+    with open(GOLDEN_V2, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    payloads = golden_payloads_v2(corpus_pairs)
+    got = {name: _digest(p) for name, p in payloads.items()}
+    assert sorted(got) == sorted(golden) and len(got) == 53
+    assert [n for n in golden if got[n] != golden[n]] == []
+    assert all(C.verify_payload(p)[0] for p in payloads.values())
 
 
 @pytest.mark.parametrize("mode", ["default", "full"])
@@ -92,6 +128,8 @@ def test_writer_matches_json_on_golden_payloads(corpus_pairs):
     # json.dumps is the oracle of the certificate writer's bytes
     payloads = golden_payloads(corpus_pairs)
     assert len(payloads) == 57
+    payloads.update({f"v2 {name}": p for name, p
+                     in golden_payloads_v2(corpus_pairs).items()})
     for name, payload in payloads.items():
         assert C.dumps_certificate(payload) == json.dumps(
             payload, sort_keys=True, indent=1) + "\n", name

@@ -265,6 +265,25 @@ def test_row_scans_match_numpy_forms(scan_rings):
                     == O.unique_right_multiples(ring, a)), (ring.describe(), a)
 
 
+def test_right_span_matches_numpy_form(scan_rings):
+    # aR + bR grown coset by coset against the mask of all |aR| x |bR| sums;
+    # idempotent pairs are what join_idempotent and the verifier ask for
+    rng = random.Random(18)
+    for ring in scan_rings:
+        size, idems = ring.size, ring.idempotents()
+        if size <= 16:
+            pairs = [(a, b) for a in range(size) for b in range(size)]
+        else:
+            pairs = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(40)]
+            pairs += [(rng.choice(idems), rng.choice(idems))
+                      for _ in range(40)]
+        pairs += [(ring.zero, ring.zero), (ring.one, ring.zero)]
+        for a, b in pairs:
+            assert (ring.right_span(a, b)
+                    == O.right_span_numpy(ring, a, b)), (ring.describe(), a, b)
+
+
 def test_split_and_zero_row_match_numpy_forms():
     # M_2(Z/6) and M_2(Z/8) keep no list mirrors: their rows are converted,
     # but for the zero row, which mul_row builds without reading the table

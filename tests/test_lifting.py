@@ -6,10 +6,12 @@ import pytest
 
 from exlift import (certificates as C, lifting as L, matrices as M,
                     rings as R, vmonoid as V)
-from exlift.errors import (HypothesisFailed, NotFredholm, PreconditionFailed)
+from exlift.errors import (GuardExceeded, HypothesisFailed, NotFredholm,
+                           PreconditionFailed)
 from exlift.ktheory import (fredholm_elements, index, k0_zero_test,
                             whitehead_factor)
 from witness_search import strict_zero_padding
+from reduction_contracts import reduction_contract_failures
 
 
 def z(n):
@@ -86,9 +88,38 @@ def test_reduction_contracts_random_sample(corpus_pairs):
         for alpha in _pattern_matrices(ring, ideal, rng, 4, False):
             rr = L.reduce_row(ring, ideal, alpha)
             rc = L.reduce_col(ring, ideal, alpha)
-            # constructors assert the lemma contracts; spot-check replay here
-            assert M.apply_elem_word(alpha, rr.word) == rr.result
-            assert M.apply_elem_word(alpha, rc.word) == rc.result
+            assert reduction_contract_failures(rr) == [], (name, alpha)
+            assert reduction_contract_failures(rc) == [], (name, alpha)
+
+
+def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
+    # the lift no longer asserts the reduction contracts; a spy collects
+    # every row reduction a lift makes (column reductions are row
+    # reductions over R^op) on every default corpus pair, and on the pairs
+    # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R)
+    seen = []
+    real = L._reduce_row
+
+    def spy(ring, ideal, alpha):
+        res = real(ring, ideal, alpha)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(L, "_reduce_row", spy)
+    for name, ring, ideal, tags in corpus_pairs:
+        fl = fredholm_elements(ring, ideal)
+        for x in fl:
+            L.lift_unit(ring, ideal, x)
+        if R.quotient_by(ring, ideal).target.size <= 2:
+            try:
+                L.lift_unit(ring, ideal, fl[0], start_m=4)
+            except GuardExceeded:        # M_2(R) exceeds the table guard
+                pass
+    bad = [(res.ring.describe(), failed) for res in seen
+           if (failed := reduction_contract_failures(res))]
+    assert bad == []
+    specs = {type(res.ring.spec).__name__ for res in seen}
+    assert {"OppositeSpec", "MatrixSpec"} <= specs and len(seen) > 400
 
 
 def test_unit_regular_witness_examples():
@@ -229,7 +260,7 @@ def test_forced_m4_lift_over_larger_quotients():
         ring = z(n)
         ideal = R.zero_ideal(ring)
         cert = L.lift_unit(ring, ideal, x, start_m=4).certificate
-        assert (cert.m, cert.k, cert.y) == (4, 1, x)
+        assert (cert.m, cert.y) == (4, x) and ring.inverse(cert.y1) is not None
         payload = json.loads(C.dumps_certificate(cert.to_payload()))
         ok, checks = C.verify_payload(payload)
         assert ok, [c for c in checks if not c["ok"]]
@@ -281,7 +312,9 @@ def test_every_fredholm_element_lifts(corpus_pairs_full):
             payload = json.loads(C.dumps_certificate(cert.to_payload()))
             ok, checks = C.verify_payload(payload)
             assert ok, (name, x, [c for c in checks if not c["ok"]])
-            assert cert.oracle_confirmed and cert.k == 1
+            # y1 is a unit of R (GL_1), and the direct scan finds a lift too
+            assert ring.inverse(cert.y1) is not None
+            assert L.oracle_lift(ring, ideal, x) is not None
             assert ideal.contains(ring.sub(x, cert.y))
             ix = index(ring, ideal, x)
             p, a, b = _k0_witness(ring, ideal, x, cert.y)
