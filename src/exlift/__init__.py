@@ -1,6 +1,6 @@
 """exlift: exact exchange-ideal computations over finite rings.
 
-Finite rings by operation tables, exchange-ring predicates with witnesses,
+Finite rings by operation tables, exchange-ring predicates,
 truncated V-monoids with refinement and separativity checkers, the K0 index
 map, and certificate-producing elementary-matrix diagonalization and unit
 lifting.
@@ -11,31 +11,26 @@ __version__ = "0.1.0"
 from .config import Guards, default_guards
 from .errors import (DimensionMismatch, ExliftError, GuardExceeded,
                      HypothesisFailed, InvalidSpec, NotAUnit, NotDownwardClosed,
-                     NotFredholm, NotIdempotent, NotInIdeal, PreconditionFailed,
+                     NotFredholm, NotInIdeal, PreconditionFailed,
                      RingMismatch, SearchExhausted, VerificationFailed)
 from .rings import (FiniteRing, Ideal, MatrixSpec, ProductSpec, QuotientSpec,
                     TriangularSpec, ZmodSpec, all_ideals, build_ring,
-                    corner_ring, element_descriptor, element_from_descriptor,
-                    full_ideal, ideal_closure, parse_ring_spec, quotient_by,
-                    regular_witness, ring_spec_obj, verify_ideal,
-                    verify_ring_axioms, zero_ideal)
+                    element_descriptor, element_from_descriptor, full_ideal,
+                    ideal_closure, parse_ring_spec, quotient_by, ring_spec_obj,
+                    zero_ideal)
 from .matrices import (ElemOp, ElemWord, RMatrix, apply_elem_word, direct_sum,
-                       e_orbit_factor, identity, left_op, mat_add, mat_mul,
-                       matrix, matrix_ideal, right_op, try_inverse,
-                       word_in_ideal)
-from .exchange import (ExchangeWitness, exchange_witness_ideal,
-                       exchange_witness_unital, is_exchange_ideal,
-                       is_exchange_ring, lift_idempotent)
+                       e_orbit_factor, identity, left_op, mat_mul, matrix,
+                       matrix_ideal, right_op, try_inverse, word_in_ideal)
+from .exchange import is_exchange_ideal, is_exchange_ring
 from .vmonoid import (CheckOutcome, FinMonoid, OrderIdeal, VClass, VMonoid,
-                      build_v_monoid, equivalent_idempotents,
-                      has_refinement_wrt, is_separative, lemma13_check,
-                      monoid_to_obj, parse_monoid_obj, v_order_ideal)
+                      build_v_monoid, has_refinement_wrt, is_separative,
+                      lemma13_check, monoid_to_obj, parse_monoid_obj,
+                      v_order_ideal)
 from .ktheory import (K0Element, connecting_delta, fredholm_elements, index,
                       is_fredholm, k0_zero_test, whitehead_factor)
 from .lifting import (DiagonalizationResult, LiftCertificate, LiftResult,
                       ReductionResult, diagonalize_2x2, join_idempotent,
                       lift_unit, oracle_lift, reduce_col, reduce_row,
-                      separative_exchange_status, unit_regular_witness,
-                      verify_certificate)
+                      separative_exchange_status, unit_regular_witness)
 from .certificates import (dumps_certificate, load_certificate,
                            save_certificate, verify_payload)

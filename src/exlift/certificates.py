@@ -20,12 +20,14 @@ Recorded, besides the claim:
   its row and column reductions, f, u and p of the unit-regular step, v,
   and a'.
 
-Derived, with the first-hit scans of ``scans``, the solves of ``rings`` and
-the word replays of ``matrices``: the row-pass and corner witnesses, w', h,
-q, t, z' and b'; the six ops of each reduction and the words beta, gamma
-and epsilon; w1, each stage's input and output.  Every derived value is put
-through the identities a recorded one would be, and every recorded one
-through the properties the proof uses, so no answer of a search is taken on
+The lift searches; the verifier checks.  It rebuilds each stage with the
+lift's own construction, ``lifting._diagonalize``, given the recorded
+witnesses, which derives the rest (the row-pass and corner witnesses, w',
+h, q, t, z', b', each reduction's six ops and the words beta, gamma and
+epsilon) by the lift's first-hit scans; a recorded witness it cannot use
+fails the check a miss there denies (``SearchExhausted.check``).  Every
+returned value is put through the identities the proof uses and every
+recorded one through its properties, so no answer of a search is taken on
 trust.  The join idempotent's order condition ([f1], [f2] <= [g], by rank
 vector over R/J(R)) is not re-checked: it only picks which g the
 construction records, and the verifier checks the contracts the proof uses
@@ -52,20 +54,18 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 from .config import DEFAULT, Guards
-from .errors import InvalidSpec
-from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, RMatrix,
-                       apply_elem_word, block_matrix, direct_sum, identity,
-                       left_op, map_entries, mat_mul, matrix, right_op,
-                       sigma_inv_word_left, sigma_word_left, sigma_word_right,
-                       stage_ring, try_inverse, unblock_matrix, word_in_ideal)
+from .errors import InvalidSpec, SearchExhausted
+from .lifting import _diagonalize
+from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, apply_elem_word,
+                       block_matrix, direct_sum, identity, map_entries,
+                       mat_mul, matrix, stage_ring, try_inverse,
+                       unblock_matrix, word_in_ideal)
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
                     element_from_descriptor, entry_ideal, ideal_closure,
                     parse_ring_spec, quotient_by, ring_spec_obj,
                     same_right_ideal, solve_right)
-from . import scans
 
 FORMAT = "exlift-cert"
 VERSION = 2
@@ -329,149 +329,109 @@ def _verify_lift(ring: FiniteRing, ideal: Ideal, x: int, y: int, m: int,
         sring, sideal = stage_ring(ring, ideal, k, guards)
         wit = {key: element_from_descriptor(sring, val)
                for key, val in rec.items()}
-        out = _verify_diagonalization(sring, sideal,
-                                      block_matrix(current, sring, k), wit,
-                                      rep)
-        if out is None:
+        a_prime = wit.pop("a_prime")
+        try:
+            dg = _diagonalize(sring, sideal, block_matrix(current, sring, k),
+                              **wit)
+        except SearchExhausted as exc:
+            rep.add(exc.check, False, str(exc))
             return
-        current = unblock_matrix(matrix(sring, [[out]]), ring, k)
+        _check_diagonalization(dg, a_prime, rep)
+        current = unblock_matrix(matrix(sring, [[sring.mul(a_prime, dg.u)]]),
+                                 ring, k)
     rep.add("y is the final stage output", current[0, 0] == y)
     rep.add("y is a unit", ring.inverse(y) is not None)
     rep.add("x - y in I", ideal.contains(ring.sub(x, y)))
 
 
-def _verify_diagonalization(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
-                            wit: dict, rep: _Report) -> Optional[int]:
-    """Replay gamma*alpha*beta*(1+u^-1)*epsilon = a'+1 from the stage's
-    witnesses; returns a'*u, or None when a replayed step finds none."""
-    one = ring.one
-    row = _verify_reduction(ring, ideal, alpha, wit["g_row"], rep)
-    if row is None:
-        return None
-    sigL = ElemWord(2, tuple(sigma_word_left(ring)))
-    sigR = ElemWord(2, tuple(sigma_word_right(ring)))
-    a1 = apply_elem_word(apply_elem_word(row[1], sigR), sigL)
-    # a column reduction over R is the row reduction of alpha^T over R^op
-    # (transposition is an anti-isomorphism M_2(R) -> M_2(R^op))
-    col = _verify_reduction(ring.op(), ideal, a1.op(), wit["g_col"], rep)
-    if col is None:
-        return None
-    col_word, col_result = col[0].op(), col[1].op()
-
-    f, u, p, v, a_prime = (wit[k] for k in ("f", "u", "p", "v", "a_prime"))
-    uinv = ring.inverse(u)
-    if not rep.add("u is a unit", uinv is not None):
-        return None
-    b_prime = col_result[0, 1]
+def _check_diagonalization(dg, a_prime: int, rep: _Report) -> None:
+    """The checks on a stage the construction rebuilt, with the recorded
+    a' in gamma*alpha*beta*(1+u^-1)*epsilon = a'+1."""
+    ring, ideal, one = dg.ring, dg.ideal, dg.ring.one
+    _check_reduction(dg.row_reduction, rep)
+    _check_reduction(dg.col_reduction, rep)
+    f, p, v, t, b_prime = (dg.trace[k] for k in ("f", "p", "v", "t",
+                                                 "b_prime"))
+    uinv = ring.inverse(dg.u)
+    rep.add("u is a unit", uinv is not None)   # else the replay raised
     rep.add("f idempotent in I",
             ring.mul(f, f) == f and ideal.contains(f))
-    rep.add("b' = f u", ring.mul(f, u) == b_prime)
+    rep.add("b' = f u", ring.mul(f, dg.u) == b_prime)
     rep.add("p idempotent", ring.mul(p, p) == p)
     rep.add("1-p in ideal", ideal.contains(ring.sub(one, p)))
     rep.add("(1-p)R = b'R", same_right_ideal(ring, ring.sub(one, p), b_prime))
     rep.add("RpR = R", entry_ideal(ring, [p]).is_full())
-
-    sig_inv = ElemWord(2, tuple(sigma_inv_word_left(ring)))
-    lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
-    a4 = mat_mul(apply_elem_word(col_result, sig_inv), lam)
-    t = a4[1, 0]
-    rep.add("f lands in (2,2)", a4[1, 1] == f)
+    rep.add("f lands in (2,2)", dg.scaled[1, 1] == f)
     lhs = ring.mul(ring.sub(one, f), t)
     rep.add("v solves (1-f)tv = 1-f",
             ring.mul(lhs, v) == ring.sub(one, f)
             and ring.mul(v, ring.sub(one, f)) == v)
-    epsilon = ElemWord(2, (right_op(2, 1, ring.neg(ring.mul(f, t))),
-                           right_op(1, 2, v), right_op(2, 1, ring.neg(lhs))))
-    z_prime = apply_elem_word(a4, ElemWord(2, epsilon.ops[:2]))[0, 1]
-    gamma = ElemWord(2, sigL.ops + col_word.ops + sig_inv.ops
-                     + (left_op(1, 2, ring.neg(z_prime)),))
-    beta = ElemWord(2, row[0].ops + sigR.ops)
-
     rep.add("a' is a unit", ring.inverse(a_prime) is not None)
-    final = apply_elem_word(
-        apply_elem_word(mat_mul(apply_elem_word(alpha, beta), lam), epsilon),
-        gamma)
+    lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
+    final = apply_elem_word(apply_elem_word(
+        mat_mul(apply_elem_word(dg.alpha, dg.beta), lam), dg.epsilon),
+        dg.gamma)
     target = direct_sum(matrix(ring, [[a_prime]]), matrix(ring, [[one]]))
     rep.add("diagonalization identity", final == target)
     rep.add("pi(a') = pi(a u^-1)",
-            ideal.contains(ring.sub(a_prime, ring.mul(alpha[0, 0], uinv))))
-    return ring.mul(a_prime, u)
+            ideal.contains(ring.sub(a_prime, ring.mul(dg.alpha[0, 0], uinv))))
 
 
-def _verify_reduction(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g: int,
-                      rep: _Report) -> Optional[tuple]:
-    """Replay the row reduction of alpha with the recorded join idempotent
-    g; returns its word and result, or None when a scan it re-runs finds
-    no witness."""
-    one = ring.one
-    c0, d0 = alpha[1, 0], alpha[1, 1]
-    got = _verify_row_pass(ring, rep, "pass1", c0, d0)
-    if got is None:
-        return None
-    e, r, s = got
-    ops = (right_op(2, 1, ring.neg(ring.mul(s, c0))),
-           right_op(1, 2, ring.neg(ring.mul(r, d0))))
-    A1 = apply_elem_word(alpha, ElemWord(2, ops))
+def _check_reduction(res, rep: _Report) -> None:
+    """The checks on a rebuilt reduction.  A column reduction over R is
+    checked as the row reduction of alpha^T over R^op, whose rows are its
+    columns (transposition is an anti-isomorphism M_2(R) -> M_2(R^op))."""
+    ring, side = res.ring, res.side
+    if side == "col":
+        ring = ring.op()
+    ideal, one, trace = res.ideal, ring.one, res.trace
+    A1, A2 = res.steps
+    c0, d0 = _last_row(res.alpha, side)
+    e = _check_row_pass(ring, rep, "pass1", c0, d0, trace["pass1"])
+    c1, d1 = _last_row(A1, side)
     rep.add("pass1 row shape",
-            A1[1, 0] == ring.mul(e, c0)
-            and A1[1, 1] == ring.mul(ring.sub(one, e), d0))
-    w = ring.add(A1[1, 0], A1[1, 1])
-    got = scans.corner_witnesses_right(ring, e, w)
-    if not rep.add("corner witnesses found", got is not None):
-        return None
-    f, w1, w2 = got
+            c1 == ring.mul(e, c0) and d1 == ring.mul(ring.sub(one, e), d0))
+    w, f, w1, w2, f1, f2, g, wp = (trace["corner"][k] for k in (
+        "w", "f", "w1", "w2", "f1", "f2", "g", "wprime"))
+    rep.add("corner witnesses found", True)    # else the replay raised
     rep.add("f idempotent", ring.mul(f, f) == f)
     rep.add("f factorization",
             ring.mul(ring.mul(e, w), w1) == f and ring.mul(w1, f) == w1)
     rep.add("1-f factorization",
             ring.mul(ring.mul(ring.sub(one, e), w), w2) == ring.sub(one, f)
             and ring.mul(w2, ring.sub(one, f)) == w2)
-    f1 = ring.mul(ring.mul(w, w1), e)
-    f2 = ring.mul(ring.mul(w, w2), ring.sub(one, e))
     rep.add("f1 in ideal", ideal.contains(f1))
-    wp = solve_right(ring, w, g)
-    if not rep.add("g idempotent in wR",
-                   ring.mul(g, g) == g and wp is not None):
-        return None
+    rep.add("g idempotent in wR",
+            ring.mul(g, g) == g and ring.mul(w, wp) == g)
     rep.add("g spans f1,f2",
             entry_ideal(ring, [g]).members
             == entry_ideal(ring, [f1, f2]).members)
     rep.add("g in f1R+f2R", g in ring.right_span(f1, f2))
-    ops += (right_op(1, 2, ring.mul(r, c0)),
-            right_op(2, 1, ring.neg(ring.mul(ring.mul(wp, e), c0))))
-    A2 = apply_elem_word(A1, ElemWord(2, ops[2:]))
-    c2, d2 = A2[1, 0], A2[1, 1]
-    got = _verify_row_pass(ring, rep, "pass2", c2, d2)
-    if got is None:
-        return None
-    _, r2, s2 = got
-    ops += (right_op(2, 1, ring.neg(ring.mul(s2, c2))),
-            right_op(1, 2, ring.neg(ring.mul(r2, d2))))
-    word = ElemWord(2, ops)
-    result = apply_elem_word(A2, ElemWord(2, ops[4:]))
-    rep.add("word in E_2(I)", word_in_ideal(word, ideal))
-    rep.add("word replays", apply_elem_word(alpha, word) == result)
-    cP, dP = result[1, 0], result[1, 1]
-    h = scans.complement_right(ring, cP, dP)
-    if not rep.add("h found", h is not None):
-        return None
+    _check_row_pass(ring, rep, "pass2", *_last_row(A2, side), trace["pass2"])
+    rep.add("word in E_2(I)", word_in_ideal(res.word, ideal))
+    rep.add("word replays", apply_elem_word(res.alpha, res.word) == res.result)
+    h = res.h
+    cP, dP = _last_row(res.result, side)
+    rep.add("h found", True)                   # else the replay raised
     rep.add("h idempotent", ring.mul(h, h) == h)
     rep.add("1-h in ideal", ideal.contains(ring.sub(one, h)))
     rep.add("c' in Rc", solve_right(ring.op(), c0, cP) is not None)
     rep.add("c'R = (1-h)R", same_right_ideal(ring, cP, ring.sub(one, h)))
     rep.add("d'R = hR", same_right_ideal(ring, dP, h))
     rep.add("RhR = R", entry_ideal(ring, [h]).is_full())
-    return word, result
 
 
-def _verify_row_pass(ring, rep, tag, c, d) -> Optional[tuple]:
-    """One row pass's witnesses, re-derived by the scan and checked;
-    returns (e, r, s), or None when the scan finds none."""
-    got = scans.row_pass_witnesses(ring, c, d)
-    if not rep.add(f"{tag} witnesses found", got is not None):
-        return None
-    x, y, e, r, s = got
+def _last_row(A, side: str) -> tuple:
+    """A's last row, or on the column side its last column (A^T's row)."""
+    return (A[1, 0], A[1, 1]) if side == "row" else (A[0, 1], A[1, 1])
+
+
+def _check_row_pass(ring: FiniteRing, rep: _Report, tag: str, c: int, d: int,
+                    wit: dict) -> int:
+    """One row pass's witnesses for the row (c, d), checked; returns e."""
+    x, y, e, r, s = (wit[k] for k in ("x", "y", "e", "r", "s"))
     one = ring.one
+    rep.add(f"{tag} witnesses found", True)   # else the replay raised
     rep.add(f"{tag} unimodular",
             ring.add(ring.mul(c, x), ring.mul(d, y)) == one)
     rep.add(f"{tag} idempotent", ring.mul(e, e) == e)
@@ -479,4 +439,4 @@ def _verify_row_pass(ring, rep, tag, c, d) -> Optional[tuple]:
     rep.add(f"{tag} 1-e = ds",
             ring.mul(d, s) == ring.sub(one, e)
             and ring.mul(s, ring.sub(one, e)) == s)
-    return e, r, s
+    return e

@@ -22,7 +22,7 @@ from . import corpus as corpus_mod
 from .exchange import is_exchange_ideal, is_exchange_ring
 from .ktheory import index as k_index, is_fredholm, k0_zero_test
 from .lifting import (effective_truncation, lift_unit, oracle_lift,
-                      separative_exchange_status, verify_certificate)
+                      separative_exchange_status)
 from .rings import (FiniteRing, build_ring, element_descriptor,
                     element_from_descriptor, full_ideal, ideal_closure,
                     parse_ring_spec, ring_spec_obj)
@@ -314,7 +314,7 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
         x = _parse_element(ring, element)
         cert = lift_unit(ring, idl, x, guards).certificate
         payload = cert.to_payload()
-        ok, checks = verify_certificate(payload, guards)
+        ok, checks = certs.verify_payload(payload, guards)
         if not ok:
             raise VerificationFailed(
                 f"freshly emitted certificate failed verification: "
@@ -404,8 +404,8 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
                     if lifted >= lifts_per_pair:
                         break
                     res = lift_unit(ring, ideal, x, guards)
-                    ok, _ = verify_certificate(res.certificate.to_payload(),
-                                               guards)
+                    ok, _ = certs.verify_payload(
+                        res.certificate.to_payload(), guards)
                     if not ok:
                         entry["verify_failure"] = element_descriptor(ring, x)
                         break

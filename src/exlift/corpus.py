@@ -59,11 +59,6 @@ CORPUS = [
 ]
 
 
-def corpus_rings(guards: Guards = DEFAULT):
-    """(entry, ring) for every corpus entry, building each spec once."""
-    return [(e, build_ring(e.spec, guards)) for e in CORPUS]
-
-
 def corpus_pairs(guards: Guards = DEFAULT, include_slow: bool = True):
     """(name, ring, ideal, tags) for every (ring, ideal) pair in the corpus."""
     out = []

@@ -33,10 +33,6 @@ class NotInIdeal(ExliftError):
     pass
 
 
-class NotIdempotent(ExliftError):
-    pass
-
-
 class PreconditionFailed(ExliftError):
     """An operation's stated hypothesis does not hold for the given input."""
 
@@ -49,8 +45,14 @@ class SearchExhausted(ExliftError):
     """An existence-backed search found nothing.
 
     The theory guarantees a witness, so this signals an implementation bug
-    or a truncation artifact, never a routine negative answer.
+    or a truncation artifact, never a routine negative answer.  When the
+    construction replays recorded witnesses, a miss means the record is
+    wrong; ``check`` then names the verifier check the miss fails.
     """
+
+    def __init__(self, message: str, check: str = ""):
+        super().__init__(message)
+        self.check = check
 
 
 class NotDownwardClosed(ExliftError):

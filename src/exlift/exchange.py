@@ -1,34 +1,23 @@
-"""Exchange-ring and exchange-ideal predicates with replayable witnesses.
+"""Exchange-ring and exchange-ideal predicates.
 
-A witness is the least (e, r, s): smallest idempotent e, then r, then s, in
-carrier index, so witnesses are reproducible and certificates deterministic.
-One batched table kernel finds the least e for many elements at once; the
-predicates run it over the whole ring or ideal, and the witness functions
-over one element.
+An element has an exchange witness (e, r, s) when e is an idempotent
+solving the exchange equations with r and s.  One batched table kernel
+finds the least such e for many elements at once, and the predicates run it
+over the whole ring or ideal.  The witnesses themselves, least e, then r,
+then s, are computed by the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotIdempotent
-from .rings import FiniteRing, Ideal, quotient_by
+from .rings import FiniteRing, Ideal
 
 # the kernel works in blocks of rows whose tables hold at most this many
 # entries
 _BLOCK_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class ExchangeWitness:
-    """Idempotent e plus the auxiliary solutions of the defining equations."""
-
-    e: int
-    r: int
-    s: int
 
 
 def _form(ring: FiniteRing, ideal: Optional[Ideal] = None):
@@ -81,37 +70,10 @@ def _least_idempotents(ring: FiniteRing, rows: np.ndarray, tables,
     return out
 
 
-def _witness(ring: FiniteRing, x: int,
-             ideal: Optional[Ideal] = None) -> Optional[ExchangeWitness]:
-    """The least (e, r, s) for x: e from the kernel, then the least r and s
-    of the carrier whose table entries equal e."""
-    tables, idem, carrier = _form(ring, ideal)
-    rows = np.array([x], dtype=np.intp)
-    p = _least_idempotents(ring, rows, tables, idem)[0]
-    if p < 0:
-        return None
-    e = idem[p]
-    left, right = tables(rows)
-    return ExchangeWitness(int(e), int(carrier[np.argmax(left[0] == e)]),
-                           int(carrier[np.argmax(right[0] == e)]))
-
-
 def _every_element_has_witness(ring: FiniteRing,
                                ideal: Optional[Ideal] = None) -> bool:
     tables, idem, carrier = _form(ring, ideal)
     return bool((_least_idempotents(ring, carrier, tables, idem) >= 0).all())
-
-
-def exchange_witness_unital(ring: FiniteRing, a: int) -> Optional[ExchangeWitness]:
-    """Least (e, r, s) with e = a*r idempotent and 1 - e = (1-a)*s."""
-    return _witness(ring, a)
-
-
-def exchange_witness_ideal(ring: FiniteRing, ideal: Ideal,
-                           x: int) -> Optional[ExchangeWitness]:
-    """Least (e, r, s) in I^3 with e = x*r = x + s - x*s, e idempotent."""
-    ideal.require(x)
-    return _witness(ring, x, ideal)
 
 
 def is_exchange_ring(ring: FiniteRing) -> bool:
@@ -130,41 +92,3 @@ def is_exchange_ideal(ring: FiniteRing, ideal: Ideal) -> bool:
     if got is None:
         got = ring._cache[key] = _every_element_has_witness(ring, ideal)
     return got
-
-
-def embedded_exchange_witness(ring: FiniteRing, ideal: Ideal,
-                              x: int) -> Optional[tuple]:
-    """Embedded-form witness: idempotent e in x*I with 1 - e in (1-x)*R.
-
-    The equivalence with the intrinsic form is a cited theorem; this exists so
-    the corpus can cross-check it rather than assume it.
-    """
-    ideal.require(x)
-    members = np.fromiter(ideal.sorted_members, dtype=np.int64)
-    row_x = ring.npmul[x][members]                      # x*i over i in I
-    one_minus_x = ring.sub(ring.one, x)
-    row_c = ring.npmul[one_minus_x]
-    for e in ring.idempotents():
-        ts = np.flatnonzero(row_x == e)
-        if not len(ts):
-            continue
-        target = ring.sub(ring.one, e)
-        ss = np.flatnonzero(row_c == target)
-        if not len(ss):
-            continue
-        return e, int(members[ts[0]]), int(ss[0])
-    return None
-
-
-def lift_idempotent(ring: FiniteRing, ideal: Ideal,
-                    ebar: int) -> Optional[int]:
-    """Least idempotent e of R with pi(e) == ebar; ebar must be idempotent
-    in R/I."""
-    qmap = quotient_by(ring, ideal)
-    q = qmap.target
-    if q.mul(ebar, ebar) != ebar:
-        raise NotIdempotent(f"{ebar} is not idempotent in the quotient")
-    for e in ring.idempotents():
-        if qmap.pi(e) == ebar:
-            return e
-    return None

@@ -18,7 +18,7 @@ ElemOp check their fields in ``__new__``.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,12 +68,6 @@ def matrix(ring: FiniteRing, rows) -> RMatrix:
     return RMatrix(ring, len(rows), rows)
 
 
-def decode_matrix(ring: FiniteRing, n: int, code: int) -> RMatrix:
-    """Inverse of RMatrix.encode."""
-    flat = unpack(code, ring.size, n * n)
-    return RMatrix(ring, n, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-
-
 def identity(ring: FiniteRing, n: int) -> RMatrix:
     z, o = ring.zero, ring.one
     return RMatrix(ring, n,
@@ -81,24 +75,11 @@ def identity(ring: FiniteRing, n: int) -> RMatrix:
                          for i in range(n)))
 
 
-def zero_matrix(ring: FiniteRing, n: int) -> RMatrix:
-    z = ring.zero
-    return RMatrix(ring, n, tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-
 def _same_context(A: RMatrix, B: RMatrix) -> None:
     if A.ring is not B.ring:
         raise RingMismatch("matrices live over different rings")
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions {A.n} and {B.n} differ")
-
-
-def mat_add(A: RMatrix, B: RMatrix) -> RMatrix:
-    _same_context(A, B)
-    add = A.ring.add
-    return RMatrix(A.ring, A.n,
-                   tuple(tuple(add(A.entries[i][j], B.entries[i][j])
-                               for j in range(A.n)) for i in range(A.n)))
 
 
 def mat_mul(A: RMatrix, B: RMatrix) -> RMatrix:
@@ -130,15 +111,6 @@ def direct_sum(A: RMatrix, B: RMatrix) -> RMatrix:
     for i in range(B.n):
         rows.append(tuple(z for _ in range(A.n)) + tuple(B.entries[i]))
     return RMatrix(ring, n, tuple(rows))
-
-
-def pad(A: RMatrix, n: int) -> RMatrix:
-    """A ⊕ 0 up to dimension n."""
-    if A.n == n:
-        return A
-    if A.n > n:
-        raise DimensionMismatch(f"cannot pad {A.n} down to {n}")
-    return direct_sum(A, zero_matrix(A.ring, n - A.n))
 
 
 def is_idempotent(A: RMatrix) -> bool:
@@ -298,10 +270,6 @@ class ElemWord(namedtuple("ElemWord", "n ops")):
         return ElemWord(self.n, tuple(
             ElemOp(RIGHT if op.side == LEFT else LEFT, op.j, op.i, op.r)
             for op in self.ops))
-
-
-def word(n: int, ops: Iterable[ElemOp]) -> ElemWord:
-    return ElemWord(n, tuple(ops))
 
 
 def left_op(i: int, j: int, r: int) -> ElemOp:

@@ -69,17 +69,6 @@ class QuotientSpec:
 
 
 @dataclass(frozen=True)
-class CornerSpec:
-    """Internal recipe for corner rings eRe; not part of the file schema."""
-
-    base: "RingSpec"
-    e: int
-
-    def describe(self) -> str:
-        return f"corner({self.base.describe()},{self.e})"
-
-
-@dataclass(frozen=True)
 class OppositeSpec:
     """Internal recipe for the opposite ring R^op; not part of the file
     schema."""
@@ -92,7 +81,7 @@ class OppositeSpec:
 
 RingSpec = (
     ZmodSpec | MatrixSpec | TriangularSpec | ProductSpec | QuotientSpec
-    | CornerSpec | OppositeSpec
+    | OppositeSpec
 )
 
 
@@ -748,47 +737,8 @@ def quotient_by(ring: FiniteRing, ideal: Ideal,
 
 
 # ---------------------------------------------------------------------------
-# Corner rings eRe
+# Simple solves
 # ---------------------------------------------------------------------------
-
-def corner_ring(ring: FiniteRing, e: int):
-    """Materialize the corner eRe as a FiniteRing with unit e.
-
-    Returns (corner, embed) where embed maps corner indices to ring indices.
-    """
-    from .errors import NotIdempotent
-    if ring.mul(e, e) != e:
-        raise NotIdempotent(f"element {e} is not idempotent")
-    row = ring.npmul[e]
-    exe = distinct(ring.npmul[row, e], ring.size)
-    embed = [int(x) for x in exe]
-    index_of = {x: i for i, x in enumerate(embed)}
-    m = len(embed)
-    dt = _table_dtype(m)
-    add = np.empty((m, m), dtype=dt)
-    mul = np.empty((m, m), dtype=dt)
-    neg = np.empty(m, dtype=dt)
-    for i, x in enumerate(embed):
-        neg[i] = index_of[ring.neg(x)]
-        for j, y in enumerate(embed):
-            add[i, j] = index_of[ring.add(x, y)]
-            mul[i, j] = index_of[ring.mul(x, y)]
-    corner = FiniteRing(m, add, mul, neg, index_of[ring.zero], index_of[e],
-                        CornerSpec(ring.spec, e))
-    return corner, tuple(embed)
-
-
-# ---------------------------------------------------------------------------
-# Regularity and simple solves
-# ---------------------------------------------------------------------------
-
-def regular_witness(ring: FiniteRing, x: int) -> Optional[int]:
-    """Least y with x*y*x == x, or None."""
-    xy = ring.npmul[x]                    # x*y over all y
-    back = ring.npmul[xy, x]              # (x*y)*x
-    hits = np.flatnonzero(back == x)
-    return int(hits[0]) if len(hits) else None
-
 
 def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
     """Least x with a*x == target."""
@@ -830,9 +780,9 @@ def solve_pair_right(ring: FiniteRing, c: int, d: int,
 # - product(R, S): the pair [descriptor in R, descriptor in S];
 # - quotient(R, gens): the descriptor in R of the least member of the coset.
 #
-# Corner rings and opposite rings have none.  Lists and tuples are the same
-# descriptor.  Both directions are memoized in ``ring._cache``, one element
-# at a time as they are asked for, never by enumerating the carrier:
+# Opposite rings have none.  Lists and tuples are the same descriptor.
+# Both directions are memoized in ``ring._cache``, one element at a time as
+# they are asked for, never by enumerating the carrier:
 # "encode" maps an index to its descriptor frozen into tuples, and
 # "decode" maps a frozen descriptor back to its index.
 
@@ -895,8 +845,6 @@ def _decode_new(ring: FiniteRing, key) -> int:
             raise InvalidSpec(f"quotient element descriptor {key!r} is not "
                               f"the least member of its coset")
         return qmap.pi(s)
-    if isinstance(spec, CornerSpec):
-        raise InvalidSpec("corner rings have no external element descriptors")
     raise InvalidSpec(f"cannot decode elements of {spec!r}")
 
 
@@ -948,64 +896,3 @@ def _encode_new(ring: FiniteRing, idx: int):
         qmap = _recipe_quotient_map(ring)
         return _encode(qmap.source, qmap.lift(idx))
     raise InvalidSpec(f"cannot describe elements of {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Axiom verification (exhaustive; meant for tests and small rings)
-# ---------------------------------------------------------------------------
-
-def verify_ring_axioms(ring: FiniteRing, max_size: int = 512) -> None:
-    """Exhaustively check the ring axioms; raises InvalidSpec on violation."""
-    n = ring.size
-    if n > max_size:
-        raise GuardExceeded(f"axiom check on {n} elements exceeds {max_size}")
-    add = ring.npadd.astype(np.int64)
-    mul = ring.npmul.astype(np.int64)
-    neg = ring.npneg.astype(np.int64)
-    idx = np.arange(n)
-    checks = [
-        ("additive commutativity", np.array_equal(add, add.T)),
-        ("additive identity", np.array_equal(add[ring.zero], idx)),
-        ("additive inverse", np.all(add[idx, neg] == ring.zero)),
-        ("left mult identity", np.array_equal(mul[ring.one], idx)),
-        ("right mult identity", np.array_equal(mul[:, ring.one], idx)),
-    ]
-    for name, ok in checks:
-        if not ok:
-            raise InvalidSpec(f"{ring.describe()}: {name} fails")
-    # associativity and distributivity, O(n^3) via gathers, chunked over a
-    chunk = max(1, (1 << 22) // max(n * n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        a = slice(lo, hi)
-        if not np.array_equal(add[add[a, :, None], idx[None, None, :]],
-                              add[a][:, add]):
-            raise InvalidSpec(f"{ring.describe()}: additive associativity fails")
-        if not np.array_equal(mul[mul[a, :, None], idx[None, None, :]],
-                              mul[a][:, mul]):
-            raise InvalidSpec(
-                f"{ring.describe()}: multiplicative associativity fails")
-        if not np.array_equal(mul[a][:, add],
-                              add[mul[a, :, None], mul[a][:, None, :]]):
-            raise InvalidSpec(f"{ring.describe()}: left distributivity fails")
-        if not np.array_equal(mul[add[a, :, None], idx[None, None, :]],
-                              add[mul[a][:, None, :], mul[None, :, :]]):
-            raise InvalidSpec(f"{ring.describe()}: right distributivity fails")
-
-
-def verify_ideal(ideal: Ideal) -> None:
-    """Check closure properties and that members equal the generator closure."""
-    ring = ideal.ring
-    mem = np.fromiter(ideal.sorted_members, dtype=np.int64)
-    if not ideal.mask[ring.zero]:
-        raise InvalidSpec("ideal misses zero")
-    if not ideal.mask[ring.npadd[mem[:, None], mem[None, :]]].all():
-        raise InvalidSpec("ideal not closed under addition")
-    if not ideal.mask[ring.npneg[mem]].all():
-        raise InvalidSpec("ideal not closed under negation")
-    if not ideal.mask[ring.npmul[:, mem]].all():
-        raise InvalidSpec("ideal not closed under left multiplication")
-    if not ideal.mask[ring.npmul[mem, :]].all():
-        raise InvalidSpec("ideal not closed under right multiplication")
-    if ideal_closure(ring, ideal.generators).members != ideal.members:
-        raise InvalidSpec("ideal members differ from generator closure")

@@ -280,11 +280,6 @@ def class_key(ring: FiniteRing, *parts: RMatrix) -> tuple:
     return functools.reduce(_key_sum, keys)
 
 
-def equivalent_idempotents(ring: FiniteRing, A: RMatrix, B: RMatrix) -> bool:
-    """Murray-von Neumann equivalence after zero padding, by class key."""
-    return class_key(ring, A) == class_key(ring, B)
-
-
 # ---------------------------------------------------------------------------
 # V-monoid construction
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ def corpus_pairs_full():
 
 @pytest.fixture(scope="session")
 def corpus_rings():
-    from exlift.corpus import corpus_rings
-    return corpus_rings()
+    """(entry, ring) for every corpus entry, building each spec once."""
+    from exlift.corpus import CORPUS
+    from exlift.rings import build_ring
+    return [(e, build_ring(e.spec)) for e in CORPUS]
 
 
 @pytest.fixture(scope="session")

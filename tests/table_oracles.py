@@ -2,30 +2,34 @@
 ``matrices``.
 
 Each function is the plain scan or build the library's kernel replaced: the
-pair solve over the whole |R| x |R| grid, the exchange witness by a loop over
-idempotents, the quotient tables by a loop over cosets, M_k(I) by a loop
-over the codes of M_k(R), the M_k(R) and T_k(R) tables by one full-size
-pass per free entry and per row, the units by a loop over the carrier, the
-inverse of a matrix by a search of every candidate column, and the sorted
-sets aR and aR + bR by ``np.unique``.  The kernels must return exactly what
-these return.
+pair solve over the whole |R| x |R| grid, the exchange witness by a loop
+over idempotents (the library keeps only the kernel that finds its e), the
+quotient tables by a loop over cosets, M_k(I) by a loop over the codes of
+M_k(R), the M_k(R) and T_k(R) tables by one full-size pass per free entry
+and per row, the units by a loop over the carrier, the inverse of a matrix
+by a search of every candidate column, and the sorted sets aR and aR + bR
+by ``np.unique``.  The kernels must return exactly what these return.
 
 The vectorized row scans (``solve_right``, the idempotent split of
 ``scans._split`` and the pair solve over a membership mask of dR) and the
 replay of a word one op at a time, each op building a new matrix, are the
-references for the list-row kernels and the in-place replay.
+references for the list-row kernels and the in-place replay.  The embedded
+exchange witness and the idempotent lift by a loop over idempotents
+cross-check the exchange theory on the corpus.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from exlift.exchange import ExchangeWitness
+from exlift.errors import PreconditionFailed
 from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
                              matrix)
-from exlift.rings import FiniteRing, Ideal, _positions, digits, distinct, pack
+from exlift.rings import (FiniteRing, Ideal, _positions, digits, distinct,
+                          pack, quotient_by)
 
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
@@ -90,6 +94,15 @@ def replay_per_op(A: RMatrix, w: ElemWord) -> RMatrix:
     return A
 
 
+@dataclass(frozen=True)
+class ExchangeWitness:
+    """Idempotent e plus the auxiliary solutions of the defining equations."""
+
+    e: int
+    r: int
+    s: int
+
+
 def exchange_witness_unital(ring: FiniteRing,
                             a: int) -> Optional[ExchangeWitness]:
     """Least (e, r, s) with e = a*r idempotent and 1 - e = (1-a)*s, trying
@@ -112,6 +125,7 @@ def exchange_witness_ideal(ring: FiniteRing, ideal: Ideal,
                            x: int) -> Optional[ExchangeWitness]:
     """Least (e, r, s) in I^3 with e = x*r = x + s - x*s, e idempotent,
     trying the idempotents of I in ascending order."""
+    ideal.require(x)
     members = np.fromiter(ideal.sorted_members, dtype=np.int64)
     row_x = ring.npmul[x][members]                      # x*r over r in I
     rhs = ring.npadd[ring.npadd[x][members], ring.npneg[row_x]]
@@ -125,6 +139,44 @@ def exchange_witness_ideal(ring: FiniteRing, ideal: Ideal,
         if not len(ss):
             continue
         return ExchangeWitness(e, int(members[rs[0]]), int(members[ss[0]]))
+    return None
+
+
+def embedded_exchange_witness(ring: FiniteRing, ideal: Ideal,
+                              x: int) -> Optional[tuple]:
+    """Embedded-form witness: idempotent e in x*I with 1 - e in (1-x)*R.
+
+    The equivalence with the intrinsic form is a cited theorem; this exists so
+    the corpus can cross-check it rather than assume it.
+    """
+    ideal.require(x)
+    members = np.fromiter(ideal.sorted_members, dtype=np.int64)
+    row_x = ring.npmul[x][members]                      # x*i over i in I
+    one_minus_x = ring.sub(ring.one, x)
+    row_c = ring.npmul[one_minus_x]
+    for e in ring.idempotents():
+        ts = np.flatnonzero(row_x == e)
+        if not len(ts):
+            continue
+        target = ring.sub(ring.one, e)
+        ss = np.flatnonzero(row_c == target)
+        if not len(ss):
+            continue
+        return e, int(members[ts[0]]), int(ss[0])
+    return None
+
+
+def lift_idempotent(ring: FiniteRing, ideal: Ideal,
+                    ebar: int) -> Optional[int]:
+    """Least idempotent e of R with pi(e) == ebar; ebar must be idempotent
+    in R/I."""
+    qmap = quotient_by(ring, ideal)
+    q = qmap.target
+    if q.mul(ebar, ebar) != ebar:
+        raise PreconditionFailed(f"{ebar} is not idempotent in the quotient")
+    for e in ring.idempotents():
+        if qmap.pi(e) == ebar:
+            return e
     return None
 
 

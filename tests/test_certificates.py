@@ -2,7 +2,7 @@ import copy
 import enum
 import json
 import random
-from collections import OrderedDict, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 
 import pytest
 
@@ -12,7 +12,7 @@ from exlift.ktheory import fredholm_elements
 
 import certificates_v1 as V1
 import tamper as T
-from reduction_contracts import reduction_contract_failures
+from reduction_contracts import corpus_lifts, reduction_contract_failures
 
 
 def z4_pair():
@@ -61,6 +61,74 @@ def test_fresh_certificates_verify():
     for kind, payload in fresh_payloads().items():
         ok, checks = C.verify_payload(payload)
         assert ok, (kind, [c for c in checks if not c["ok"]])
+
+
+# the checks a valid certificate passes, each once per reduction, stage or
+# lift; a column reduction runs the row reduction's checks over R^op
+_ROW_PASS = ("witnesses found", "unimodular", "idempotent", "e = cr",
+             "1-e = ds")
+REDUCTION_CHECKS = (
+    [f"pass1 {c}" for c in _ROW_PASS]
+    + ["pass1 row shape", "corner witnesses found", "f idempotent",
+       "f factorization", "1-f factorization", "f1 in ideal",
+       "g idempotent in wR", "g spans f1,f2", "g in f1R+f2R"]
+    + [f"pass2 {c}" for c in _ROW_PASS]
+    + ["word in E_2(I)", "word replays", "h found", "h idempotent",
+       "1-h in ideal", "c' in Rc", "c'R = (1-h)R", "d'R = hR", "RhR = R"])
+STAGE_CHECKS = 2 * REDUCTION_CHECKS + [
+    "u is a unit", "f idempotent in I", "b' = f u", "p idempotent",
+    "1-p in ideal", "(1-p)R = b'R", "RpR = R", "f lands in (2,2)",
+    "v solves (1-f)tv = 1-f", "a' is a unit", "diagonalization identity",
+    "pi(a') = pi(a u^-1)"]
+
+
+def lift_checks(m: int) -> Counter:
+    names = ["format", "kind", "fields", "stabilization level",
+             "y1 invertible", "pi(w1) = pi(x)+1", "stage count",
+             "y is the final stage output", "y is a unit", "x - y in I"]
+    for idx in range(m // 2):
+        names += [f"stage {idx} fields"] + STAGE_CHECKS
+    return Counter(names)
+
+
+def test_valid_certificates_run_every_check(corpus_pairs):
+    z4, ideal = z4_pair()
+    for m, total in ((2, 79), (4, 148)):
+        payload = L.lift_unit(z4, ideal, 3, start_m=m).certificate \
+            .to_payload()
+        ok, checks = C.verify_payload(payload)
+        assert ok and len(checks) == total
+        assert Counter(c["check"] for c in checks) == lift_checks(m)
+    for name, x, m, cert in corpus_lifts(corpus_pairs):
+        ok, checks = C.verify_payload(cert.to_payload())
+        assert ok and Counter(c["check"] for c in checks) == lift_checks(m), \
+            (name, x, m)
+
+
+def test_construction_replays_the_recorded_witnesses(corpus_pairs):
+    # the verifier runs the lift's own construction with a certificate's
+    # recorded witnesses: it rebuilds each stage field for field, words,
+    # traces, u and a' included
+    stages = 0
+    for name, x, m, cert in corpus_lifts(corpus_pairs):
+        payload = json.loads(C.dumps_certificate(cert.to_payload()))
+        for st, rec in zip(cert.stages, payload["stages"], strict=True):
+            wit = {key: R.element_from_descriptor(st.stage_ring, val)
+                   for key, val in rec.items()}
+            a_prime = wit.pop("a_prime")
+            again = L._diagonalize(st.stage_ring, st.stage_ideal,
+                                   st.diag.alpha, **wit)
+            assert again == st.diag and again.a_prime == a_prime, \
+                (name, x, m)
+            stages += 1
+    assert stages == 224
+    # a given witness is used as is, also where the search picks another:
+    # here w = 1, so every idempotent of Z/6 lies in wR
+    z6 = R.build_ring(R.ZmodSpec(6))
+    alpha = M.matrix(z6, [[1, 2], [3, 1]])
+    assert tuple(L._reduce_row(z6, R.full_ideal(z6), alpha, g)
+                 .trace["corner"]["g"] for g in z6.idempotents()) \
+        == z6.idempotents() == (0, 1, 3, 4)
 
 
 def test_col_reduction_certificate():

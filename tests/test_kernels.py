@@ -13,6 +13,7 @@ from exlift import exchange as E, matrices as M, rings as R, scans
 from exlift.matrices import matrix_ideal
 
 import table_oracles as O
+from ring_checks import decode_matrix
 
 
 def _small_bases(corpus_rings):
@@ -73,28 +74,35 @@ def test_pair_solve_matches_grid_scan(corpus_rings, blocked_pairs):
     assert found and missed
 
 
+def _kernel_idempotents(ring, ideal, xs) -> list:
+    """The exchange kernel's least witness idempotent of each x in xs, or
+    None (the unital form when ideal is None)."""
+    tables, idem, _ = E._form(ring, ideal)
+    found = E._least_idempotents(ring, np.array(xs, dtype=np.intp), tables,
+                                 idem)
+    return [None if p < 0 else int(idem[p]) for p in found]
+
+
 def test_ideal_witnesses_match_idempotent_loop(corpus_pairs_full,
                                                blocked_pairs):
     for name, ring, ideal in _pairs(corpus_pairs_full, blocked_pairs):
-        verdict = True
-        for x in ideal:
-            want = O.exchange_witness_ideal(ring, ideal, x)
-            assert E.exchange_witness_ideal(ring, ideal, x) == want, (name, x)
-            verdict = verdict and want is not None
-        assert E.is_exchange_ideal(ring, ideal) == verdict, name
+        xs = sorted(ideal)
+        want = [O.exchange_witness_ideal(ring, ideal, x) for x in xs]
+        assert _kernel_idempotents(ring, ideal, xs) == [
+            None if w is None else w.e for w in want], name
+        assert E.is_exchange_ideal(ring, ideal) == (None not in want), name
 
 
 def test_unital_witnesses_match_idempotent_loop(corpus_rings, blocked_pairs):
     rings = {ring.spec: ring for _, ring in corpus_rings}
     rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
     for ring in rings.values():
-        verdict = True
-        for a in ring.elements():
-            want = O.exchange_witness_unital(ring, a)
-            assert E.exchange_witness_unital(ring, a) == want, \
-                (ring.describe(), a)
-            verdict = verdict and want is not None
-        assert E.is_exchange_ring(ring) == verdict, ring.describe()
+        xs = list(ring.elements())
+        want = [O.exchange_witness_unital(ring, a) for a in xs]
+        assert _kernel_idempotents(ring, None, xs) == [
+            None if w is None else w.e for w in want], ring.describe()
+        assert E.is_exchange_ring(ring) == (None not in want), \
+            ring.describe()
 
 
 def test_exchange_kernel_blocks_agree(monkeypatch):
@@ -186,7 +194,7 @@ def test_inverse_by_elimination_matches_grid(corpus_rings):
     invertible = singular = 0
     for ring, n in cases:
         for _ in range(40):
-            A = M.decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
+            A = decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
             want = O.grid_inverse(A)
             assert M.try_inverse(A) == want, (ring.describe(), A)
             invertible += want is not None
@@ -230,7 +238,7 @@ def test_word_replay_matches_per_op_replay(scan_rings):
     for ring in scan_rings:
         for n in (2, 4):
             for _ in range(3):
-                A = M.decode_matrix(ring, n,
+                A = decode_matrix(ring, n,
                                     rng.randrange(ring.size ** (n * n)))
                 w = _random_word(ring, n, rng, 50)
                 got = M.apply_elem_word(A, w)

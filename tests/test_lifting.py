@@ -6,12 +6,15 @@ import pytest
 
 from exlift import (certificates as C, lifting as L, matrices as M,
                     rings as R, vmonoid as V)
-from exlift.errors import (GuardExceeded, HypothesisFailed, NotFredholm,
-                           PreconditionFailed)
+from exlift.errors import HypothesisFailed, NotFredholm, PreconditionFailed
 from exlift.ktheory import (fredholm_elements, index, k0_zero_test,
                             whitehead_factor)
 from witness_search import strict_zero_padding
-from reduction_contracts import reduction_contract_failures
+from ring_checks import decode_matrix
+from reduction_contracts import (corpus_lifts,
+                                 diagonalization_contract_failures,
+                                 reduction_contract_failures,
+                                 w1_congruent)
 
 
 def z(n):
@@ -93,33 +96,50 @@ def test_reduction_contracts_random_sample(corpus_pairs):
 
 
 def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
-    # the lift no longer asserts the reduction contracts; a spy collects
+    # the lift does not assert the reduction contracts; a spy collects
     # every row reduction a lift makes (column reductions are row
     # reductions over R^op) on every default corpus pair, and on the pairs
     # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R)
     seen = []
     real = L._reduce_row
 
-    def spy(ring, ideal, alpha):
-        res = real(ring, ideal, alpha)
+    def spy(ring, ideal, alpha, g=None):
+        res = real(ring, ideal, alpha, g)
         seen.append(res)
         return res
 
     monkeypatch.setattr(L, "_reduce_row", spy)
-    for name, ring, ideal, tags in corpus_pairs:
-        fl = fredholm_elements(ring, ideal)
-        for x in fl:
-            L.lift_unit(ring, ideal, x)
-        if R.quotient_by(ring, ideal).target.size <= 2:
-            try:
-                L.lift_unit(ring, ideal, fl[0], start_m=4)
-            except GuardExceeded:        # M_2(R) exceeds the table guard
-                pass
+    for _ in corpus_lifts(corpus_pairs):
+        pass
     bad = [(res.ring.describe(), failed) for res in seen
            if (failed := reduction_contract_failures(res))]
     assert bad == []
     specs = {type(res.ring.spec).__name__ for res in seen}
     assert {"OppositeSpec", "MatrixSpec"} <= specs and len(seen) > 400
+
+
+def test_every_diagonalization_meets_its_contracts(corpus_pairs,
+                                                   monkeypatch):
+    # nor does it assert the diagonalization's: a spy collects every
+    # diagonalization of the same lifts, and each lift's w1 is congruent
+    # to x + 1 modulo I
+    seen = []
+    real = L._diagonalize
+
+    def spy(ring, ideal, alpha, **witnesses):
+        res = real(ring, ideal, alpha, **witnesses)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(L, "_diagonalize", spy)
+    stages = 0
+    for name, x, m, cert in corpus_lifts(corpus_pairs):
+        assert w1_congruent(cert), (name, x, m)
+        stages += len(cert.stages)
+    bad = [(res.ring.describe(), failed) for res in seen
+           if (failed := diagonalization_contract_failures(res))]
+    assert bad == []
+    assert len(seen) == stages == 224
 
 
 def test_unit_regular_witness_examples():
@@ -435,7 +455,7 @@ def test_class_key_batch_matches_per_idempotent_keys(scan_rings):
         assert len(home._cache["class_keys"]) == len(idems)
         for g in idems:
             assert (L._class_key(ring, g)
-                    == V.class_key(base, M.decode_matrix(base, k, g))), \
+                    == V.class_key(base, decode_matrix(base, k, g))), \
                 (ring.describe(), g)
             count += 1
     assert count > 1000

@@ -5,6 +5,9 @@ from exlift import matrices as M, rings as R
 from exlift.errors import (DimensionMismatch, PreconditionFailed,
                            RingMismatch)
 
+from ring_checks import (decode_matrix, mat_add, verify_ideal, word,
+                         zero_matrix)
+
 
 def z(n):
     return R.build_ring(R.ZmodSpec(n))
@@ -26,7 +29,7 @@ def test_dimension_and_ring_mismatch():
     with pytest.raises(DimensionMismatch):
         M.mat_mul(M.identity(z4, 2), M.identity(z4, 3))
     with pytest.raises(RingMismatch):
-        M.mat_add(M.identity(z4, 2), M.identity(z6, 2))
+        mat_add(M.identity(z4, 2), M.identity(z6, 2))
 
 
 def test_try_inverse_examples():
@@ -34,7 +37,7 @@ def test_try_inverse_examples():
     A = M.matrix(z4, [[1, 2], [0, 1]])
     inv = M.try_inverse(A)
     assert inv == A
-    assert M.try_inverse(M.zero_matrix(z4, 2)) is None
+    assert M.try_inverse(zero_matrix(z4, 2)) is None
     assert M.try_inverse(M.matrix(z4, [[3]])) == M.matrix(z4, [[3]])
 
 
@@ -48,7 +51,7 @@ def test_try_inverse_two_sided(corpus_rings):
         codes = ([M.identity(ring, 2).encode()]
                  + [rng.randrange(ring.size ** 4) for _ in range(300)])
         for code in codes:
-            A = M.decode_matrix(ring, 2, code)
+            A = decode_matrix(ring, 2, code)
             X = M.try_inverse(A)
             if X is not None:
                 hits += 1
@@ -60,8 +63,8 @@ def test_try_inverse_two_sided(corpus_rings):
 def test_apply_elem_word_examples():
     z2 = z(2)
     A = M.identity(z2, 2)
-    assert M.apply_elem_word(A, M.word(2, [])) == A
-    w = M.word(2, [M.right_op(1, 2, 1)])
+    assert M.apply_elem_word(A, word(2, [])) == A
+    w = word(2, [M.right_op(1, 2, 1)])
     assert M.apply_elem_word(A, w) == M.matrix(z2, [[1, 1], [0, 1]])
 
 
@@ -71,9 +74,9 @@ def test_word_replay_refuses_an_op_outside_the_matrix():
     A = M.matrix(z4, [[1, 2], [0, 1]])
     ops = [M.left_op(1, 2, 1), M.right_op(2, 1, 3), M.left_op(1, 3, 1)]
     with pytest.raises(DimensionMismatch):
-        M.apply_elem_word(A, M.word(2, ops))
+        M.apply_elem_word(A, word(2, ops))
     with pytest.raises(DimensionMismatch):
-        M.apply_elem_word(A, M.word(2, ops[:2] + [M.right_op(0, 2, 1)]))
+        M.apply_elem_word(A, word(2, ops[:2] + [M.right_op(0, 2, 1)]))
     with pytest.raises(DimensionMismatch):
         M.apply_elem_op(A, ops[2])
 
@@ -89,8 +92,8 @@ ops_strategy = st.lists(
 def test_word_inverse_is_identity_action(n, raw_ops, seed):
     ring = z(n)
     ops = [M.ElemOp(side, ij[0], ij[1], r % n) for side, ij, r in raw_ops]
-    w = M.word(2, ops)
-    A = M.decode_matrix(ring, 2, seed % (n ** 4))
+    w = word(2, ops)
+    A = decode_matrix(ring, 2, seed % (n ** 4))
     out = M.apply_elem_word(M.apply_elem_word(A, w), w.inverse(ring))
     assert out == A
 
@@ -98,9 +101,9 @@ def test_word_inverse_is_identity_action(n, raw_ops, seed):
 def test_word_in_ideal():
     z4 = z(4)
     ideal = R.ideal_closure(z4, [2])
-    assert M.word_in_ideal(M.word(2, []), ideal)
-    assert M.word_in_ideal(M.word(2, [M.right_op(1, 2, 2)]), ideal)
-    assert not M.word_in_ideal(M.word(2, [M.right_op(1, 2, 1)]), ideal)
+    assert M.word_in_ideal(word(2, []), ideal)
+    assert M.word_in_ideal(word(2, [M.right_op(1, 2, 2)]), ideal)
+    assert not M.word_in_ideal(word(2, [M.right_op(1, 2, 1)]), ideal)
 
 
 def test_ideal_words_preserve_quotient_image(corpus_pairs):
@@ -113,11 +116,11 @@ def test_ideal_words_preserve_quotient_image(corpus_pairs):
         qmap = R.quotient_by(ring, ideal)
         members = ideal.sorted_members
         for _ in range(5):
-            A = M.decode_matrix(ring, 2, rng.randrange(ring.size ** 4))
+            A = decode_matrix(ring, 2, rng.randrange(ring.size ** 4))
             ops = [M.ElemOp(rng.choice(["left", "right"]),
                             *rng.choice([(1, 2), (2, 1)]),
                             rng.choice(members)) for _ in range(4)]
-            B = M.apply_elem_word(A, M.word(2, ops))
+            B = M.apply_elem_word(A, word(2, ops))
             assert M.map_entries(B, qmap) == M.map_entries(A, qmap)
 
 
@@ -199,8 +202,8 @@ def test_e_orbit_factor_replays():
         ring = z(n)
         codes = sorted(_elementary_group(ring, 2))
         for _ in range(10):
-            A = M.decode_matrix(ring, 2, rng.choice(codes))
-            B = M.decode_matrix(ring, 2, rng.choice(codes))
+            A = decode_matrix(ring, 2, rng.choice(codes))
+            B = decode_matrix(ring, 2, rng.choice(codes))
             w = M.e_orbit_factor(ring, 2, A, B)
             assert w is not None
             assert M.apply_elem_word(B, w) == A
@@ -219,7 +222,7 @@ def test_w_group_is_diagonal_of_e2(corpus_pairs_full):
         assert set(words) == {u for u in S.units()
                               if _diag(S, 2, u).encode() in group}
         for u, ops in words.items():
-            assert M.evaluate_word(S, M.word(2, ops)) == _diag(S, 2, u)
+            assert M.evaluate_word(S, word(2, ops)) == _diag(S, 2, u)
 
 
 def test_e_orbit_factor_agrees_with_oracle():
@@ -235,7 +238,7 @@ def test_e_orbit_factor_agrees_with_oracle():
         group = _elementary_group(ring, n)
         pairs = 0
         while pairs < 25:
-            A, B = (M.decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
+            A, B = (decode_matrix(ring, n, rng.randrange(ring.size ** (n * n)))
                     for _ in range(2))
             Ainv, Binv = M.try_inverse(A), M.try_inverse(B)
             if Ainv is None or Binv is None:
@@ -252,9 +255,9 @@ def test_e_orbit_factor_agrees_with_oracle():
 
 def test_sigma_words():
     z5 = z(5)
-    sig = M.evaluate_word(z5, M.word(2, M.sigma_word_right(z5)))
+    sig = M.evaluate_word(z5, word(2, M.sigma_word_right(z5)))
     assert sig == M.matrix(z5, [[0, 1], [4, 0]])
-    siginv = M.evaluate_word(z5, M.word(2, M.sigma_inv_word_left(z5)))
+    siginv = M.evaluate_word(z5, word(2, M.sigma_inv_word_left(z5)))
     assert M.mat_mul(sig, siginv) == M.identity(z5, 2)
 
 
@@ -291,14 +294,14 @@ def test_matrix_ideal():
     assert mi.sorted_members == (0,)
     mi_full = M.matrix_ideal(m2, z2, 2, R.full_ideal(z2))
     assert len(mi_full.members) == 16
-    R.verify_ideal(mi_full)
+    verify_ideal(mi_full)
 
 
 def test_value_types_are_immutable_values():
     z4 = z(4)
     A, B = M.matrix(z4, [[1, 2], [3, 0]]), M.matrix(z4, [[1, 2], [3, 0]])
     op, op2 = M.ElemOp("left", 1, 2, 3), M.left_op(1, 2, 3)
-    w, w2 = M.ElemWord(2, (op,)), M.word(2, [op2])
+    w, w2 = M.ElemWord(2, (op,)), word(2, [op2])
     for x, y, fields in ((A, B, ("ring", "n", "entries")),
                          (op, op2, ("side", "i", "j", "r")),
                          (w, w2, ("n", "ops"))):

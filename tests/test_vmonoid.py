@@ -8,6 +8,7 @@ from exlift import matrices as M, rings as R, vmonoid as V
 from exlift.errors import (HypothesisFailed, InvalidSpec, NotDownwardClosed,
                            SearchExhausted)
 from witness_search import equivalence_witness
+from ring_checks import decode_matrix, equivalent_idempotents, pad
 
 
 def z(n):
@@ -339,7 +340,7 @@ def test_class_keys_agree_with_witness_search():
         keys, members, _ = oracle_v_monoid(ring, 2)
         for key, mem in zip(keys, members):
             for (dim, code) in mem:
-                assert equivalent(M.decode_matrix(ring, dim, code),
+                assert equivalent(decode_matrix(ring, dim, code),
                                   reps[vm.index_of[key]])
         for i, j in itertools.combinations(range(len(reps)), 2):
             assert not equivalent(reps[i], reps[j]), (spec, i, j)
@@ -360,15 +361,15 @@ def test_order_matches_subidempotent_search():
     for i, e in enumerate(reps):
         for j, f in enumerate(reps):
             d = max(e.n, f.n)
-            fp = M.pad(f, d)
+            fp = pad(f, d)
             has_sub = False
             for code in range(ring.size ** (d * d)):
-                g = M.decode_matrix(ring, d, code)
+                g = decode_matrix(ring, d, code)
                 if not M.is_idempotent(g):
                     continue
                 if M.mat_mul(g, fp) != g or M.mat_mul(fp, g) != g:
                     continue
-                if V.equivalent_idempotents(ring, g, e):
+                if equivalent_idempotents(ring, g, e):
                     has_sub = True
                     break
             assert le[i][j] == has_sub
@@ -380,14 +381,14 @@ def test_equivalence_witness_replays():
     keys, members, _ = oracle_v_monoid(ring, 2)
     for key, mem in zip(keys, members):
         for (dim, code) in mem[:3]:
-            A = M.decode_matrix(ring, dim, code)
+            A = decode_matrix(ring, dim, code)
             B = vm.classes[vm.index_of[key]].representative
             got = equivalence_witness(ring, A, B)
             assert got is not None
             x, y = got
             d = max(A.n, B.n)
-            assert M.mat_mul(x, y) == M.pad(A, d)
-            assert M.mat_mul(y, x) == M.pad(B, d)
+            assert M.mat_mul(x, y) == pad(A, d)
+            assert M.mat_mul(y, x) == pad(B, d)
 
 
 # ---------------------------------------------------------------------------
