@@ -1,9 +1,9 @@
 """exlift: exact exchange-ideal computations over finite rings.
 
-Finite rings by operation tables, exchange-ring predicates,
-truncated V-monoids with refinement and separativity checkers, the K0 index
-map, and certificate-producing elementary-matrix diagonalization and unit
-lifting.
+Finite rings by operation tables, exchange-ring predicates decided by
+theorem, truncated V-monoids with refinement and separativity checkers for
+abstract monoids, the K0 index map, and certificate-producing
+elementary-matrix diagonalization and unit lifting.
 """
 
 __version__ = "0.1.0"

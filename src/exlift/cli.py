@@ -3,6 +3,9 @@ certificates, and run the regression corpus.
 
 Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded,
 6 VerificationFailed, 7 InvalidSpec or parse failure, 1 anything else.
+Code 4 stays reserved, but no command exits with it: on a ring the
+hypotheses hold by theorem, and ``check`` on a monoid reports a failed
+hypothesis in its report.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import click
 from . import __version__
 from .config import ENV_GUARD, Guards, default_guards
 from .errors import (ExliftError, GuardExceeded, HypothesisFailed, InvalidSpec,
-                     NotFredholm, VerificationFailed)
+                     NotDownwardClosed, NotFredholm, VerificationFailed)
 from . import certificates as certs
 from . import corpus as corpus_mod
 from .exchange import is_exchange_ideal, is_exchange_ring
@@ -28,7 +31,7 @@ from .rings import (FiniteRing, build_ring, element_descriptor,
                     parse_ring_spec, ring_spec_obj)
 from .vmonoid import (OrderIdeal, build_v_monoid, has_refinement_wrt,
                       is_separative, lemma13_check, monoid_to_obj,
-                      parse_monoid_obj, v_order_ideal)
+                      parse_monoid_obj, v_order_ideal, validate_order_ideal)
 
 EXIT_CODES = {
     NotFredholm: 3,
@@ -185,12 +188,7 @@ def check(spec, ideal, truncation, guard, fmt, out):
 
 def _check_monoid(obj: dict) -> dict:
     m = parse_monoid_obj(obj["monoid"])
-    report = {"format": "exlift-report", "version": 1, "kind": "check",
-              "monoid": monoid_to_obj(m)}
-    sep = is_separative(m)
-    report["separative"] = sep.holds
-    if sep.witness:
-        report["separative_witness"] = list(sep.witness)
+    s = None
     subset = obj.get("order_ideal")
     if subset is not None:
         if (not isinstance(subset, list)
@@ -198,6 +196,18 @@ def _check_monoid(obj: dict) -> dict:
                        for i in subset)):
             raise InvalidSpec("order_ideal must be a list of element indices")
         s = OrderIdeal(frozenset(subset))
+        try:
+            validate_order_ideal(m, s)
+        except NotDownwardClosed as exc:
+            raise InvalidSpec(f"order_ideal is not an order ideal: {exc}") \
+                from exc
+    report = {"format": "exlift-report", "version": 1, "kind": "check",
+              "monoid": monoid_to_obj(m)}
+    sep = is_separative(m)
+    report["separative"] = sep.holds
+    if sep.witness:
+        report["separative_witness"] = list(sep.witness)
+    if s is not None:
         ref = has_refinement_wrt(m, s)
         report["refinement_wrt_order_ideal"] = ref.holds
         if ref.witness:
@@ -217,9 +227,8 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
     K = effective_truncation(ring, guards)
     vm = build_v_monoid(ring, K, guards)
     s = v_order_ideal(vm, ideal)
-    ref = has_refinement_wrt(vm.monoid, s)
-    sep = is_separative(vm.monoid, s.member_set)
-    report = {
+    status = separative_exchange_status(ring, ideal, guards)
+    return {
         "format": "exlift-report", "version": 1, "kind": "check",
         "ring": ring_spec_obj(ring.spec),
         "ring_size": ring.size,
@@ -233,16 +242,10 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
         "v_monoid_components": [{"simple_size": s_i, "degree": n_i}
                                 for s_i, n_i in vm.components],
         "v_ideal_classes": sorted(vm.monoid.labels[i] for i in s.member_set),
-        "separative_ideal": sep.holds,
-        "refinement_wrt_ideal": ref.holds,
+        "separative_ideal": status["separative"],
+        "refinement_wrt_ideal": status["refinement"],
+        "decision_path": status["decision_path"],
     }
-    if not sep.holds:
-        report["separativity_witness"] = [vm.monoid.labels[i]
-                                          for i in sep.witness]
-    if not ref.holds:
-        report["refinement_witness"] = [vm.monoid.labels[i]
-                                        for i in ref.witness]
-    return report
 
 
 @main.command("index")
@@ -299,16 +302,15 @@ def _index_report(ring, idl, x, guards) -> dict:
 @ideal_opt
 @click.option("--element", required=True,
               help="Canonical element descriptor (JSON).")
-@trunc_opt
 @guard_opt
 @fmt_opt
 @out_opt
 @click.option("--cert-out", default=None, type=click.Path(),
               help="Write the lift certificate to this file.")
-def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
+def lift(spec, ideal, element, guard, fmt, out, cert_out):
     """Lift a Fredholm element to a unit, emitting a replayable certificate."""
     try:
-        guards = _guards(guard, truncation)
+        guards = _guards(guard)
         obj = _load_spec_file(spec)
         ring, idl = _ring_context(obj, ideal, guards)
         x = _parse_element(ring, element)
@@ -324,7 +326,6 @@ def lift(spec, ideal, element, truncation, guard, fmt, out, cert_out):
             "format": "exlift-report", "version": 1, "kind": "lift",
             "ring": ring_spec_obj(ring.spec),
             "element": element_descriptor(ring, x),
-            "truncation": effective_truncation(ring, guards),
             "lifted": True,
             "y": element_descriptor(ring, cert.y),
             "oracle_confirmed": least is not None,
@@ -393,11 +394,8 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
             try:
                 entry["exchange"] = (is_exchange_ring(ring)
                                      and is_exchange_ideal(ring, ideal))
-                K = effective_truncation(ring, guards)
-                vm = build_v_monoid(ring, K, guards)
-                s = v_order_ideal(vm, ideal)
-                entry["refinement"] = has_refinement_wrt(vm.monoid, s).holds
                 status = separative_exchange_status(ring, ideal, guards)
+                entry["refinement"] = status["refinement"]
                 entry["separative_exchange"] = status["ok"]
                 lifted = 0
                 for x in fredholm_elements(ring, ideal):

@@ -3,9 +3,11 @@
 Exceeding a guard raises ``GuardExceeded`` instead of degrading to an
 approximate answer.  ``Guards`` holds the two settable ones: the largest
 carrier a ring construction may produce (the CLI's ``--guard`` and
-``EXLIFT_GUARD``) and the V-monoid truncation.  The fixed bounds are
-constants next to the check they bound: ``rings.TABLE_ENTRIES`` and
-``vmonoid.ENUMERATION``.
+``EXLIFT_GUARD``) and the V-monoid truncation.  The truncation serves
+``exlift check`` and ``exlift index`` only (``-K``), whose V(R) table and
+class labels are truncated; no verdict, lift or certificate depends on it.
+The fixed bounds are constants next to the check they bound:
+``rings.TABLE_ENTRIES`` and ``vmonoid.ENUMERATION``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ ENV_GUARD = "EXLIFT_GUARD"
 class Guards:
     # Largest carrier a ring construction may produce.
     carrier: int = 65536
-    # Default V-monoid truncation dimension.
+    # V-monoid truncation dimension of the check and index reports.
     truncation: int = 2
 
     def with_carrier(self, carrier: int) -> "Guards":

@@ -38,7 +38,10 @@ class PreconditionFailed(ExliftError):
 
 
 class HypothesisFailed(ExliftError):
-    """A checked structural hypothesis (separativity, refinement, exchange) fails."""
+    """An order ideal of an abstract monoid fails a hypothesis of
+    ``lemma13_check`` (separativity or refinement).  Nothing else raises
+    it: over a finite ring the lifting theorem's hypotheses hold by
+    theorem."""
 
 
 class SearchExhausted(ExliftError):

@@ -14,7 +14,6 @@ injective, so equal classes in V(R) mean a zero class in K0(I); see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .errors import NotAUnit, NotFredholm, RingMismatch
 from .matrices import (ElemWord, RMatrix, congruent_mod, direct_sum,
@@ -93,23 +92,13 @@ def _dsum(parts: tuple) -> RMatrix:
     return out
 
 
-def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int,
-                     lift: Optional[Callable[[int], int]] = None) -> K0Element:
-    """delta([ubar]) as [p] - [1+0], with p = v (1+0) v^-1 for a lifted
-    Whitehead word v.  ``lift`` overrides the least-index entry lift (used to
-    exercise well-definedness)."""
+def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int) -> K0Element:
+    """delta([ubar]) as [p] - [1+0], with p = v (1+0) v^-1 for v the
+    Whitehead word of ubar with each parameter lifted to its least-index
+    preimage."""
     qmap = quotient_by(ring, ideal)
     word_bar = whitehead_factor(qmap.target, ubar)
-    if lift is None:
-        lift = qmap.lift
-    else:
-        base = lift
-        def lift(rbar, _f=base, _q=qmap):  # noqa: E731 - keep signature local
-            r = _f(rbar)
-            if _q.pi(r) != rbar:
-                raise NotAUnit(f"lift choice {r} does not reduce to {rbar}")
-            return r
-    lifted = ElemWord(2, tuple(right_op(op.i, op.j, lift(op.r))
+    lifted = ElemWord(2, tuple(right_op(op.i, op.j, qmap.lift(op.r))
                                for op in word_bar.ops))
     v = evaluate_word(ring, lifted)
     vinv = evaluate_word(ring, lifted.inverse(ring))

@@ -1,14 +1,15 @@
-"""Brute-force oracles for the table kernels of ``rings``, ``exchange`` and
-``matrices``.
+"""Brute-force oracles for the table kernels of ``rings`` and ``matrices``,
+and for the exchange verdicts of ``exchange``.
 
-Each function is the plain scan or build the library's kernel replaced: the
-pair solve over the whole |R| x |R| grid, the exchange witness by a loop
-over idempotents (the library keeps only the kernel that finds its e), the
-quotient tables by a loop over cosets, M_k(I) by a loop over the codes of
-M_k(R), the M_k(R) and T_k(R) tables by one full-size pass per free entry
-and per row, the units by a loop over the carrier, the inverse of a matrix
-by a search of every candidate column, and the sorted sets aR and aR + bR
-by ``np.unique``.  The kernels must return exactly what these return.
+Each function is the plain scan or build the library's kernel or theorem
+replaced: the pair solve over the whole |R| x |R| grid, the exchange
+witness by a loop over idempotents (the library decides the exchange
+property by theorem and finds no witness), the quotient tables by a loop
+over cosets, M_k(I) by a loop over the codes of M_k(R), the M_k(R) and
+T_k(R) tables by one full-size pass per free entry and per row, the units
+by a loop over the carrier, the inverse of a matrix by a search of every
+candidate column, and the sorted sets aR and aR + bR by ``np.unique``.
+The kernels and the theorem must give exactly what these give.
 
 The vectorized row scans (``solve_right``, the idempotent split of
 ``scans._split`` and the pair solve over a membership mask of dR) and the

@@ -6,7 +6,8 @@ from collections import Counter, OrderedDict, defaultdict
 
 import pytest
 
-from exlift import certificates as C, lifting as L, matrices as M, rings as R
+from exlift import (certificates as C, lifting as L, matrices as M,
+                    rings as R, scans)
 from exlift.errors import InvalidSpec
 from exlift.ktheory import fredholm_elements
 
@@ -321,6 +322,36 @@ def test_mutation_reports_name_failing_contract():
     ok, checks = C.verify_payload(mutated)
     assert not ok
     assert [c["check"] for c in checks if not c["ok"]] == ["u is a unit"]
+
+
+def _miss_on_call(fn, n):
+    """fn, but returning None on its n-th call."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return None if len(calls) == n else fn(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("check, module, name, n", [
+    ("corner witnesses found", scans, "corner_witnesses_right", 1),
+    ("g idempotent in wR", L, "solve_right", 1),
+    # the first call is the row reduction's pass 1
+    ("pass2 witnesses found", scans, "row_pass_witnesses", 2),
+    ("h found", scans, "complement_right", 1),
+])
+def test_replay_misses_fail_under_their_own_names(monkeypatch, check, module,
+                                                  name, n):
+    # no single-leaf mutant reaches these misses on the corpus rings, so
+    # the scan or solve the construction calls misses while it replays a
+    # valid certificate
+    z4, ideal = z4_pair()
+    payload = L.lift_unit(z4, ideal, 3).certificate.to_payload()
+    monkeypatch.setattr(module, name, _miss_on_call(getattr(module, name), n))
+    ok, checks = C.verify_payload(payload)
+    assert not ok
+    assert [c["check"] for c in checks if not c["ok"]] == [check]
 
 
 def test_op_index_outside_the_matrix_is_a_failed_check():

@@ -31,7 +31,9 @@ def _m2_spec(tmp_path):
     return str(spec)
 
 
-def test_truncation_option_reaches_index_and_lift(tmp_path, monkeypatch):
+def test_truncation_option_reaches_index_not_lift(tmp_path, monkeypatch):
+    # index labels classes of the truncated V(R), so it reads K; the lift
+    # reads nothing that depends on K, so it takes no -K and reports none
     from exlift import cli, lifting
     seen = []
     real = lifting.effective_truncation
@@ -43,19 +45,27 @@ def test_truncation_option_reaches_index_and_lift(tmp_path, monkeypatch):
     monkeypatch.setattr(lifting, "effective_truncation", spy)
     monkeypatch.setattr(cli, "effective_truncation", spy, raising=False)
     spec = _m2_spec(tmp_path)
-    for command in ("index", "lift"):
-        seen.clear()
-        res = CliRunner().invoke(main, [
-            command, "--spec", spec, "--element", "[[0, 1], [1, 1]]",
-            "-K", "1", "--format", "machine"])
-        assert res.exit_code == 0, res.output
-        assert seen and set(seen) == {1}, (command, seen)
-        report = json.loads(res.stdout)
-        assert report["truncation"] == 1
-        if command == "index":
-            assert report["zero_test"] == {"zero": True}
-        else:
-            assert "zero_test" not in report
+    res = CliRunner().invoke(main, [
+        "index", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
+        "-K", "1", "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    assert seen and set(seen) == {1}, seen
+    report = json.loads(res.stdout)
+    assert report["truncation"] == 1
+    assert report["zero_test"] == {"zero": True}
+
+    res = CliRunner().invoke(main, [
+        "lift", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
+        "-K", "1", "--format", "machine"])
+    assert res.exit_code == 2 and "No such option" in res.output, res.output
+    seen.clear()
+    res = CliRunner().invoke(main, [
+        "lift", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
+        "--format", "machine"])
+    assert res.exit_code == 0, res.output
+    assert seen == [] and "truncation" not in json.loads(res.stdout)
+    help_text = CliRunner().invoke(main, ["lift", "--help"]).output
+    assert "--truncation" not in help_text and "-K" not in help_text
 
 
 def test_lift_needs_neither_index_nor_zero_test(tmp_path, monkeypatch):
@@ -94,6 +104,10 @@ def test_check_builds_v_monoid_at_full_truncation(tmp_path):
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["truncation"] == 2
+    for verdict in ("exchange_ring", "exchange_ideal", "separative_ideal",
+                    "refinement_wrt_ideal"):
+        assert report[verdict] is True, verdict
+    assert report["decision_path"] == "theorem"
     assert report["v_monoid"]["size"] == 6
     assert report["v_monoid"]["overflow"] == 5
     assert report["v_monoid_components"] == [{"simple_size": 9, "degree": 2}]
@@ -101,12 +115,24 @@ def test_check_builds_v_monoid_at_full_truncation(tmp_path):
 
 
 def test_check_refuses_bad_order_ideal_indices(tmp_path):
-    # the order ideal indexes the monoid table, so it is checked like the table
+    # the order ideal indexes the monoid table, so it is checked like the
+    # table, and it must be an order ideal before any checker runs on it
     spec = tmp_path / "monoid.json"
-    for subset in ([0, 7], [0, -1], [0, True], [0, 1.0]):
-        spec.write_text(json.dumps({
-            "monoid": {"size": 2, "zero": 0, "op_table": [0, 1, 1, 1]},
-            "order_ideal": subset}))
+    two = {"size": 2, "zero": 0, "op_table": [0, 1, 1, 1]}
+    # {0, 1, T}: 1 + 1 overflows to T
+    three = {"size": 3, "zero": 0, "op_table": [0, 1, 2, 1, 2, 2, 2, 2, 2],
+             "overflow": 2}
+    # {0, 1, 2, T}: 1 + 1 = 2, larger sums overflow to T
+    four = {"size": 4, "zero": 0,
+            "op_table": [0, 1, 2, 3, 1, 2, 3, 3, 2, 3, 3, 3, 3, 3, 3, 3],
+            "overflow": 3}
+    for monoid, subset in ((two, [0, 7]), (two, [0, -1]), (two, [0, True]),
+                           (two, [0, 1.0]),
+                           (three, [1]),         # misses the identity
+                           (three, [0, 2]),      # holds the overflow
+                           (four, [0, 2])):      # 1 <= 2 but 1 is missing
+        spec.write_text(json.dumps({"monoid": monoid,
+                                    "order_ideal": subset}))
         res = CliRunner().invoke(main, ["check", "--spec", str(spec),
                                         "--format", "machine"])
         assert res.exit_code == 7, (subset, res.output, res.exception)

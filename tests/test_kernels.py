@@ -1,8 +1,11 @@
-"""The table kernels of ``rings``, ``exchange`` and ``matrices`` against the
-brute-force scans in ``table_oracles``: exact answers, on every corpus pair
-and on M_2(R) with the ideals M_2(I) for |R| <= 6.  The list-row scans and
-the in-place word replay are also checked on M_2(R) up to 4,096 elements,
-where rings keep no list mirrors, and on the opposite rings."""
+"""The table kernels of ``rings`` and ``matrices`` against the brute-force
+scans in ``table_oracles``: exact answers, on every corpus pair and on
+M_2(R) with the ideals M_2(I) for |R| <= 6.  The list-row scans and the
+in-place word replay are also checked on M_2(R) up to 4,096 elements,
+where rings keep no list mirrors, and on the opposite rings.  The
+``exchange`` verdicts, decided by theorem, are checked on the same rings
+and on the opposites of the corpus rings against a witness search for
+every element."""
 
 import random
 
@@ -74,48 +77,33 @@ def test_pair_solve_matches_grid_scan(corpus_rings, blocked_pairs):
     assert found and missed
 
 
-def _kernel_idempotents(ring, ideal, xs) -> list:
-    """The exchange kernel's least witness idempotent of each x in xs, or
-    None (the unital form when ideal is None)."""
-    tables, idem, _ = E._form(ring, ideal)
-    found = E._least_idempotents(ring, np.array(xs, dtype=np.intp), tables,
-                                 idem)
-    return [None if p < 0 else int(idem[p]) for p in found]
+def _opposite_pairs(corpus_pairs_full):
+    """(name, R^op, I) for every corpus pair: I is a two-sided ideal of
+    R^op as well."""
+    return [(f"op {name}", ring.op(),
+             R.Ideal(ring.op(), ideal.members, ideal.generators))
+            for name, ring, ideal, _ in corpus_pairs_full]
 
 
 def test_ideal_witnesses_match_idempotent_loop(corpus_pairs_full,
                                                blocked_pairs):
-    for name, ring, ideal in _pairs(corpus_pairs_full, blocked_pairs):
-        xs = sorted(ideal)
-        want = [O.exchange_witness_ideal(ring, ideal, x) for x in xs]
-        assert _kernel_idempotents(ring, ideal, xs) == [
-            None if w is None else w.e for w in want], name
-        assert E.is_exchange_ideal(ring, ideal) == (None not in want), name
+    # the theorem's verdict against a witness for every element of I
+    for name, ring, ideal in (_pairs(corpus_pairs_full, blocked_pairs)
+                              + _opposite_pairs(corpus_pairs_full)):
+        found = all(O.exchange_witness_ideal(ring, ideal, x) is not None
+                    for x in ideal)
+        assert E.is_exchange_ideal(ring, ideal) == found, name
 
 
 def test_unital_witnesses_match_idempotent_loop(corpus_rings, blocked_pairs):
+    # the theorem's verdict against a witness for every element of R
     rings = {ring.spec: ring for _, ring in corpus_rings}
+    rings.update({ring.op().spec: ring.op() for _, ring in corpus_rings})
     rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
     for ring in rings.values():
-        xs = list(ring.elements())
-        want = [O.exchange_witness_unital(ring, a) for a in xs]
-        assert _kernel_idempotents(ring, None, xs) == [
-            None if w is None else w.e for w in want], ring.describe()
-        assert E.is_exchange_ring(ring) == (None not in want), \
-            ring.describe()
-
-
-def test_exchange_kernel_blocks_agree(monkeypatch):
-    # blocks of a few rows give the same least witnesses as one block
-    ring = R.build_ring(R.MatrixSpec(R.ZmodSpec(3), 2))
-    ideal = R.full_ideal(ring)
-    tables, idem, members = E._form(ring, ideal)
-    whole = E._least_idempotents(ring, members, tables, idem)
-    monkeypatch.setattr(E, "_BLOCK_ENTRIES", 3 * ring.size)
-    assert np.array_equal(E._least_idempotents(ring, members, tables, idem),
-                          whole)
-    for x, p in zip(members, whole):
-        assert idem[p] == O.exchange_witness_ideal(ring, ideal, int(x)).e
+        found = all(O.exchange_witness_unital(ring, a) is not None
+                    for a in ring.elements())
+        assert E.is_exchange_ring(ring) == found, ring.describe()
 
 
 def test_quotient_tables_match_coset_loop(corpus_pairs_full, blocked_pairs):

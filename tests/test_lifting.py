@@ -6,7 +6,7 @@ import pytest
 
 from exlift import (certificates as C, lifting as L, matrices as M,
                     rings as R, vmonoid as V)
-from exlift.errors import HypothesisFailed, NotFredholm, PreconditionFailed
+from exlift.errors import NotFredholm, PreconditionFailed
 from exlift.ktheory import (fredholm_elements, index, k0_zero_test,
                             whitehead_factor)
 from witness_search import strict_zero_padding
@@ -348,12 +348,13 @@ def test_every_fredholm_element_lifts(corpus_pairs_full):
 
 
 def test_lift_requires_separative_exchange_hypotheses():
-    # zmod(4) with the zero ideal is fine; fabricate a failing case via a
-    # non-exchange "ideal" is impossible over finite rings, so check the
-    # gate wiring by confirming status reporting instead
+    # the lift's hypothesis holds on every finite ring, so the status states
+    # the theorem: no failing case exists to feed it, and no truncation
+    # level enters the verdict
     z4, ideal = z4_pair()
-    status = L.separative_exchange_status(z4, ideal)
-    assert status["ok"] and status["truncation"] >= 1
+    assert L.separative_exchange_status(z4, ideal) == {
+        "exchange": True, "separative": True, "refinement": True,
+        "decision_path": "theorem", "ok": True}
 
 
 def test_elemword_parameters_stay_in_ideal(corpus_pairs):
@@ -369,7 +370,7 @@ def test_elemword_parameters_stay_in_ideal(corpus_pairs):
 
 
 # ---------------------------------------------------------------------------
-# The hypothesis is checked once, at lift_unit; the stage rings inherit it
+# The hypothesis holds by theorem; the stage rings inherit it
 # ---------------------------------------------------------------------------
 
 def test_stage_rings_inherit_separative_exchange(corpus_pairs):
@@ -468,28 +469,34 @@ def _matrix_degree(ring):
     return spec.k if isinstance(spec, R.MatrixSpec) else 1
 
 
-def test_lift_checks_the_hypothesis_only_on_the_base_ring(monkeypatch):
+def test_lift_calls_no_hypothesis_function(monkeypatch):
+    # the hypothesis holds by theorem, so neither the base lift nor a
+    # forced m=4 lift, with its blocked M_2(R) stage, decides it
     from exlift import exchange
+    hypotheses = (exchange.is_exchange_ring, exchange.is_exchange_ideal,
+                  L.separative_exchange_status, L.effective_truncation,
+                  V.build_v_monoid, V.v_order_ideal, V.is_separative,
+                  V.has_refinement_wrt, V.lemma13_check)
     seen = []
-    checks = [exchange.is_exchange_ideal, L.separative_exchange_status,
-              V.build_v_monoid]
 
     def spy(fn):
-        def wrapped(ring, *args, **kwargs):
-            seen.append((fn.__name__, _matrix_degree(ring)))
-            return fn(ring, *args, **kwargs)
+        def wrapped(*args, **kwargs):
+            seen.append(fn.__name__)
+            return fn(*args, **kwargs)
         return wrapped
 
     for name, mod in list(sys.modules.items()):
         if name == "exlift" or name.startswith("exlift."):
             for attr, val in list(vars(mod).items()):
-                if any(val is fn for fn in checks):
+                if any(val is fn for fn in hypotheses):
                     monkeypatch.setattr(mod, attr, spy(val))
     z4, ideal = z4_pair()
-    cert = L.lift_unit(z4, ideal, 3, start_m=4).certificate
-    assert [s.level for s in cert.stages] == ["blocked", "base"]
-    assert ("separative_exchange_status", 1) in seen
-    assert all(k == 1 for _, k in seen), seen
+    for start_m, levels in ((2, ["base"]), (4, ["blocked", "base"])):
+        cert = L.lift_unit(z4, ideal, 3, start_m=start_m).certificate
+        assert [s.level for s in cert.stages] == levels
+    assert seen == []
+    assert L.separative_exchange_status(z4, ideal)["ok"]
+    assert "separative_exchange_status" in seen     # the spies are live
 
 
 def test_forced_m4_lift_closes_no_ideal_of_a_stage_ring(monkeypatch):

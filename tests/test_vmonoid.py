@@ -464,6 +464,21 @@ def test_refinement_on_corpus(corpus_pairs):
         assert V.has_refinement_wrt(vm.monoid, s).holds, name
 
 
+def test_box_checks_confirm_the_theorem_verdicts(corpus_pairs_full):
+    # the enumeration `exlift check` ran before the verdicts were decided by
+    # theorem: separativity and refinement on the truncated box of V(R)
+    from exlift.lifting import separative_exchange_status
+    for name, ring, ideal, tags in corpus_pairs_full:
+        vm = V.build_v_monoid(ring, 2)
+        s = V.v_order_ideal(vm, ideal)
+        status = separative_exchange_status(ring, ideal)
+        assert V.is_separative(vm.monoid).holds, name
+        assert V.is_separative(vm.monoid, s.member_set).holds == \
+            status["separative"], name
+        assert V.has_refinement_wrt(vm.monoid, s).holds == \
+            status["refinement"], name
+
+
 def test_random_monoid_generator_sanity():
     rng = random.Random(20260809)
     produced = 0
