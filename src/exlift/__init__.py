@@ -1,8 +1,8 @@
 """exlift: exact exchange-ideal computations over finite rings.
 
 Finite rings by operation tables, exchange-ring predicates decided by
-theorem, truncated V-monoids with refinement and separativity checkers for
-abstract monoids, the K0 index map, and certificate-producing
+theorem, V(R) = N^t by rank vector, refinement and separativity checkers
+for truncated abstract monoids, the K0 index map, and certificate-producing
 elementary-matrix diagonalization and unit lifting.
 """
 

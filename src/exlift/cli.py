@@ -2,17 +2,21 @@
 certificates, and run the regression corpus.
 
 Exit codes: 0 success, 3 NotFredholm, 4 HypothesisFailed, 5 GuardExceeded,
-6 VerificationFailed, 7 InvalidSpec or parse failure, 1 anything else.
-Code 4 stays reserved, but no command exits with it: on a ring the
-hypotheses hold by theorem, and ``check`` on a monoid reports a failed
-hypothesis in its report.
+6 VerificationFailed, 7 InvalidSpec or parse failure (``EXLIFT_GUARD``
+included), 1 anything else (an unwritable output file included), each
+with one ``error:`` line.  Code 4 stays reserved, but no command exits
+with it: on a ring the hypotheses hold by theorem, and ``check`` on a
+monoid reports a failed hypothesis in its report.
+
+Reports on a ring are exact: V(R) = N^t, one N per simple component of
+R/J(R) (``v_monoid_components``), a class is a rank vector and V(I) =
+N^(``v_ideal_components``).  No command truncates V(R).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 
 import click
 
@@ -24,14 +28,14 @@ from . import certificates as certs
 from . import corpus as corpus_mod
 from .exchange import is_exchange_ideal, is_exchange_ring
 from .ktheory import index as k_index, is_fredholm, k0_zero_test
-from .lifting import (effective_truncation, lift_unit, oracle_lift,
-                      separative_exchange_status)
+from .lifting import lift_unit, oracle_lift, separative_exchange_status
 from .rings import (FiniteRing, build_ring, element_descriptor,
                     element_from_descriptor, full_ideal, ideal_closure,
                     parse_ring_spec, ring_spec_obj)
-from .vmonoid import (OrderIdeal, build_v_monoid, has_refinement_wrt,
-                      is_separative, lemma13_check, monoid_to_obj,
-                      parse_monoid_obj, v_order_ideal, validate_order_ideal)
+from .vmonoid import (OrderIdeal, _wedderburn_data, class_key,
+                      has_refinement_wrt, ideal_components, is_separative,
+                      lemma13_check, monoid_to_obj, parse_monoid_obj,
+                      rank_vector, validate_order_ideal)
 
 EXIT_CODES = {
     NotFredholm: 3,
@@ -133,13 +137,9 @@ def _parse_element(ring: FiniteRing, text: str) -> int:
     return element_from_descriptor(ring, desc)
 
 
-def _guards(guard: int | None, truncation: int | None = None) -> Guards:
+def _guards(guard: int | None) -> Guards:
     g = default_guards()
-    if guard is not None:
-        g = g.with_carrier(guard)
-    if truncation is not None:
-        g = replace(g, truncation=truncation)
-    return g
+    return g if guard is None else g.with_carrier(guard)
 
 
 spec_opt = click.option("--spec", required=True, type=click.Path(),
@@ -148,8 +148,6 @@ ideal_opt = click.option("--ideal", default=None,
                          help="Ideal generators as a JSON list of canonical "
                               "element descriptors, overriding the spec "
                               "file's ideal.")
-trunc_opt = click.option("--truncation", "-K", default=None, type=int,
-                         help="V-monoid truncation dimension (default 2).")
 guard_opt = click.option("--guard", default=None, type=int,
                          help=f"Carrier-size guard (also {ENV_GUARD}).")
 fmt_opt = click.option("--format", "fmt", default="human",
@@ -168,21 +166,20 @@ def main():
 @main.command()
 @spec_opt
 @ideal_opt
-@trunc_opt
 @guard_opt
 @fmt_opt
 @out_opt
-def check(spec, ideal, truncation, guard, fmt, out):
+def check(spec, ideal, guard, fmt, out):
     """Exchange, separativity, refinement and V-monoid reports."""
     try:
-        guards = _guards(guard, truncation)
+        guards = _guards(guard)
         obj = _load_spec_file(spec)
         if "monoid" in obj:
             report = _check_monoid(obj)
         else:
             report = _check_ring(obj, ideal, guards)
         _emit(report, fmt, out)
-    except ExliftError as exc:
+    except (ExliftError, OSError) as exc:
         _fail(exc)
 
 
@@ -224,9 +221,6 @@ def _check_monoid(obj: dict) -> dict:
 
 def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
     ring, ideal = _ring_context(obj, ideal_opt_val, guards)
-    K = effective_truncation(ring, guards)
-    vm = build_v_monoid(ring, K, guards)
-    s = v_order_ideal(vm, ideal)
     status = separative_exchange_status(ring, ideal, guards)
     return {
         "format": "exlift-report", "version": 1, "kind": "check",
@@ -237,11 +231,9 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
         "ideal_size": len(ideal.members),
         "exchange_ring": is_exchange_ring(ring),
         "exchange_ideal": is_exchange_ideal(ring, ideal),
-        "truncation": K,
-        "v_monoid": monoid_to_obj(vm.monoid),
         "v_monoid_components": [{"simple_size": s_i, "degree": n_i}
-                                for s_i, n_i in vm.components],
-        "v_ideal_classes": sorted(vm.monoid.labels[i] for i in s.member_set),
+                                for s_i, n_i in _wedderburn_data(ring)[0]],
+        "v_ideal_components": ideal_components(ring, ideal),
         "separative_ideal": status["separative"],
         "refinement_wrt_ideal": status["refinement"],
         "decision_path": status["decision_path"],
@@ -254,45 +246,36 @@ def _check_ring(obj: dict, ideal_opt_val, guards: Guards) -> dict:
 @click.option("--element", required=True,
               help="Canonical element descriptor (JSON: int in [0, n), "
                    "entry lists, or pair).")
-@trunc_opt
 @guard_opt
 @fmt_opt
 @out_opt
-def index_cmd(spec, ideal, element, truncation, guard, fmt, out):
-    """The K0 index of a Fredholm element and whether it vanishes."""
+def index_cmd(spec, ideal, element, guard, fmt, out):
+    """The K0 index of a Fredholm element, as two rank vectors in V(R) =
+    N^t, and whether it vanishes."""
     try:
-        guards = _guards(guard, truncation)
+        guards = _guards(guard)
         obj = _load_spec_file(spec)
         ring, idl = _ring_context(obj, ideal, guards)
         x = _parse_element(ring, element)
         if not is_fredholm(ring, idl, x):
             raise NotFredholm(f"pi({element}) is not a unit of R/I")
-        report = _index_report(ring, idl, x, guards)
+        report = _index_report(ring, idl, x)
         _emit(report, fmt, out)
-    except ExliftError as exc:
+    except (ExliftError, OSError) as exc:
         _fail(exc)
 
 
-def _index_report(ring, idl, x, guards) -> dict:
+def _index_report(ring, idl, x) -> dict:
     ix = k_index(ring, idl, x)
-    K = effective_truncation(ring, guards)
-    vm = build_v_monoid(ring, K, guards)
-
-    def label(mat):
-        try:
-            cls = vm.classify(mat)
-        except GuardExceeded:
-            return f"unclassified(dim={mat.n})"
-        return vm.label(cls)
-
+    pos, neg = (list(rank_vector(ring, class_key(ring, *parts)))
+                for parts in (ix.pos_parts, ix.neg_parts))
     return {
         "format": "exlift-report", "version": 1, "kind": "index",
         "ring": ring_spec_obj(ring.spec),
         "element": element_descriptor(ring, x),
         "fredholm": True,
-        "truncation": K,
-        "index_pos_class": label(ix.pos),
-        "index_neg_class": label(ix.neg),
+        "index_pos_rank": pos,
+        "index_neg_rank": neg,
         "zero_test": {"zero": k0_zero_test(ix)},
     }
 
@@ -339,7 +322,7 @@ def lift(spec, ideal, element, guard, fmt, out, cert_out):
             certs.save_certificate(payload, cert_out)
             report["certificate_file"] = cert_out
         _emit(report, fmt, out)
-    except ExliftError as exc:
+    except (ExliftError, OSError) as exc:
         _fail(exc)
 
 
@@ -368,7 +351,7 @@ def verify(cert_file, guard, fmt, out):
         if not ok:
             raise VerificationFailed(
                 f"{len(report['checks_failed'])} contract(s) failed")
-    except ExliftError as exc:
+    except (ExliftError, OSError) as exc:
         _fail(exc)
 
 
@@ -376,6 +359,7 @@ def verify(cert_file, guard, fmt, out):
 @click.option("--full", is_flag=True,
               help="Include the slow corpus entries (triangular over Z/4).")
 @click.option("--lifts-per-pair", default=3, show_default=True,
+              type=click.IntRange(min=0),
               help="How many Fredholm elements to lift and verify per pair.")
 @guard_opt
 @fmt_opt
@@ -425,7 +409,7 @@ def corpus(full, lifts_per_pair, guard, fmt, out):
         _emit(report, fmt, out)
         if failures:
             raise VerificationFailed(f"{failures} corpus pair(s) failed")
-    except ExliftError as exc:
+    except (ExliftError, OSError) as exc:
         _fail(exc)
 
 

@@ -3,10 +3,10 @@
 Exceeding a guard raises ``GuardExceeded`` instead of degrading to an
 approximate answer.  ``Guards`` holds the two settable ones: the largest
 carrier a ring construction may produce (the CLI's ``--guard`` and
-``EXLIFT_GUARD``) and the V-monoid truncation.  The truncation serves
-``exlift check`` and ``exlift index`` only (``-K``), whose V(R) table and
-class labels are truncated; no verdict, lift or certificate depends on it.
-The fixed bounds are constants next to the check they bound:
+``EXLIFT_GUARD``) and the V-monoid truncation.  No command sets the
+truncation and no report names it; it only sizes the box that
+``lifting.effective_truncation`` hands to ``vmonoid.build_v_monoid``.  The
+fixed bounds are constants next to the check they bound:
 ``rings.TABLE_ENTRIES`` and ``vmonoid.ENUMERATION``.
 """
 
@@ -15,6 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InvalidSpec
+
 ENV_GUARD = "EXLIFT_GUARD"
 
 
@@ -22,7 +24,7 @@ ENV_GUARD = "EXLIFT_GUARD"
 class Guards:
     # Largest carrier a ring construction may produce.
     carrier: int = 65536
-    # V-monoid truncation dimension of the check and index reports.
+    # V-monoid truncation dimension of the box build_v_monoid builds.
     truncation: int = 2
 
     def with_carrier(self, carrier: int) -> "Guards":
@@ -30,14 +32,14 @@ class Guards:
 
 
 def default_guards() -> Guards:
-    """Guards from defaults, honouring the EXLIFT_GUARD carrier override."""
+    """Guards from defaults and the EXLIFT_GUARD carrier, an integer."""
     raw = os.environ.get(ENV_GUARD)
     g = Guards()
     if raw is not None:
         try:
             g = g.with_carrier(int(raw))
         except ValueError:
-            raise ValueError(f"{ENV_GUARD} must be an integer, got {raw!r}")
+            raise InvalidSpec(f"{ENV_GUARD} must be an integer, got {raw!r}")
     return g
 
 

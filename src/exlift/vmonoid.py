@@ -1,13 +1,13 @@
-"""Monoids of idempotent-matrix classes, truncated at a dimension bound.
+"""V(R) of a finite ring, exactly and as a truncated monoid table.
 
-``build_v_monoid(R, K)`` builds V(R) in closed form from R/J(R): a finite
-ring is semiperfect and R/J(R) = prod M_{n_i}(F_{q_i}) (Wedderburn-Artin),
-so the Murray-von Neumann class of an idempotent matrix (x*y = e, y*x = f
-with x in e*M*f) is its rank vector over the simple components, and block
-direct sum adds rank vectors.  Truncated at K the classes are the box
-prod [0, K*n_i]; sums outside it map to a distinguished absorbing overflow
-element, which all checkers exclude from their quantifier ranges: every
-verdict is relative to the K-ball and says nothing beyond it.
+A finite ring is semiperfect and R/J(R) = prod M_{n_i}(F_{q_i})
+(Wedderburn-Artin), so the Murray-von Neumann class of an idempotent matrix
+(x*y = e, y*x = f with x in e*M*f) is its rank vector over the simple
+components (``rank_vector``), block direct sum adds rank vectors, V(R) =
+N^t and V(I) = N^(``ideal_components``).  ``build_v_monoid(R, K)`` cuts
+N^t to the box prod [0, K*n_i]; sums outside it map to an absorbing
+overflow element, which all checkers exclude from their quantifier ranges:
+every box verdict is relative to the K-ball and says nothing beyond it.
 
 This is the only module that decides classes, and it does so with one exact
 invariant, ``class_key``: the sizes of the column module of E over
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -293,23 +292,22 @@ class VClass:
 @dataclass(eq=False)
 class VMonoid:
     ring: FiniteRing
-    truncation: int
     monoid: FinMonoid
     classes: list
     class_of: dict          # (1, code) -> class index, for 1x1 idempotents
-    overflow_index: Optional[int]
     keys: list              # class index -> class key
     index_of: dict          # class key -> class index
     components: tuple       # (s_i, n_i) per simple component of R/J(R)
 
-    def classify(self, A: RMatrix) -> Optional[int]:
-        """Class index of an idempotent matrix; None means overflow."""
-        return self.index_of.get(class_key(self.ring, A))
 
-    def label(self, index: Optional[int]) -> str:
-        if index is None:
-            index = self.overflow_index
-        return self.monoid.labels[index]
+def _exponent(z: int, s: int) -> int:
+    """n with s**n == z, in integer arithmetic (s >= 2)."""
+    n = 0
+    while s ** n < z:
+        n += 1
+    if s ** n != z:
+        raise SearchExhausted(f"{z} is not a power of {s}")
+    return n
 
 
 def _wedderburn_data(ring: FiniteRing) -> tuple:
@@ -330,17 +328,23 @@ def _wedderburn_data(ring: FiniteRing) -> tuple:
                  for c in comps]
         simple = [min((key[i] for key in keys if key[i] > 1), default=2)
                   for i in range(len(comps))]
-        degrees = [round(math.log(z, s)) for z, s in zip(sizes, simple)]
+        degrees = [_exponent(z, s) for z, s in zip(sizes, simple)]
         box = {tuple(s ** x for s, x in zip(simple, r)): r
                for r in itertools.product(*(range(n + 1) for n in degrees))}
-        if (set(keys) != set(box)
-                or any(s ** n != z for s, n, z in zip(simple, degrees, sizes))):
+        if set(keys) != set(box):
             raise SearchExhausted(
                 f"R/J({ring.describe()}) is not prod M_n(F_q) by the keys "
                 f"of its 1x1 idempotents")
         got = ring._cache["wedderburn"] = (
             tuple(zip(simple, degrees)), [(c, box[k]) for c, k in zip(codes, keys)])
     return got
+
+
+def rank_vector(ring: FiniteRing, key: tuple) -> tuple:
+    """The class in V(R) = N^t of a class key: r with key_i = s_i**r_i, one
+    entry per simple component of R/J(R), in ``_wedderburn_data`` order."""
+    components, _ = _wedderburn_data(ring)
+    return tuple(_exponent(k, s) for (s, _), k in zip(components, key))
 
 
 def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoid:
@@ -396,23 +400,29 @@ def build_v_monoid(ring: FiniteRing, K: int, guards: Guards = DEFAULT) -> VMonoi
     monoid = FinMonoid(len(rows), tuple(map(tuple, rows)), zero_class,
                        tuple(labels), ovf)
     classes = [VClass(representative(r), i) for i, r in enumerate(ranks)]
-    vm = VMonoid(ring, K, monoid, classes, class_of, ovf, keys, index_of,
-                 components)
+    vm = VMonoid(ring, monoid, classes, class_of, keys, index_of, components)
     ring._cache[cache_key] = vm
     return vm
 
 
-def v_order_ideal(vm: VMonoid, ideal: Ideal) -> OrderIdeal:
-    """V(I): the classes whose key is 1 on every simple component of R/J
-    outside (I+J)/J.
+def ideal_components(ring: FiniteRing, ideal: Ideal) -> list:
+    """Indices of the simple components of R/J(R) that (I+J)/J covers.
 
-    An idempotent matrix over I vanishes on those components, and every
-    rank vector supported inside (I+J)/J lifts to an idempotent over I."""
+    An idempotent matrix over I vanishes on the other components, and every
+    rank vector supported on these lifts to an idempotent over I, so
+    V(I) = N^those."""
+    qmap, comps = _semisimple_quotient(ring)
+    image = set(qmap.image[list(ideal.sorted_members)].tolist())
+    return [i for i, c in enumerate(comps) if c in image]
+
+
+def v_order_ideal(vm: VMonoid, ideal: Ideal) -> OrderIdeal:
+    """V(I) in the box: the classes whose key is 1 on every component
+    outside ``ideal_components``."""
     if ideal.ring is not vm.ring:
         raise InvalidSpec("ideal belongs to a different ring")
-    qmap, comps = _semisimple_quotient(vm.ring)
-    image = set(qmap.image[list(ideal.sorted_members)].tolist())
-    outside = [i for i, c in enumerate(comps) if c not in image]
+    inside = ideal_components(vm.ring, ideal)
+    outside = [i for i in range(len(vm.components)) if i not in inside]
     s = OrderIdeal(frozenset(ci for ci, key in enumerate(vm.keys)
                              if all(key[i] == 1 for i in outside)))
     validate_order_ideal(vm.monoid, s)

@@ -31,10 +31,11 @@ def _m2_spec(tmp_path):
     return str(spec)
 
 
-def test_truncation_option_reaches_index_not_lift(tmp_path, monkeypatch):
-    # index labels classes of the truncated V(R), so it reads K; the lift
-    # reads nothing that depends on K, so it takes no -K and reports none
-    from exlift import cli, lifting
+def test_no_command_takes_truncation(tmp_path, monkeypatch):
+    # check and index report V(R) = N^t exactly and the lift reads nothing
+    # that depends on a truncation: -K is a usage error everywhere, no
+    # report names a truncation, and no command sets one
+    from exlift import lifting
     seen = []
     real = lifting.effective_truncation
 
@@ -43,29 +44,25 @@ def test_truncation_option_reaches_index_not_lift(tmp_path, monkeypatch):
         return real(ring, guards)
 
     monkeypatch.setattr(lifting, "effective_truncation", spy)
-    monkeypatch.setattr(cli, "effective_truncation", spy, raising=False)
     spec = _m2_spec(tmp_path)
-    res = CliRunner().invoke(main, [
-        "index", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
-        "-K", "1", "--format", "machine"])
-    assert res.exit_code == 0, res.output
-    assert seen and set(seen) == {1}, seen
-    report = json.loads(res.stdout)
-    assert report["truncation"] == 1
-    assert report["zero_test"] == {"zero": True}
-
-    res = CliRunner().invoke(main, [
-        "lift", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
-        "-K", "1", "--format", "machine"])
-    assert res.exit_code == 2 and "No such option" in res.output, res.output
-    seen.clear()
-    res = CliRunner().invoke(main, [
-        "lift", "--spec", spec, "--element", "[[0, 1], [1, 1]]",
-        "--format", "machine"])
-    assert res.exit_code == 0, res.output
-    assert seen == [] and "truncation" not in json.loads(res.stdout)
-    help_text = CliRunner().invoke(main, ["lift", "--help"]).output
-    assert "--truncation" not in help_text and "-K" not in help_text
+    runs = {"check": ["check", "--spec", spec],
+            "index": ["index", "--spec", spec,
+                      "--element", "[[0, 1], [1, 1]]"],
+            "lift": ["lift", "--spec", spec,
+                     "--element", "[[0, 1], [1, 1]]"]}
+    for name, args in runs.items():
+        res = CliRunner().invoke(main, args + ["-K", "1"])
+        assert res.exit_code == 2 and "No such option" in res.output, \
+            (name, res.output)
+        help_text = CliRunner().invoke(main, [name, "--help"]).output
+        assert "--truncation" not in help_text and "-K" not in help_text
+        seen.clear()
+        res = CliRunner().invoke(main, args + ["--format", "machine"])
+        assert res.exit_code == 0, (name, res.output)
+        report = json.loads(res.stdout)
+        assert "truncation" not in report, (name, report)
+        assert set(seen) <= {lifting.DEFAULT.truncation}, (name, seen)
+    assert report["lifted"] and seen == []
 
 
 def test_lift_needs_neither_index_nor_zero_test(tmp_path, monkeypatch):
@@ -92,26 +89,41 @@ def test_lift_needs_neither_index_nor_zero_test(tmp_path, monkeypatch):
     assert "zero_test" not in report
 
 
-def test_check_builds_v_monoid_at_full_truncation(tmp_path):
-    # |M_2(Z/3)| = 81: the closed-form build needs no M_K(R) enumeration,
-    # so the default truncation 2 holds and V(R) is {0, ..., 4} plus overflow
-    spec = tmp_path / "m2z3.json"
-    spec.write_text(json.dumps({
-        "ring": {"type": "matrix", "base": {"type": "zmod", "n": 3}, "k": 2},
-        "ideal": {"generators": []}}))
-    res = CliRunner().invoke(main, ["check", "--spec", str(spec),
+def _check(tmp_path, ring_obj, gens):
+    res = CliRunner().invoke(main, ["check", "--spec",
+                                    _zmod_spec(tmp_path, ring_obj, gens),
                                     "--format", "machine"])
     assert res.exit_code == 0, res.output
-    report = json.loads(res.output)
-    assert report["truncation"] == 2
+    return json.loads(res.output)
+
+
+def test_check_reports_v_exactly(tmp_path):
+    # V(R) = N^t, one copy of N per simple component of R/J(R), and V(I) is
+    # N^(v_ideal_components); nothing is truncated
+    z2, z3 = {"type": "zmod", "n": 2}, {"type": "zmod", "n": 3}
+    m2z3 = {"type": "matrix", "base": z3, "k": 2}
+    report = _check(tmp_path, m2z3, [])
     for verdict in ("exchange_ring", "exchange_ideal", "separative_ideal",
                     "refinement_wrt_ideal"):
         assert report[verdict] is True, verdict
     assert report["decision_path"] == "theorem"
-    assert report["v_monoid"]["size"] == 6
-    assert report["v_monoid"]["overflow"] == 5
     assert report["v_monoid_components"] == [{"simple_size": 9, "degree": 2}]
-    assert report["v_ideal_classes"] == ["0"]
+    assert report["v_ideal_components"] == []
+    for gone in ("truncation", "v_monoid", "v_ideal_classes"):
+        assert gone not in report, gone
+    assert _check(tmp_path, m2z3, [[[1, 0], [0, 0]]])[
+        "v_ideal_components"] == [0]
+    # in Z/2 x M_2(Z/2) the ideal 0 x M_2(Z/2) covers exactly
+    # the component of simple size 4 and degree 2
+    product = {"type": "product", "left": z2,
+               "right": {"type": "matrix", "base": z2, "k": 2}}
+    report = _check(tmp_path, product, [[0, [[1, 0], [0, 1]]]])
+    components = report["v_monoid_components"]
+    assert sorted(components, key=lambda c: c["simple_size"]) == [
+        {"simple_size": 2, "degree": 1}, {"simple_size": 4, "degree": 2}]
+    assert [components[i] for i in report["v_ideal_components"]] == [
+        {"simple_size": 4, "degree": 2}]
+    assert report["ideal_size"] == 16
 
 
 def test_check_refuses_bad_order_ideal_indices(tmp_path):
@@ -228,3 +240,51 @@ def test_version_1_certificate_fails_verify(tmp_path):
     report = json.loads(res.stdout)
     assert [c["check"] for c in report["checks_failed"]] == ["format"]
     assert report["claim"] is None
+
+
+def test_non_integer_guard_variable_exits_7(tmp_path):
+    spec = _zmod_spec(tmp_path, {"type": "zmod", "n": 4}, [2])
+    for args in (["check", "--spec", spec],
+                 ["lift", "--spec", spec, "--element", "3"],
+                 ["corpus", "--lifts-per-pair", "0"]):
+        res = CliRunner().invoke(main, args, env={"EXLIFT_GUARD": "abc"})
+        assert res.exit_code == 7, (args, res.output, res.exception)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.output == ("error: InvalidSpec: EXLIFT_GUARD must be an "
+                              "integer, got 'abc'\n"), res.output
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path):
+    spec = _zmod_spec(tmp_path, {"type": "zmod", "n": 4}, [2])
+    missing = str(tmp_path / "missing" / "out.json")
+    for args in (["check", "--spec", spec, "--out", missing],
+                 ["lift", "--spec", spec, "--element", "3",
+                  "--cert-out", missing]):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1, (args, res.output, res.exception)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.output.startswith("error: FileNotFoundError: "), args
+        assert res.output.count("\n") == 1, res.output
+
+
+def test_negative_lifts_per_pair_is_a_usage_error():
+    # a corpus run that lifts nothing must not pass for one that lifted
+    res = CliRunner().invoke(main, ["corpus", "--lifts-per-pair", "-1"])
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "lifts-per-pair" in res.output
+
+
+def test_index_rank_vectors_agree_on_default_pairs(corpus_pairs):
+    # every unit of R/I lifts on a finite ring, so every index vanishes:
+    # its two rank vectors in V(R) = N^t are equal
+    from exlift.cli import _index_report
+    from exlift.ktheory import fredholm_elements
+    checked = 0
+    for name, ring, ideal, _ in corpus_pairs:
+        for x in fredholm_elements(ring, ideal):
+            report = _index_report(ring, ideal, x)
+            assert report["index_pos_rank"] == report["index_neg_rank"], \
+                (name, x, report)
+            assert report["zero_test"] == {"zero": True}, (name, x)
+            checked += 1
+    assert checked == 192

@@ -205,10 +205,10 @@ def assert_matches_oracle(ring, K, ideals=()):
     assert len(vm.class_of) == sum(k == 1 for mem in members for k, _ in mem)
     for i, row in enumerate(table):
         for j, t in enumerate(row):
-            expected = vm.overflow_index if t is None else to_new[t]
+            expected = vm.monoid.overflow if t is None else to_new[t]
             assert vm.monoid.op(to_new[i], to_new[j]) == expected, (name, i, j)
     has_overflow = any(t is None for row in table for t in row)
-    assert (vm.overflow_index is not None) == has_overflow, name
+    assert (vm.monoid.overflow is not None) == has_overflow, name
     for ideal in ideals:
         old = {to_new[ci] for ci in oracle_order_ideal(ring, members, ideal)}
         assert V.v_order_ideal(vm, ideal).member_set == old, (name, ideal)
@@ -280,7 +280,7 @@ def test_v_zero_ring_is_trivial():
     # R/J(0) has no simple components: the empty key, one class, no overflow
     vm = V.build_v_monoid(z(1), 2)
     assert vm.keys == [()] and vm.components == ()
-    assert vm.monoid.table == ((0,),) and vm.overflow_index is None
+    assert vm.monoid.table == ((0,),) and vm.monoid.overflow is None
 
 
 def test_v_product_componentwise():
@@ -291,10 +291,11 @@ def test_v_product_componentwise():
     e10 = M.matrix(p22, [[R.element_from_descriptor(p22, [1, 0])]])
     e01 = M.matrix(p22, [[R.element_from_descriptor(p22, [0, 1])]])
     e11 = M.matrix(p22, [[R.element_from_descriptor(p22, [1, 1])]])
-    c10, c01, c11 = vm.classify(e10), vm.classify(e01), vm.classify(e11)
+    c10, c01, c11 = (vm.index_of.get(V.class_key(p22, e))
+                     for e in (e10, e01, e11))
     assert vm.monoid.op(c10, c01) == c11
     # (1,1) + (1,0) overflows at K=1
-    assert vm.monoid.op(c11, c10) == vm.overflow_index
+    assert vm.monoid.op(c11, c10) == vm.monoid.overflow
 
 
 def test_zero_class_is_identity(corpus_rings):
@@ -312,14 +313,14 @@ def test_truncation_monotonicity():
         vm2 = V.build_v_monoid(ring, 2)
         mapping = {}
         for i, cls in enumerate(vm1.classes):
-            j = vm2.classify(cls.representative)
+            j = vm2.index_of.get(V.class_key(ring, cls.representative))
             assert j is not None
             mapping[i] = j
         assert len(set(mapping.values())) == len(mapping)
         for i1 in range(len(vm1.classes)):
             for i2 in range(len(vm1.classes)):
                 s1 = vm1.monoid.op(i1, i2)
-                if s1 == vm1.overflow_index:
+                if s1 == vm1.monoid.overflow:
                     continue
                 s2 = vm2.monoid.op(mapping[i1], mapping[i2])
                 assert s2 == mapping[s1]
@@ -348,7 +349,7 @@ def test_class_keys_agree_with_witness_search():
             total = M.direct_sum(reps[i], reps[j])
             hits = [t for t, rep in enumerate(reps) if equivalent(total, rep)]
             assert len(hits) <= 1
-            expected = hits[0] if hits else vm.overflow_index
+            expected = hits[0] if hits else vm.monoid.overflow
             assert vm.monoid.op(i, j) == expected, (spec, i, j)
 
 
@@ -415,6 +416,53 @@ def test_v_order_ideal_product_factor():
         first_zero = all(v // nr == 0 for row in cls.representative.entries
                          for v in row)
         assert (ci in s.member_set) == first_zero
+
+
+def test_v_order_ideal_is_the_box_on_ideal_components(corpus_pairs_full):
+    # V(I) = N^(ideal_components): in the box, the classes whose rank vector
+    # is zero off those components
+    for _, ring, ideal, _ in corpus_pairs_full:
+        vm = V.build_v_monoid(ring, 2)
+        inside = V.ideal_components(ring, ideal)
+        supported = {ci for ci, key in enumerate(vm.keys)
+                     if all(r == 0 for i, r in
+                            enumerate(V.rank_vector(ring, key))
+                            if i not in inside)}
+        assert V.v_order_ideal(vm, ideal).member_set == supported, \
+            (ring.describe(), ideal.generators)
+    assert len(corpus_pairs_full) == 38
+
+
+def test_box_representatives_have_their_box_rank(corpus_rings):
+    # each representative is a direct sum of 1x1 idempotents, so its rank
+    # vector is the sum of theirs; the ranks fill the box prod [0, K*n_i]
+    for ring in {id(ring): ring for _, ring in corpus_rings}.values():
+        ones = dict(V._wedderburn_data(ring)[1])
+        for K in (1, 2):
+            vm = V.build_v_monoid(ring, K)
+            ranks = []
+            for ci, cls in enumerate(vm.classes):
+                rep = cls.representative
+                assert all(rep.entries[i][j] == ring.zero
+                           for i in range(rep.n) for j in range(rep.n)
+                           if i != j)
+                box = tuple(map(sum, zip(*(ones[rep.entries[d][d]]
+                                           for d in range(rep.n)))))
+                assert V.rank_vector(ring, vm.keys[ci]) == box
+                assert V.rank_vector(ring, V.class_key(ring, rep)) == box
+                ranks.append(box)
+            assert sorted(ranks) == sorted(itertools.product(
+                *(range(K * n + 1) for _, n in vm.components)))
+    # [1] - [0] over Z/2
+    z2 = z(2)
+    assert V.rank_vector(z2, V.class_key(z2, M.matrix(z2, [[1]]))) == (1,)
+    assert V.rank_vector(z2, V.class_key(z2, M.matrix(z2, [[0]]))) == (0,)
+
+
+def test_rank_vector_refuses_a_non_key():
+    # R/J(Z/4) = F_2: every key component is a power of 2
+    with pytest.raises(SearchExhausted):
+        V.rank_vector(z(4), (3,))
 
 
 def test_refinement_examples():
