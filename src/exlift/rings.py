@@ -1,10 +1,9 @@
 """Finite unital rings given by explicit operation tables.
 
 A ring element is its carrier index (an int in ``range(ring.size)``); all
-arithmetic goes through precomputed ``add``/``mul``/``neg`` tables, so every
-constructor (zmod, matrix, triangular, product, quotient) yields the same
-uniform exact representation.  Structural recipes are kept on the ring only
-for display and serialization.
+arithmetic reads per-row factors of the operation tables (``FiniteRing``),
+the same uniform exact representation for every constructor.  Structural
+recipes are kept on the ring only for display and serialization.
 """
 
 from __future__ import annotations
@@ -177,43 +176,91 @@ def distinct(values, size: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-@dataclass(eq=False)
 class FiniteRing:
-    """A finite unital ring as carrier indices plus total operation tables."""
+    """A finite unital ring on range(size), its operations kept as per-row
+    factors: with the row codes code_r(a) = a // w_r % m_r (m_r rows in
+    factor r, w_r the product of the m_s after it), a*c is the sum of
+    w_r U_r[code_r(a), c], a+c of w_r V_r[code_r(a), code_r(c)] and -a of
+    w_r N_r[code_r(a)].  A table ring is the one-factor case (w = (1,), U_0
+    the multiplication table); M_k(R) and T_k(R) have one factor per matrix
+    row, R x S one per side.  The whole tables ``npadd``/``npmul``/``npneg``
+    are formed when a whole-table kernel first reads them, at once (with
+    list mirrors for the scalar ops) up to ``_LIST_MIRROR_MAX`` elements."""
 
-    size: int
-    npadd: np.ndarray
-    npmul: np.ndarray
-    npneg: np.ndarray
-    zero: int
-    one: int
-    spec: RingSpec
-
-    def __post_init__(self):
-        # the element codec's memo maps, filled as elements are asked for
-        self._cache: dict = {"encode": {}, "decode": {}}
-        if self.size <= _LIST_MIRROR_MAX:
+    def __init__(self, size: int, add, mul, neg, zero: int, one: int,
+                 spec: RingSpec, weights=None, opposite_of=None):
+        # add, mul, neg: the tables, or with weights one factor per weight
+        if weights is None:
+            weights, add, mul, neg = (1,), (add,), (mul,), (neg,)
+        # every ring, R^op too, sets these in this order, which keeps
+        # attribute reads specialized by the interpreter
+        self.size, self.zero, self.one, self.spec = size, zero, one, spec
+        # (w_r, m_r, factor r, a memoryview of it for scalar reads) per row
+        self._fadd, self._fmul, self._fneg = (
+            tuple((w, len(F), F, memoryview(F)) for w, F in zip(weights, fs))
+            for fs in (add, mul, neg))
+        self.flip = opposite_of is not None     # a*b here is b*a there
+        # the whole tables formed so far, shared with the opposite ring
+        self._tables = {} if opposite_of is None else opposite_of._tables
+        # memo maps of the element codec and of inverse, filled as asked for
+        self._cache: dict = {"encode": {}, "decode": {}, "inverse": {}}
+        if self.size > _LIST_MIRROR_MAX:
+            self._add = self._mul = self._neg = None
+        elif opposite_of is not None:       # R's add and neg mirrors
+            self._add, self._mul, self._neg = (
+                opposite_of._add, self.npmul.tolist(), opposite_of._neg)
+        else:
             self._add = self.npadd.tolist()
             self._mul = self.npmul.tolist()
             self._neg = self.npneg.tolist()
-        else:
-            self._add = self._mul = self._neg = None
+
+    # -- whole tables ---------------------------------------------------------
+    def _table(self, name: str) -> np.ndarray:
+        """The whole table of "add", "mul" or "neg", formed on first use."""
+        got = self._tables.get(name)
+        if got is None:
+            for w, _, F, _ in getattr(self, "_f" + name):
+                F = F if w == 1 else F * w
+                if got is None:
+                    got = F
+                elif name == "add":         # V_r reads code r of both sides
+                    got = (got[:, None, :, None] + F[None, :, None, :]
+                           ).reshape(len(got) * len(F), -1)
+                else:                       # U_r, N_r read code r of a
+                    got = (got[:, None] + F[None]).reshape((-1,) + F.shape[1:])
+            self._tables[name] = got
+        return got.T if self.flip and name == "mul" else got
+
+    npadd = property(lambda self: self._table("add"))
+    npmul = property(lambda self: self._table("mul"))
+    npneg = property(lambda self: self._table("neg"))
 
     # -- scalar arithmetic --------------------------------------------------
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]
-        return int(self.npadd[a, b])
+        out = 0
+        for w, m, _, V in self._fadd:
+            out += w * V[a // w % m, b // w % m]
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a][b]
-        return int(self.npmul[a, b])
+        if self.flip:
+            a, b = b, a
+        out = 0
+        for w, m, _, U in self._fmul:
+            out += w * U[a // w % m, b]
+        return out
 
     def neg(self, a: int) -> int:
         if self._neg is not None:
             return self._neg[a]
-        return int(self.npneg[a])
+        out = 0
+        for w, m, _, N in self._fneg:
+            out += w * N[a // w % m]
+        return out
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -227,51 +274,54 @@ class FiniteRing:
     def __repr__(self):
         return f"FiniteRing({self.describe()}, size={self.size})"
 
-    # -- cached element sets --------------------------------------------------
-    def units(self) -> tuple:
-        """All elements with a two-sided inverse, ascending.
-
-        Rows of the table are scanned in chunks for the first v with
-        u*v = 1, so no |R| x |R| temporary is made; each hit must also have
-        v*u = 1.  A finite ring is Dedekind-finite, so that first v is the
-        inverse."""
-        got = self._cache.get("units")
-        if got is None:
-            inv = {}
-            step = max(1, _CHUNK // self.size)
-            for lo in range(0, self.size, step):
-                hit = self.npmul[lo:lo + step] == self.one
-                us = np.flatnonzero(hit.any(axis=1))
-                vs = hit[us].argmax(axis=1)
-                us += lo
-                ok = self.npmul[vs, us] == self.one
-                inv.update(zip(us[ok].tolist(), vs[ok].tolist()))
-            self._cache["inverse_map"] = inv
-            got = self._cache["units"] = tuple(inv)
-        return got
-
-    def inverse(self, u: int) -> Optional[int]:
-        """Two-sided inverse of u, or None."""
-        self.units()
-        return self._cache["inverse_map"].get(u)
-
-    def idempotents(self) -> tuple:
-        got = self._cache.get("idempotents")
-        if got is None:
-            diag = self.npmul[np.arange(self.size), np.arange(self.size)]
-            got = tuple(int(e) for e in np.flatnonzero(diag == np.arange(self.size)))
-            self._cache["idempotents"] = got
-        return got
-
+    # -- rows -----------------------------------------------------------------
     def mul_row(self, a: int) -> list:
         """a*x over all x, as a list: the list mirror's own row (callers only
-        read it) when the ring keeps mirrors, else the table row converted,
-        or for the zero element the zero row, which needs no table."""
+        read it), or the zero row, or summed from the factors; R^op's row a
+        is R's column a, the factors' columns laid along the carrier grid."""
         if self._mul is not None:
             return self._mul[a]
         if a == self.zero:
             return [self.zero] * self.size
-        return self.npmul[a].tolist()
+        if self.flip:
+            return functools.reduce(np.add.outer, [
+                U[:, a] * w for w, _, U, _ in self._fmul]).ravel().tolist()
+        return sum(U[a // w % m] * w for w, m, U, _ in self._fmul).tolist()
+
+    def add_row(self, a: int) -> list:
+        """a + x over all x, as a list (read only, like ``mul_row``)."""
+        if self._add is not None:
+            return self._add[a]
+        return functools.reduce(np.add.outer, [
+            V[a // w % m] * w for w, m, V, _ in self._fadd]).ravel().tolist()
+
+    # -- cached element sets --------------------------------------------------
+    def units(self) -> tuple:
+        """All elements with a two-sided inverse, ascending."""
+        got = self._cache.get("units")
+        if got is None:
+            got = self._cache["units"] = tuple(
+                u for u in self.elements() if self.inverse(u) is not None)
+        return got
+
+    def inverse(self, u: int) -> Optional[int]:
+        """Two-sided inverse of u, or None: the first v in u's row with
+        u*v = 1, if v*u = 1 (a finite ring is Dedekind-finite).  Memoized."""
+        memo = self._cache["inverse"]
+        if u not in memo:
+            row = self.mul_row(u)
+            v = row.index(self.one) if self.one in row else None
+            memo[u] = None if v is None or self.mul(v, u) != self.one else v
+        return memo[u]
+
+    def idempotents(self) -> tuple:
+        got = self._cache.get("idempotents")
+        if got is None:
+            x = np.arange(self.size)
+            diag = sum(U[x // w % m, x] * w for w, m, U, _ in self._fmul)
+            got = tuple(np.flatnonzero(diag == x).tolist())
+            self._cache["idempotents"] = got
+        return got
 
     def right_multiples(self, a: int) -> tuple:
         """Sorted tuple aR."""
@@ -288,8 +338,7 @@ class FiniteRing:
                 continue
             old, x = list(span), t
             while x not in span:             # span + <t>, coset by coset
-                row = (self._add[x] if self._add is not None
-                       else self.npadd[x].tolist())
+                row = self.add_row(x)
                 span.update([row[s] for s in old])
                 x = row[t]
         return tuple(sorted(span))
@@ -298,12 +347,14 @@ class FiniteRing:
     def op(self) -> "FiniteRing":
         """R^op: the same carrier, addition, zero and one, with a*b in R^op
         equal to b*a in R.  Every left-handed notion over R is the
-        right-handed one over R^op (Ra is a*R^op).  Cached both ways, so
-        op().op() is this ring."""
+        right-handed one over R^op (Ra is a*R^op).  It shares R's factors,
+        whole tables and add and neg mirrors, reads mul transposed, and is
+        cached both ways."""
         got = self._cache.get("op")
         if got is None:
-            got = FiniteRing(self.size, self.npadd, self.npmul.T, self.npneg,
-                             self.zero, self.one, OppositeSpec(self.spec))
+            got = FiniteRing(self.size, *([f[2] for f in fs] for fs in (
+                self._fadd, self._fmul, self._fneg)), self.zero, self.one,
+                OppositeSpec(self.spec), [f[0] for f in self._fmul], self)
             got._cache["op"] = self
             self._cache["op"] = got
         return got
@@ -317,7 +368,8 @@ def _table_dtype(n: int):
     return np.min_scalar_type(max(n - 1, 0))
 
 
-# Largest n*n operation table we will materialize (entries, per table).
+# Largest |R|*|R| a ring may have: the work of a whole-table kernel, whether
+# or not its whole tables are ever formed.
 TABLE_ENTRIES = 2**24
 
 
@@ -411,22 +463,6 @@ def _positions(k: int, triangular: bool) -> tuple:
                  if i <= j or not triangular)
 
 
-def _entrywise(table: np.ndarray, m: int, dt) -> np.ndarray:
-    """A unary or binary base table applied entrywise to the codes of m
-    entries.  The tables of the high and the low entries are joined by one
-    broadcast, so only the last join is full size."""
-    if m == 1:
-        return table.astype(dt)
-    hi, lo = _entrywise(table, m // 2, dt), _entrywise(table, m - m // 2, dt)
-    n = len(lo)
-    if table.ndim == 1:
-        return (hi[:, None] * n + lo[None, :]).reshape(-1)
-    # out[x*n + y, x'*n + y'] = hi[x, x']*n + lo[y, y'], broadcast along
-    # whole rows x'*n + y' so that the inner loop is long
-    return (np.repeat(hi * n, n, axis=1)[:, None, :]
-            + np.tile(lo, (1, len(hi)))[None, :, :]).reshape(len(hi) * n, -1)
-
-
 def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     base = build_ring(spec.base, guards)
     k = spec.k
@@ -439,41 +475,39 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     dt = _table_dtype(size)
     # Layout: an element's code reads its free entries pos[0], pos[1], ... as
     # a big-endian base-B number.  pos is row-major, so a code is also the
-    # concatenation of one row code per matrix row.
-    add = _entrywise(base.npadd, nfree, dt)
-    neg = _entrywise(base.npneg, nfree, dt)
-
-    # multiplication: entry (r, j) of A*C is row r of A dotted with column j
-    # of C.  Per row r, tabulate that dot product D[row code, column code],
-    # gather it at the columns of every C into U_r[row code of A, C], the
-    # code of row r of A*C, and append U_r to the rows above with one
-    # broadcast, so only the last row's step is full size
-    badd, bmul = base.npadd, base.npmul
+    # concatenation of one row code per matrix row, and row r of A + C, A*C
+    # and -A reads row r of A alone: factor r of each operation is tabulated
+    # over the row codes of row r.
+    badd, bmul, bneg = (t.astype(dt) for t in (base.npadd, base.npmul,
+                                               base.npneg))
     entry = digits(np.arange(size), B, nfree).T     # entry[p][C]
     full = np.full((k, k, size), base.zero, dtype=np.intp)  # full[l, j][C]
     for p, (i, j) in enumerate(pos):
         full[i, j] = entry[p]
     colcode = [pack(full[:, j], B) for j in range(k)]   # [j][C]
     vec = digits(np.arange(B ** k), B, k).T        # vec[l][column code]
-    mul = None
+    weights, adds, muls, negs = [], [], [], []
+    w = size
     for r in range(k):
         cols = [j for i, j in pos if i == r]
         nr = B ** len(cols)
-        row = np.full((k, nr), base.zero, dtype=np.intp)  # row[l][code]
-        row[cols] = digits(np.arange(nr), B, len(cols)).T
+        w //= nr
+        code = digits(np.arange(nr), B, len(cols)).T   # code[q][row code]
+        row = np.full((k, nr), base.zero, dtype=np.intp)  # row[l][row code]
+        row[cols] = code
+        # entry (r, j) of A*C is row r of A dotted with column j of C:
+        # tabulate that dot product D[row code, column code] and gather it
+        # at the columns of every C into U_r[row code of A, C]
         D = bmul[row[0][:, None], vec[0][None, :]]
         for l in range(1, k):
             D = badd[D, bmul[row[l][:, None], vec[l][None, :]]]
-        U = None
-        for j in cols:
-            g = D.take(colcode[j], axis=1)     # C order, unlike D[:, ...]
-            U = g.astype(dt) if U is None else U * B + g
-        mul = U if mul is None else (mul[:, None, :] * nr
-                                     + U[None]).reshape(-1, size)
+        weights.append(w)
+        muls.append(pack([D.take(colcode[j], axis=1) for j in cols], B))
+        adds.append(pack([badd[x[:, None], x[None, :]] for x in code], B))
+        negs.append(pack([bneg[x] for x in code], B))
 
-    zero = 0
     one = pack((base.one if i == j else base.zero for i, j in pos), B)
-    return FiniteRing(size, add, mul, neg, zero, one, spec)
+    return FiniteRing(size, adds, muls, negs, 0, one, spec, weights)
 
 
 def _build_matrix(spec: MatrixSpec, guards: Guards) -> FiniteRing:
@@ -490,23 +524,15 @@ def _build_product(spec: ProductSpec, guards: Guards) -> FiniteRing:
     nl, nr = lring.size, rring.size
     size = nl * nr
     _check_guards(size, guards)
-    dt = _table_dtype(size)
-
-    la, ra = lring.npadd.astype(np.int64), rring.npadd.astype(np.int64)
-    lm, rm = lring.npmul.astype(np.int64), rring.npmul.astype(np.int64)
-
-    def combine(lt, rt):
-        # (i1*nr+i2) op (j1*nr+j2) -> pair table via kron-style broadcasting
-        out = (lt[:, None, :, None] * nr + rt[None, :, None, :])
-        return out.reshape(size, size).astype(dt)
-
-    add = combine(la, ra)
-    mul = combine(lm, rm)
-    neg = (lring.npneg.astype(np.int64)[:, None] * nr
-           + rring.npneg.astype(np.int64)[None, :]).reshape(size).astype(dt)
-    zero = lring.zero * nr + rring.zero
-    one = lring.one * nr + rring.one
-    return FiniteRing(size, add, mul, neg, zero, one, spec)
+    (la, lm, ln), (ra, rm, rn) = (
+        (t.astype(_table_dtype(size)) for t in (s.npadd, s.npmul, s.npneg))
+        for s in (lring, rring))
+    # (i1, i2) is coded i1*nr + i2: one factor per side, the left mul read
+    # at the left code c // nr of c, the right one at c % nr
+    return FiniteRing(size, (la, ra), (np.repeat(lm, nr, axis=1),
+                                       np.tile(rm, (1, nl))), (ln, rn),
+                      lring.zero * nr + rring.zero, lring.one * nr + rring.one,
+                      spec, (nr, 1))
 
 
 def _build_quotient(spec: QuotientSpec, guards: Guards) -> FiniteRing:

@@ -80,10 +80,14 @@ def idempotent_generator_right(ring: FiniteRing, d: int) -> Optional[int]:
 
 
 def unit_regular_scan(ring: FiniteRing, d: int) -> Optional[tuple]:
-    """(f, u) from the least unit w with d*w*d = d: f = d*w, u = w^-1."""
-    for w in ring.units():
-        if ring.mul(ring.mul(d, w), d) == d:
-            return ring.mul(d, w), ring.inverse(w)
+    """(f, u) from the least unit w with d*w*d = d: f = d*w, u = w^-1, the
+    first unit among the w that d's row and column (R^op's row) admit."""
+    dw, col = ring.mul_row(d), ring.op().mul_row(d)
+    for w, f in enumerate(dw):
+        if col[f] == d:
+            u = ring.inverse(w)
+            if u is not None:
+                return f, u
     return None
 
 

@@ -7,8 +7,9 @@ witness by a loop over idempotents (the library decides the exchange
 property by theorem and finds no witness), the quotient tables by a loop
 over cosets, M_k(I) by a loop over the codes of M_k(R), the M_k(R) and
 T_k(R) tables by one full-size pass per free entry and per row, the units
-by a loop over the carrier, the inverse of a matrix by a search of every
-candidate column, and the sorted sets aR and aR + bR by ``np.unique``.
+by a loop over the carrier, the unit-regular witness by a scan of all units,
+the inverse of a matrix by a search of every candidate column, and the
+sorted sets aR and aR + bR by ``np.unique``.
 The kernels and the theorem must give exactly what these give.
 
 The vectorized row scans (``solve_right``, the idempotent split of
@@ -279,6 +280,19 @@ def units_and_inverses(ring: FiniteRing):
                 inverse[u] = int(v)
                 break
     return tuple(inverse), inverse
+
+
+def unit_regular_scan_full(ring: FiniteRing, d: int, units: tuple,
+                           inverse: dict) -> Optional[tuple]:
+    """(f, u) from the least unit w with d*w*d = d, f = d*w and u = w^-1,
+    by a test of every unit: the scan ``scans.unit_regular_scan`` replaced.
+    units and inverse are ``units_and_inverses(ring)``."""
+    ws = np.array(units, dtype=np.intp)
+    hits = np.flatnonzero(ring.npmul[ring.npmul[d, ws], d] == d)
+    if not len(hits):
+        return None
+    w = int(ws[hits[0]])
+    return int(ring.npmul[d, w]), inverse[w]
 
 
 def grid_inverse(A: RMatrix) -> Optional[RMatrix]:

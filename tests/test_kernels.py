@@ -163,10 +163,99 @@ def test_matrix_tables_match_per_position_build():
         assert (ring.zero, ring.one) == (0, one), spec.describe()
 
 
+def _factored_specs():
+    """M_2(Z/6), M_2(Z/8), T_3(Z/4) and M_2(T_2(Z/2)): rings above
+    ``_LIST_MIRROR_MAX`` elements, which keep per-row factors only."""
+    Z, Mat, Tri = R.ZmodSpec, R.MatrixSpec, R.TriangularSpec
+    return [Mat(Z(6), 2), Mat(Z(8), 2), Tri(Z(4), 3), Mat(Tri(Z(2), 2), 2)]
+
+
+def test_factored_ops_match_whole_tables(monkeypatch):
+    # scalar ops, rows, columns, add rows, idempotents and inverses of each
+    # ring and its opposite, read off the factors, against the per-position
+    # tables; none of these reads forms a whole table
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    rng = random.Random(21)
+    for spec in _factored_specs():
+        ring = R.build_ring(spec)
+        add, mul, neg, _ = O.matrix_like_tables(
+            R.build_ring(spec.base), spec.k, isinstance(spec, R.TriangularSpec))
+        size, one = ring.size, ring.one
+        assert size > R._LIST_MIRROR_MAX and ring._mul is None
+        for side, table in ((ring, mul), (ring.op(), mul.T)):
+            name = side.describe()
+            pairs = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(2000)]
+            assert [side.mul(a, b) for a, b in pairs] == \
+                [int(table[a, b]) for a, b in pairs], name
+            assert [side.add(a, b) for a, b in pairs] == \
+                [int(add[a, b]) for a, b in pairs], name
+            assert [side.neg(a) for a in range(size)] == neg.tolist(), name
+            for a in [side.zero, one] + rng.sample(range(size), 200):
+                assert side.mul_row(a) == table[a].tolist(), (name, a)
+                assert side.op().mul_row(a) == table[:, a].tolist(), (name, a)
+                assert side.add_row(a) == add[a].tolist(), (name, a)
+            diag = table[np.arange(size), np.arange(size)]
+            assert side.idempotents() == tuple(
+                np.flatnonzero(diag == np.arange(size)).tolist()), name
+            for u in rng.sample(range(size), 200):
+                vs = [int(v) for v in np.flatnonzero(table[u] == one)
+                      if table[v, u] == one]
+                assert side.inverse(u) == (vs[0] if vs else None), (name, u)
+        assert ring._tables == {}, spec.describe()
+
+
+def test_rings_up_to_1024_elements_hold_their_whole_tables(monkeypatch):
+    # formed from the factors when the ring is built, byte for byte the
+    # per-position tables, with list mirrors of them
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    Z, Mat, Tri = R.ZmodSpec, R.MatrixSpec, R.TriangularSpec
+    specs = ([Mat(Z(n), 2) for n in range(1, 6)]
+             + [Mat(Z(2), 3), Tri(Z(4), 2), Tri(Z(2), 3), Tri(Z(3), 3),
+                Tri(Tri(Z(2), 2), 2), Mat(Tri(Z(2), 2), 1)])
+    for spec in specs:
+        ring = R.build_ring(spec)
+        assert ring.size <= R._LIST_MIRROR_MAX, spec.describe()
+        assert set(ring._tables) == {"add", "mul", "neg"}, spec.describe()
+        add, mul, neg, _ = O.matrix_like_tables(
+            R.build_ring(spec.base), spec.k, isinstance(spec, Tri))
+        for got, want in ((ring.npadd, add), (ring.npmul, mul),
+                          (ring.npneg, neg)):
+            assert got.dtype == want.dtype, spec.describe()
+            assert got.flags["C_CONTIGUOUS"], spec.describe()
+            assert got.tobytes() == want.tobytes(), spec.describe()
+        assert ring._mul == mul.tolist() and ring._add == add.tolist()
+        assert ring._neg == neg.tolist()
+        op = ring.op()
+        assert op.npadd is ring.npadd and op._mul == mul.T.tolist()
+
+
+def test_unit_regular_scan_matches_all_units_scan(corpus_pairs):
+    # every d in M_2(I) on the stage ring M_2(R) of every default pair;
+    # the larger stage rings are refused by the table guard
+    rings, units = {}, {}
+    checked = found = 0
+    for name, base, ideal, _ in corpus_pairs:
+        if base.size ** 4 > 4096:
+            continue
+        ring = rings.setdefault(base.spec, R.build_ring(
+            R.MatrixSpec(base.spec, 2)))
+        if ring.spec not in units:
+            units[ring.spec] = O.units_and_inverses(ring)
+        us, inv = units[ring.spec]
+        for d in matrix_ideal(ring, base, 2, ideal):
+            want = O.unit_regular_scan_full(ring, d, us, inv)
+            assert scans.unit_regular_scan(ring, d) == want, (name, d)
+            checked += 1
+            found += want is not None
+    assert max(ring.size for ring in rings.values()) == 4096
+    assert 0 < found < checked
+
+
 def test_units_match_carrier_loop(corpus_rings, blocked_pairs):
     rings = {ring.spec: ring for _, ring in corpus_rings}
     rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
-    m2z8 = R.build_ring(R.MatrixSpec(R.ZmodSpec(8), 2))   # 16 row chunks
+    m2z8 = R.build_ring(R.MatrixSpec(R.ZmodSpec(8), 2))   # no list mirrors
     for ring in [*rings.values(), m2z8] + [r.op() for r in rings.values()]:
         units, inverse = O.units_and_inverses(ring)
         assert ring.units() == units, ring.describe()

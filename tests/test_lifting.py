@@ -526,3 +526,38 @@ def test_forced_m4_lift_closes_no_ideal_of_a_stage_ring(monkeypatch):
     assert C.verify_payload(payload)[0]
     assert ("zmod(8)", 1) in seen        # the verifier rebuilds I
     assert all(k == 1 for _, k in seen), seen
+
+
+def test_forced_m4_lift_forms_no_whole_table_of_a_stage_ring(monkeypatch):
+    # a stage step and its verification read M_2(Z/8) through its per-row
+    # factors only: its whole |M_2(Z/8)|^2 tables are never formed, and
+    # units() never scans its carrier; each side starts from fresh rings
+    formed, scanned = [], []
+    table, units = R.FiniteRing._table, R.FiniteRing.units
+
+    def spy_table(ring, name):
+        formed.append((ring.describe(), name))
+        return table(ring, name)
+
+    def spy_units(ring):
+        scanned.append(ring.describe())
+        return units(ring)
+
+    monkeypatch.setattr(R.FiniteRing, "_table", spy_table)
+    monkeypatch.setattr(R.FiniteRing, "units", spy_units)
+    stage = ("matrix(zmod(8),2)", "op(matrix(zmod(8),2))")
+    for gen in (2, 1):
+        monkeypatch.setattr(R, "_BUILD_CACHE", {})
+        ring = z(8)
+        ideal = R.ideal_closure(ring, [gen])
+        payloads = []
+        for x in fredholm_elements(ring, ideal):
+            cert = L.lift_unit(ring, ideal, x, start_m=4).certificate
+            assert [s.stage_ring.size for s in cert.stages] == [4096, 8]
+            payloads.append(json.loads(C.dumps_certificate(cert.to_payload())))
+        monkeypatch.setattr(R, "_BUILD_CACHE", {})
+        assert all(C.verify_payload(p)[0] for p in payloads)
+        assert ("zmod(8)", "mul") in formed       # the spies are live
+        assert "zmod(8)" in scanned
+        assert not [f for f in formed if f[0] in stage], formed
+        assert not [s for s in scanned if s in stage], scanned
