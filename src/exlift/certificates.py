@@ -65,7 +65,7 @@ from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, apply_elem_word,
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
                     element_from_descriptor, entry_ideal, ideal_closure,
                     parse_ring_spec, quotient_by, ring_spec_obj,
-                    same_right_ideal, solve_right)
+                    same_right_ideal, solve_pair_right, solve_right)
 
 FORMAT = "exlift-cert"
 VERSION = 2
@@ -406,7 +406,7 @@ def _check_reduction(res, rep: _Report) -> None:
     rep.add("g spans f1,f2",
             entry_ideal(ring, [g]).members
             == entry_ideal(ring, [f1, f2]).members)
-    rep.add("g in f1R+f2R", g in ring.right_span(f1, f2))
+    rep.add("g in f1R+f2R", solve_pair_right(ring, f1, f2, g) is not None)
     _check_row_pass(ring, rep, "pass2", *_last_row(A2, side), trace["pass2"])
     rep.add("word in E_2(I)", word_in_ideal(res.word, ideal))
     rep.add("word replays", apply_elem_word(res.alpha, res.word) == res.result)

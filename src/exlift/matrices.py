@@ -187,7 +187,9 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
     (V(M_k(R)) = V(R) by Morita equivalence, see ``lifting._class_key``),
     pi(a') = pi(a*u^-1) is a membership test in M_k(I) rather than a
     quotient of M_k(R), two-sided ideals are M_k(J) for ideals J of R
-    (``rings.entry_ideal``), and inverses come from elimination."""
+    (``rings.entry_ideal``), an element's inverse comes from one array
+    test of its row (``FiniteRing.inverse``) and a matrix's over M_k(R)
+    from elimination (``try_inverse``)."""
     if k == 1:
         return ring, ideal
     mring = build_ring(MatrixSpec(ring.spec, k), guards)

@@ -275,18 +275,22 @@ class FiniteRing:
         return f"FiniteRing({self.describe()}, size={self.size})"
 
     # -- rows -----------------------------------------------------------------
+    def _mul_array(self, a: int) -> np.ndarray:
+        """a*x over all x, as an array summed from the factors; R^op's row a
+        is R's column a, the factors' columns laid along the carrier grid."""
+        if self.flip:
+            return functools.reduce(np.add.outer, [
+                U[:, a] * w for w, _, U, _ in self._fmul]).ravel()
+        return sum(U[a // w % m] * w for w, m, U, _ in self._fmul)
+
     def mul_row(self, a: int) -> list:
         """a*x over all x, as a list: the list mirror's own row (callers only
-        read it), or the zero row, or summed from the factors; R^op's row a
-        is R's column a, the factors' columns laid along the carrier grid."""
+        read it), or the zero row, or ``_mul_array`` converted."""
         if self._mul is not None:
             return self._mul[a]
         if a == self.zero:
             return [self.zero] * self.size
-        if self.flip:
-            return functools.reduce(np.add.outer, [
-                U[:, a] * w for w, _, U, _ in self._fmul]).ravel().tolist()
-        return sum(U[a // w % m] * w for w, m, U, _ in self._fmul).tolist()
+        return self._mul_array(a).tolist()
 
     def add_row(self, a: int) -> list:
         """a + x over all x, as a list (read only, like ``mul_row``)."""
@@ -306,11 +310,16 @@ class FiniteRing:
 
     def inverse(self, u: int) -> Optional[int]:
         """Two-sided inverse of u, or None: the first v in u's row with
-        u*v = 1, if v*u = 1 (a finite ring is Dedekind-finite).  Memoized."""
+        u*v = 1, if v*u = 1 (a finite ring is Dedekind-finite), found by one
+        array test on a ring without list mirrors.  Memoized."""
         memo = self._cache["inverse"]
         if u not in memo:
-            row = self.mul_row(u)
-            v = row.index(self.one) if self.one in row else None
+            if self._mul is None:
+                hits = np.flatnonzero(self._mul_array(u) == self.one)
+                v = int(hits[0]) if len(hits) else None
+            else:
+                row = self._mul[u]
+                v = row.index(self.one) if self.one in row else None
             memo[u] = None if v is None or self.mul(v, u) != self.one else v
         return memo[u]
 
@@ -325,13 +334,26 @@ class FiniteRing:
 
     def right_multiples(self, a: int) -> tuple:
         """Sorted tuple aR."""
-        return tuple(sorted(set(self.mul_row(a))))
+        if self._mul is None:
+            return tuple(distinct(self._mul_array(a), self.size).tolist())
+        return tuple(sorted(set(self._mul[a])))
 
     def right_span(self, a: int, b: int) -> tuple:
-        """Sorted tuple aR + bR: the additive subgroup that aR and the
-        elements of bR generate.  It grows from aR by the cyclic subgroup of
-        each element of bR still outside it, one coset span + i*t at a
-        time, so the cost grows with the size of the result."""
+        """Sorted tuple aR + bR.  With list mirrors it grows from aR by the
+        cyclic subgroup of each element of bR still outside it, one coset
+        span + i*t at a time; without, it is the union of the cosets H + t,
+        H the larger of aR and bR and t in the smaller, each set in a mask
+        by one array add."""
+        if self._add is None:
+            H, T = sorted((distinct(self._mul_array(x), self.size)
+                           for x in (a, b)), key=len, reverse=True)
+            codes = [(w, m, V, H // w % m) for w, m, V, _ in self._fadd]
+            mask = np.zeros(self.size, dtype=bool)
+            while len(T):                    # T: the t outside every coset
+                t = int(T[0])
+                mask[sum(V[h, t // w % m] * w for w, m, V, h in codes)] = True
+                T = T[~mask[T]]
+            return tuple(np.flatnonzero(mask).tolist())
         span = set(self.mul_row(a))
         for t in set(self.mul_row(b)):
             if t in span:
@@ -348,14 +370,15 @@ class FiniteRing:
         """R^op: the same carrier, addition, zero and one, with a*b in R^op
         equal to b*a in R.  Every left-handed notion over R is the
         right-handed one over R^op (Ra is a*R^op).  It shares R's factors,
-        whole tables and add and neg mirrors, reads mul transposed, and is
-        cached both ways."""
+        whole tables, add and neg mirrors and inverses (u*v = v*u = 1 reads
+        the same in both), reads mul transposed, and is cached both ways."""
         got = self._cache.get("op")
         if got is None:
             got = FiniteRing(self.size, *([f[2] for f in fs] for fs in (
                 self._fadd, self._fmul, self._fneg)), self.zero, self.one,
                 OppositeSpec(self.spec), [f[0] for f in self._fmul], self)
             got._cache["op"] = self
+            got._cache["inverse"] = self._cache["inverse"]
             self._cache["op"] = got
         return got
 

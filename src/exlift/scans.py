@@ -6,7 +6,8 @@ carrier (the pair solve scans x alone, testing target - c*x against the set
 dR, instead of scanning all pairs), so a verifier can re-derive each
 recorded witness and reject any transcript that did not come from the
 canonical search order.  The scans read rows of the multiplication table as
-Python lists (``FiniteRing.mul_row``).
+Python lists (``FiniteRing.mul_row``), and ask ``FiniteRing`` for inverses
+and aR, which it answers in numpy on rings without list mirrors.
 
 Each scan is right-handed (ideals aR, equations a*x = b).  Its left-handed
 form is the same scan over ``ring.op()``: Ra is a*R^op, and x*a = b in R is

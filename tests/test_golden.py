@@ -7,10 +7,12 @@ every word, matrix and witness the reductions, diagonalizations and lifts
 compute, so their digests (``golden_certificates.json``) pin the
 computation.  The version 2 payloads the library writes, the claim and the
 witnesses checked by property, are pinned beside them
-(``golden_certificates_v2.json``).  A refactor of the reduction, scan or
-certificate code must leave every digest unchanged, and the corpus reports
-(``golden_corpus.json``) too; a deliberate change to either means writing
-new ones and saying why.
+(``golden_certificates_v2.json``), and so are the forced m=4 lifts over
+zmod(6) and zmod(8) (``golden_certificates_m4.json``), whose stage rings
+M_2(Z/6) and M_2(Z/8) keep no list mirrors.  A refactor of the reduction,
+scan or certificate code must leave every digest unchanged, and the corpus
+reports (``golden_corpus.json``) too; a deliberate change to either means
+writing new ones and saying why.
 """
 
 import hashlib
@@ -30,6 +32,8 @@ from exlift.ktheory import fredholm_elements
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_certificates.json")
 GOLDEN_V2 = os.path.join(os.path.dirname(__file__),
                          "golden_certificates_v2.json")
+GOLDEN_M4 = os.path.join(os.path.dirname(__file__),
+                         "golden_certificates_m4.json")
 GOLDEN_CORPUS = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
 T2 = R.TriangularSpec(R.ZmodSpec(2), 2)
@@ -89,6 +93,21 @@ def golden_payloads_v2(corpus_pairs):
             if isinstance(res, L.LiftCertificate)}
 
 
+def forced_m4_payloads():
+    """name -> version 2 payload of the forced m=4 lift of every Fredholm
+    element of every ideal of zmod(6) and zmod(8): the blocked stage over
+    M_2(R), a ring of 1,296 or 4,096 elements without list mirrors."""
+    out = {}
+    for n in (6, 8):
+        ring = R.build_ring(R.ZmodSpec(n))
+        for ideal in R.all_ideals(ring):
+            for x in fredholm_elements(ring, ideal):
+                name = f"lift zmod({n}) |I|={len(ideal)} x={x} m=4"
+                out[name] = L.lift_unit(ring, ideal, x,
+                                        start_m=4).certificate.to_payload()
+    return out
+
+
 def _digest(payload):
     return hashlib.sha256(C.dumps_certificate(payload).encode()).hexdigest()
 
@@ -109,6 +128,18 @@ def test_golden_v2_certificate_digests(corpus_pairs):
     payloads = golden_payloads_v2(corpus_pairs)
     got = {name: _digest(p) for name, p in payloads.items()}
     assert sorted(got) == sorted(golden) and len(got) == 53
+    assert [n for n in golden if got[n] != golden[n]] == []
+    assert all(C.verify_payload(p)[0] for p in payloads.values())
+
+
+def test_golden_forced_m4_digests():
+    # the stage step's no-mirror path: rows, inverses and spans read off
+    # the per-row factors of M_2(Z/6) and M_2(Z/8) and their opposites
+    with open(GOLDEN_M4, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    payloads = forced_m4_payloads()
+    got = {name: _digest(p) for name, p in payloads.items()}
+    assert sorted(got) == sorted(golden) and len(got) == 35
     assert [n for n in golden if got[n] != golden[n]] == []
     assert all(C.verify_payload(p)[0] for p in payloads.values())
 

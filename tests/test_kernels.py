@@ -252,15 +252,21 @@ def test_unit_regular_scan_matches_all_units_scan(corpus_pairs):
     assert 0 < found < checked
 
 
-def test_units_match_carrier_loop(corpus_rings, blocked_pairs):
+def test_units_match_carrier_loop(corpus_rings, blocked_pairs, scan_rings):
+    # inverses by a list row with mirrors, by an array row test without:
+    # M_2(Z/6), M_2(Z/8), M_2(T_2(Z/2)) and their opposites
     rings = {ring.spec: ring for _, ring in corpus_rings}
     rings.update({ring.spec: ring for _, ring, _ in blocked_pairs})
-    m2z8 = R.build_ring(R.MatrixSpec(R.ZmodSpec(8), 2))   # no list mirrors
-    for ring in [*rings.values(), m2z8] + [r.op() for r in rings.values()]:
+    factored = [ring for ring in scan_rings if ring._mul is None]
+    assert len(factored) == 6
+    for ring in ([*rings.values()] + [r.op() for r in rings.values()]
+                 + factored):
         units, inverse = O.units_and_inverses(ring)
-        assert ring.units() == units, ring.describe()
+        # R and R^op share the inverse memo: refill it from this ring's rows
+        ring._cache["inverse"].clear()
         assert ([ring.inverse(x) for x in ring.elements()]
                 == [inverse.get(x) for x in ring.elements()]), ring.describe()
+        assert ring.units() == units, ring.describe()
 
 
 def test_inverse_by_elimination_matches_grid(corpus_rings):
@@ -364,6 +370,15 @@ def test_right_span_matches_numpy_form(scan_rings):
             pairs += [(rng.choice(idems), rng.choice(idems))
                       for _ in range(40)]
         pairs += [(ring.zero, ring.zero), (ring.one, ring.zero)]
+        # a zero side, a unit side, and |aR| < |bR|, so that the larger of
+        # aR and bR stands second as well as first
+        for a in rng.sample(range(size), min(size, 8)):
+            b = rng.randrange(size)
+            pairs += [(ring.zero, b), (a, ring.zero), (ring.one, b)]
+            pairs.append(tuple(sorted((a, b), key=lambda x: len(
+                ring.right_multiples(x)))))
+        assert any(len(ring.right_multiples(a)) < len(ring.right_multiples(b))
+                   for a, b in pairs), ring.describe()
         for a, b in pairs:
             assert (ring.right_span(a, b)
                     == O.right_span_numpy(ring, a, b)), (ring.describe(), a, b)

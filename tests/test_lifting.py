@@ -561,3 +561,40 @@ def test_forced_m4_lift_forms_no_whole_table_of_a_stage_ring(monkeypatch):
         assert "zmod(8)" in scanned
         assert not [f for f in formed if f[0] in stage], formed
         assert not [s for s in scanned if s in stage], scanned
+
+
+def test_forced_m4_stage_answers_row_questions_in_numpy(monkeypatch):
+    # over M_2(Z/8) and its opposite, which keep no list mirrors, the lift
+    # reads aR + bR through coset masks, never through add rows, and the
+    # verifier decides "g in f1R+f2R" by a pair solve, building no span;
+    # each side starts from fresh rings
+    added, spanned = [], []
+    add_row, right_span = R.FiniteRing.add_row, R.FiniteRing.right_span
+    phase = ["lift"]
+
+    def spy_add_row(ring, a):
+        added.append(ring.describe())
+        return add_row(ring, a)
+
+    def spy_right_span(ring, a, b):
+        spanned.append((phase[0], ring.describe()))
+        return right_span(ring, a, b)
+
+    monkeypatch.setattr(R.FiniteRing, "add_row", spy_add_row)
+    monkeypatch.setattr(R.FiniteRing, "right_span", spy_right_span)
+    stage = ("matrix(zmod(8),2)", "op(matrix(zmod(8),2))")
+    for gen in (2, 1):
+        monkeypatch.setattr(R, "_BUILD_CACHE", {})
+        phase[0] = "lift"
+        ring = z(8)
+        ideal = R.ideal_closure(ring, [gen])
+        payloads = [json.loads(C.dumps_certificate(L.lift_unit(
+            ring, ideal, x, start_m=4).certificate.to_payload()))
+            for x in fredholm_elements(ring, ideal)]
+        monkeypatch.setattr(R, "_BUILD_CACHE", {})
+        phase[0] = "verify"
+        assert all(C.verify_payload(p)[0] for p in payloads)
+    assert ("lift", stage[0]) in spanned and ("lift", stage[1]) in spanned
+    assert "zmod(8)" in added                 # the spies are live
+    assert not [r for r in added if r in stage], added
+    assert not [s for s in spanned if s[0] == "verify"], spanned

@@ -220,6 +220,8 @@ def test_opposite_ring(corpus_rings):
         assert np.array_equal(op.npmul, ring.npmul.T)
         assert op.units() == ring.units()
         assert all(op.inverse(u) == ring.inverse(u) for u in ring.units())
+        # u*v = v*u = 1 reads the same in R^op: one memo serves both
+        assert op._cache["inverse"] is ring._cache["inverse"]
         assert op.idempotents() == ring.idempotents()
         assert ([i.members for i in R.all_ideals(op)]
                 == [i.members for i in R.all_ideals(ring)])
