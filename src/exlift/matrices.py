@@ -7,8 +7,8 @@ for membership in E_n(I) entry by entry.
 
 A word replays on one mutable copy of the matrix's rows: each op updates a
 row or a column in place, reading the ring's list mirrors of its tables when
-the ring keeps them (its scalar ops otherwise), and one RMatrix is built
-after the last op.
+the ring keeps them (its scalar ops otherwise), as ``mat_mul`` does, and the
+rows, whose entries are already ints, become one RMatrix after the last op.
 
 RMatrix, ElemOp and ElemWord are tuples (``namedtuple`` subclasses): cheap
 to build, immutable, and compared and hashed field by field.  RMatrix and
@@ -26,7 +26,7 @@ from .config import DEFAULT, Guards
 from .errors import (DimensionMismatch, PreconditionFailed, RingMismatch,
                      SearchExhausted)
 from .rings import (FiniteRing, Ideal, MatrixSpec, QuotientMap, build_ring,
-                    digits, distinct, pack, unpack)
+                    digits, distinct, member_mask, pack, unpack)
 
 
 class RMatrix(namedtuple("RMatrix", "ring n entries")):
@@ -50,14 +50,12 @@ class RMatrix(namedtuple("RMatrix", "ring n entries")):
         return pack([x for row in self.entries for x in row], self.ring.size)
 
     def transpose(self) -> "RMatrix":
-        return RMatrix(self.ring, self.n,
-                       tuple(tuple(self.entries[j][i] for j in range(self.n))
-                             for i in range(self.n)))
+        return RMatrix(self.ring, self.n, tuple(zip(*self.entries)))
 
     def op(self) -> "RMatrix":
         """A^T over R^op.  Transposition is an anti-isomorphism
         M_n(R) -> M_n(R^op): (A*B)^T = B^T*A^T there."""
-        return RMatrix(self.ring.op(), self.n, self.transpose().entries)
+        return RMatrix(self.ring.op(), self.n, tuple(zip(*self.entries)))
 
     def __repr__(self):
         return f"RMatrix({self.entries})"
@@ -69,10 +67,13 @@ def matrix(ring: FiniteRing, rows) -> RMatrix:
 
 
 def identity(ring: FiniteRing, n: int) -> RMatrix:
-    z, o = ring.zero, ring.one
-    return RMatrix(ring, n,
-                   tuple(tuple(o if i == j else z for j in range(n))
-                         for i in range(n)))
+    """The n x n identity, one shared object per (ring, n)."""
+    got = ring._cache.get(("identity", n))
+    if got is None:
+        got = ring._cache[("identity", n)] = RMatrix(ring, n, tuple(
+            tuple(ring.one if i == j else ring.zero for j in range(n))
+            for i in range(n)))
+    return got
 
 
 def _same_context(A: RMatrix, B: RMatrix) -> None:
@@ -84,33 +85,30 @@ def _same_context(A: RMatrix, B: RMatrix) -> None:
 
 def mat_mul(A: RMatrix, B: RMatrix) -> RMatrix:
     _same_context(A, B)
-    ring, n = A.ring, A.n
-    add, mul, zero = ring.add, ring.mul, ring.zero
-    a, b = A.entries, B.entries
+    ring, zero = A.ring, A.ring.zero
+    add, mul, cols = ring._add, ring._mul, tuple(zip(*B.entries))
     out = []
-    for i in range(n):
+    for ai in A.entries:
         row = []
-        ai = a[i]
-        for j in range(n):
+        for bj in cols:
             acc = zero
-            for l in range(n):
-                acc = add(acc, mul(ai[l], b[l][j]))
+            if add is None:             # no list mirrors: the scalar ops
+                for x, y in zip(ai, bj):
+                    acc = ring.add(acc, ring.mul(x, y))
+            else:
+                for x, y in zip(ai, bj):
+                    acc = add[acc][mul[x][y]]
             row.append(acc)
         out.append(tuple(row))
-    return RMatrix(ring, n, tuple(out))
+    return RMatrix(ring, A.n, tuple(out))
 
 
 def direct_sum(A: RMatrix, B: RMatrix) -> RMatrix:
     if A.ring is not B.ring:
         raise RingMismatch("direct sum needs a common ring")
-    ring, z = A.ring, A.ring.zero
-    n = A.n + B.n
-    rows = []
-    for i in range(A.n):
-        rows.append(tuple(A.entries[i]) + tuple(z for _ in range(B.n)))
-    for i in range(B.n):
-        rows.append(tuple(z for _ in range(A.n)) + tuple(B.entries[i]))
-    return RMatrix(ring, n, tuple(rows))
+    za, zb = (A.ring.zero,) * A.n, (A.ring.zero,) * B.n
+    return RMatrix(A.ring, A.n + B.n, tuple(row + zb for row in A.entries)
+                   + tuple(za + row for row in B.entries))
 
 
 def is_idempotent(A: RMatrix) -> bool:
@@ -167,12 +165,12 @@ def matrix_ideal(block_ring: FiniteRing, base_ring: FiniteRing, k: int,
                  ideal: Ideal) -> Ideal:
     """M_k(I) inside the materialized M_k(R)."""
     B = base_ring.size
-    inside = ideal.mask[digits(np.arange(block_ring.size), B, k * k)]
-    members = np.flatnonzero(inside.all(axis=1))
+    mask = ideal.mask[digits(np.arange(block_ring.size), B, k * k)].all(axis=1)
+    members = tuple(np.flatnonzero(mask).tolist())
     # each generator g of I gives g*e11
     gens = tuple(pack([g] + [base_ring.zero] * (k * k - 1), B)
                  for g in ideal.generators)
-    return Ideal(block_ring, frozenset(members.tolist()), gens)
+    return Ideal(block_ring, frozenset(members), gens, mask, members)
 
 
 def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
@@ -189,11 +187,16 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
     quotient of M_k(R), two-sided ideals are M_k(J) for ideals J of R
     (``rings.entry_ideal``), an element's inverse comes from one array
     test of its row (``FiniteRing.inverse``) and a matrix's over M_k(R)
-    from elimination (``try_inverse``)."""
+    from elimination (``try_inverse``).  M_k(I) is memoized on M_k(R)'s
+    cache under ("matrix_ideal", I's members, I's generators)."""
     if k == 1:
         return ring, ideal
     mring = build_ring(MatrixSpec(ring.spec, k), guards)
-    return mring, matrix_ideal(mring, ring, k, ideal)
+    key = ("matrix_ideal", ideal.members, ideal.generators)
+    got = mring._cache.get(key)
+    if got is None:
+        got = mring._cache[key] = matrix_ideal(mring, ring, k, ideal)
+    return mring, got
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +292,27 @@ def apply_elem_word(A: RMatrix, w: ElemWord) -> RMatrix:
         raise DimensionMismatch(f"word dimension {w.n} != matrix dimension {n}")
     add, mul = ring._add, ring._mul
     rows = [list(row) for row in A.entries]
-    for op in w.ops:
-        if not (1 <= op.i <= n and 1 <= op.j <= n):
+    for side, i, j, r in w.ops:
+        if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(
-                f"op indices ({op.i},{op.j}) outside dimension {n}")
-        i, j, r = op.i - 1, op.j - 1, op.r
+                f"op indices ({i},{j}) outside dimension {n}")
+        i, j = i - 1, j - 1
         if add is None:                 # no list mirrors: the scalar ops
-            if op.side == LEFT:
+            if side == LEFT:
                 rows[i] = [ring.add(x, ring.mul(r, y))
                            for x, y in zip(rows[i], rows[j])]
             else:
                 for row in rows:
                     row[j] = ring.add(row[j], ring.mul(row[i], r))
-        elif op.side == LEFT:
+        elif side == LEFT:
             # row_i += r * row_j
-            ri, rj, mr = rows[i], rows[j], mul[r]
-            for c in range(n):
-                ri[c] = add[ri[c]][mr[rj[c]]]
+            mr = mul[r]
+            rows[i] = [add[x][mr[y]] for x, y in zip(rows[i], rows[j])]
         else:
             # col_j += col_i * r
             for row in rows:
                 row[j] = add[row[j]][mul[row[i]][r]]
-    return RMatrix(ring, n, tuple(tuple(map(int, row)) for row in rows))
+    return RMatrix(ring, n, tuple(map(tuple, rows)))
 
 
 def apply_elem_op(A: RMatrix, op: ElemOp) -> RMatrix:
@@ -429,9 +431,7 @@ def _left_span(ring: FiniteRing, elems) -> np.ndarray:
     for e in elems:
         Re = distinct(ring.npmul[:, e], ring.size)
         span = distinct(ring.npadd[span[:, None], Re[None, :]], ring.size)
-    mask = np.zeros(ring.size, dtype=bool)
-    mask[span] = True
-    return mask
+    return member_mask(span, ring.size)
 
 
 def _first_fit(ring: FiniteRing, ok: np.ndarray) -> int:

@@ -168,12 +168,23 @@ _LIST_MIRROR_MAX = 1024  # small rings keep list-of-list tables for fast scalar 
 _CHUNK = 1 << 20  # entries per numpy temporary in the chunked scans
 
 
+def member_mask(values, size: int) -> np.ndarray:
+    """The membership mask in range(size) of values, an array or a list."""
+    mask = np.zeros(size, dtype=bool)
+    mask[values] = True
+    return mask
+
+
 def distinct(values, size: int) -> np.ndarray:
     """The distinct carrier indices among values, ascending, from a mask:
     numpy 2's ``np.unique`` imports ``numpy.ma`` on its first call."""
-    mask = np.zeros(size, dtype=bool)
-    mask[values] = True
-    return np.flatnonzero(mask)
+    return np.flatnonzero(member_mask(values, size))
+
+
+def first_hit(hits: np.ndarray) -> Optional[int]:
+    """The least index of a true entry of a boolean array, or None."""
+    i = int(np.argmax(hits))
+    return i if hits[i] else None
 
 
 class FiniteRing:
@@ -276,28 +287,29 @@ class FiniteRing:
 
     # -- rows -----------------------------------------------------------------
     def _mul_array(self, a: int) -> np.ndarray:
-        """a*x over all x, as an array summed from the factors; R^op's row a
-        is R's column a, the factors' columns laid along the carrier grid."""
-        if self.flip:
-            return functools.reduce(np.add.outer, [
-                U[:, a] * w for w, _, U, _ in self._fmul]).ravel()
-        return sum(U[a // w % m] * w for w, m, U, _ in self._fmul)
+        """a*x over all x as an intp array (numpy's fastest index type),
+        summed from the factors; R^op's row a is R's column a, the factors'
+        columns laid along the carrier grid."""
+        row = (functools.reduce(np.add.outer, [
+            U[:, a] * w for w, _, U, _ in self._fmul]).ravel() if self.flip
+            else sum(U[a // w % m] * w for w, m, U, _ in self._fmul))
+        return row.astype(np.intp)
+
+    def _sub_array(self, t: int, xs: np.ndarray) -> np.ndarray:
+        """t - x for each x in xs: t's add row at -x, laid out by factors."""
+        neg, add_t = (functools.reduce(np.add.outer, parts).ravel() for parts
+                      in ([N * w for w, _, N, _ in self._fneg],
+                          [V[t // w % m] * w for w, m, V, _ in self._fadd]))
+        return add_t.take(neg.take(xs)).astype(np.intp)
 
     def mul_row(self, a: int) -> list:
-        """a*x over all x, as a list: the list mirror's own row (callers only
-        read it), or the zero row, or ``_mul_array`` converted."""
-        if self._mul is not None:
-            return self._mul[a]
-        if a == self.zero:
-            return [self.zero] * self.size
-        return self._mul_array(a).tolist()
+        """a*x over all x: the list mirror's own row (callers only read it);
+        a ring without list mirrors reads ``_mul_array`` instead."""
+        return self._mul[a]
 
     def add_row(self, a: int) -> list:
-        """a + x over all x, as a list (read only, like ``mul_row``)."""
-        if self._add is not None:
-            return self._add[a]
-        return functools.reduce(np.add.outer, [
-            V[a // w % m] * w for w, m, V, _ in self._fadd]).ravel().tolist()
+        """a + x over all x: the list mirror's own row, like ``mul_row``."""
+        return self._add[a]
 
     # -- cached element sets --------------------------------------------------
     def units(self) -> tuple:
@@ -310,16 +322,11 @@ class FiniteRing:
 
     def inverse(self, u: int) -> Optional[int]:
         """Two-sided inverse of u, or None: the first v in u's row with
-        u*v = 1, if v*u = 1 (a finite ring is Dedekind-finite), found by one
-        array test on a ring without list mirrors.  Memoized."""
+        u*v = 1 (``solve_right``, one array test on a ring without list
+        mirrors), if v*u = 1 (a finite ring is Dedekind-finite).  Memoized."""
         memo = self._cache["inverse"]
         if u not in memo:
-            if self._mul is None:
-                hits = np.flatnonzero(self._mul_array(u) == self.one)
-                v = int(hits[0]) if len(hits) else None
-            else:
-                row = self._mul[u]
-                v = row.index(self.one) if self.one in row else None
+            v = solve_right(self, u, self.one)
             memo[u] = None if v is None or self.mul(v, u) != self.one else v
         return memo[u]
 
@@ -582,12 +589,13 @@ class Ideal:
     ring: FiniteRing
     members: frozenset
     generators: tuple
+    mask: Optional[np.ndarray] = None   # with sorted_members: derived if None
+    sorted_members: Optional[tuple] = None
 
     def __post_init__(self):
-        mask = np.zeros(self.ring.size, dtype=bool)
-        mask[list(self.members)] = True
-        self.mask = mask
-        self.sorted_members = tuple(sorted(self.members))
+        if self.mask is None:
+            self.mask = member_mask(list(self.members), self.ring.size)
+            self.sorted_members = tuple(sorted(self.members))
 
     def contains(self, x: int) -> bool:
         return bool(self.mask[x])
@@ -790,7 +798,9 @@ def quotient_by(ring: FiniteRing, ideal: Ideal,
 # ---------------------------------------------------------------------------
 
 def solve_right(ring: FiniteRing, a: int, target: int) -> Optional[int]:
-    """Least x with a*x == target."""
+    """Least x with a*x == target: the first hit in a's row."""
+    if ring._mul is None:
+        return first_hit(ring._mul_array(a) == target)
     try:
         return ring.mul_row(a).index(target)
     except ValueError:
@@ -806,7 +816,13 @@ def same_right_ideal(ring: FiniteRing, a: int, b: int) -> bool:
 def solve_pair_right(ring: FiniteRing, c: int, d: int,
                      target: int) -> Optional[tuple]:
     """Least (x, y) lexicographic with c*x + d*y == target: the least x
-    with target - c*x in dR, then the least y with d*y equal to it."""
+    with target - c*x in dR, then the least y with d*y equal to it.  Without
+    list mirrors every x is tested at once against a mask of dR."""
+    if ring._mul is None:
+        dy = ring._mul_array(d)
+        rest = ring._sub_array(target, ring._mul_array(c))
+        x = first_hit(member_mask(dy, ring.size)[rest])
+        return None if x is None else (x, first_hit(dy == rest[x]))
     dy = ring.mul_row(d)
     dR = set(dy)
     for x, cx in enumerate(ring.mul_row(c)):

@@ -6,8 +6,8 @@ carrier (the pair solve scans x alone, testing target - c*x against the set
 dR, instead of scanning all pairs), so a verifier can re-derive each
 recorded witness and reject any transcript that did not come from the
 canonical search order.  The scans read rows of the multiplication table as
-Python lists (``FiniteRing.mul_row``), and ask ``FiniteRing`` for inverses
-and aR, which it answers in numpy on rings without list mirrors.
+Python lists (``FiniteRing.mul_row``) on rings with list mirrors, and as
+numpy rows with membership masks and first hits on rings without them.
 
 Each scan is right-handed (ideals aR, equations a*x = b).  Its left-handed
 form is the same scan over ``ring.op()``: Ra is a*R^op, and x*a = b in R is
@@ -19,13 +19,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .rings import FiniteRing, solve_pair_right, solve_right
+import numpy as np
+
+from .rings import (FiniteRing, first_hit, member_mask, solve_pair_right,
+                    solve_right)
 
 
 def _split(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
     """(e, t, u): the least idempotent e with e in aR and 1-e in bR, with
     the least t, u solving a*t = e and b*u = 1-e (``solve_right`` on the
-    rows of a and b, read once)."""
+    rows of a and b, read once; without list mirrors, masks of aR, bR)."""
+    if ring._mul is None:
+        row_a, row_b = ring._mul_array(a), ring._mul_array(b)
+        in_a, in_b = (member_mask(row, ring.size) for row in (row_a, row_b))
+        for e in ring.idempotents():
+            if in_a[e] and in_b[f := ring.sub(ring.one, e)]:
+                return e, first_hit(row_a == e), first_hit(row_b == f)
+        return None
     row_a, row_b = ring.mul_row(a), ring.mul_row(b)
     for e in ring.idempotents():
         try:
@@ -83,12 +93,16 @@ def idempotent_generator_right(ring: FiniteRing, d: int) -> Optional[int]:
 def unit_regular_scan(ring: FiniteRing, d: int) -> Optional[tuple]:
     """(f, u) from the least unit w with d*w*d = d: f = d*w, u = w^-1, the
     first unit among the w that d's row and column (R^op's row) admit."""
-    dw, col = ring.mul_row(d), ring.op().mul_row(d)
-    for w, f in enumerate(dw):
-        if col[f] == d:
-            u = ring.inverse(w)
-            if u is not None:
-                return f, u
+    if ring._mul is None:
+        dw = ring._mul_array(d)
+        ws = map(int, np.flatnonzero(ring.op()._mul_array(d)[dw] == d))
+    else:
+        dw, col = ring.mul_row(d), ring.op().mul_row(d)
+        ws = (w for w, f in enumerate(dw) if col[f] == d)
+    for w in ws:
+        u = ring.inverse(w)
+        if u is not None:
+            return int(dw[w]), u
     return None
 
 

@@ -29,7 +29,7 @@ from .errors import (GuardExceeded, HypothesisFailed, InvalidSpec,
                      NotDownwardClosed, SearchExhausted)
 from .matrices import RMatrix, direct_sum, matrix
 from .rings import (_CHUNK, FiniteRing, Ideal, digits, distinct,
-                    quotient_by)
+                    member_mask, quotient_by)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +206,7 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     """
     got = ring._cache.get("radical")
     if got is None:
-        unit = np.zeros(ring.size, dtype=bool)
-        unit[list(ring.units())] = True
+        unit = member_mask(list(ring.units()), ring.size)
         one_minus = ring.npadd[ring.one][ring.npneg]   # y -> 1 - y
         cand = np.arange(ring.size)
         lo = 0

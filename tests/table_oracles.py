@@ -13,9 +13,12 @@ sorted sets aR and aR + bR by ``np.unique``.
 The kernels and the theorem must give exactly what these give.
 
 The vectorized row scans (``solve_right``, the idempotent split of
-``scans._split`` and the pair solve over a membership mask of dR) and the
-replay of a word one op at a time, each op building a new matrix, are the
-references for the list-row kernels and the in-place replay.  The embedded
+``scans._split`` and the pair solve over a membership mask of dR), read off
+the whole tables, are the references for the list-row kernels and for the
+array forms read off the factors.  The replay of a word one op at a time,
+each op building a new matrix, is the reference for the in-place replay,
+and the nested loops of ``mat_mul``, ``transpose``, ``direct_sum`` and
+``identity`` for the matrix values.  The embedded
 exchange witness and the idempotent lift by a loop over idempotents
 cross-check the exchange theory on the corpus.
 """
@@ -94,6 +97,48 @@ def replay_per_op(A: RMatrix, w: ElemWord) -> RMatrix:
                 rows[x][j] = ring.add(rows[x][j], ring.mul(rows[x][i], r))
         A = RMatrix(ring, n, tuple(tuple(r) for r in rows))
     return A
+
+
+def mat_mul_loops(A: RMatrix, B: RMatrix) -> RMatrix:
+    """A*B by the loop over (i, j, l), through the scalar ring calls."""
+    ring, n = A.ring, A.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for l in range(n):
+                acc = ring.add(acc, ring.mul(A[i, l], B[l, j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return RMatrix(ring, n, tuple(rows))
+
+
+def transpose_loops(A: RMatrix) -> RMatrix:
+    """A^T entry by entry."""
+    return RMatrix(A.ring, A.n, tuple(tuple(A[j, i] for j in range(A.n))
+                                      for i in range(A.n)))
+
+
+def direct_sum_loops(A: RMatrix, B: RMatrix) -> RMatrix:
+    """diag(A, B) entry by entry, zero off the two blocks."""
+    a, n = A.n, A.n + B.n
+
+    def entry(i, j):
+        if i < a and j < a:
+            return A[i, j]
+        if i >= a and j >= a:
+            return B[i - a, j - a]
+        return A.ring.zero
+    return RMatrix(A.ring, n, tuple(tuple(entry(i, j) for j in range(n))
+                                    for i in range(n)))
+
+
+def identity_loops(ring: FiniteRing, n: int) -> RMatrix:
+    """The n x n identity entry by entry."""
+    return RMatrix(ring, n, tuple(
+        tuple(ring.one if i == j else ring.zero for j in range(n))
+        for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The table kernels of ``rings`` and ``matrices`` against the brute-force
 scans in ``table_oracles``: exact answers, on every corpus pair and on
-M_2(R) with the ideals M_2(I) for |R| <= 6.  The list-row scans and the
-in-place word replay are also checked on M_2(R) up to 4,096 elements,
+M_2(R) with the ideals M_2(I) for |R| <= 6.  The row scans (list rows
+on rings with list mirrors, numpy rows without), the in-place word replay
+and the matrix values are also checked on M_2(R) up to 4,096 elements,
 where rings keep no list mirrors, and on the opposite rings.  The
 ``exchange`` verdicts, decided by theorem, are checked on the same rings
 and on the opposites of the corpus rings against a witness search for
@@ -171,9 +172,10 @@ def _factored_specs():
 
 
 def test_factored_ops_match_whole_tables(monkeypatch):
-    # scalar ops, rows, columns, add rows, idempotents and inverses of each
-    # ring and its opposite, read off the factors, against the per-position
-    # tables; none of these reads forms a whole table
+    # scalar ops, rows, columns, differences t - x over all x, idempotents
+    # and inverses of each ring and its opposite, read off the factors,
+    # against the per-position tables; none of these reads forms a whole
+    # table
     monkeypatch.setattr(R, "_BUILD_CACHE", {})
     rng = random.Random(21)
     for spec in _factored_specs():
@@ -191,10 +193,13 @@ def test_factored_ops_match_whole_tables(monkeypatch):
             assert [side.add(a, b) for a, b in pairs] == \
                 [int(add[a, b]) for a, b in pairs], name
             assert [side.neg(a) for a in range(size)] == neg.tolist(), name
+            xs = np.arange(size)
             for a in [side.zero, one] + rng.sample(range(size), 200):
-                assert side.mul_row(a) == table[a].tolist(), (name, a)
-                assert side.op().mul_row(a) == table[:, a].tolist(), (name, a)
-                assert side.add_row(a) == add[a].tolist(), (name, a)
+                assert np.array_equal(side._mul_array(a), table[a]), (name, a)
+                assert np.array_equal(side.op()._mul_array(a), table[:, a]), \
+                    (name, a)
+                assert np.array_equal(side._sub_array(a, xs), add[a, neg]), \
+                    (name, a)
             diag = table[np.arange(size), np.arange(size)]
             assert side.idempotents() == tuple(
                 np.flatnonzero(diag == np.arange(size)).tolist()), name
@@ -384,18 +389,57 @@ def test_right_span_matches_numpy_form(scan_rings):
                     == O.right_span_numpy(ring, a, b)), (ring.describe(), a, b)
 
 
+def test_matrix_values_match_loop_forms(scan_rings):
+    # products, transposes, R^op images, direct sums, word replays and
+    # identities on rings with and without list mirrors (and their
+    # opposites), n = 1..4, against the nested loops: the same matrices,
+    # every entry a Python int, and one identity object per (ring, n)
+    rng = random.Random(29)
+
+    def rand(ring, n):
+        return M.RMatrix(ring, n, tuple(tuple(rng.randrange(ring.size)
+                                              for _ in range(n))
+                                        for _ in range(n)))
+
+    def ints(A):
+        return all(type(x) is int for row in A.entries for x in row)
+
+    for ring in scan_rings:
+        name = ring.describe()
+        for n in range(1, 5):
+            ident = M.identity(ring, n)
+            assert ident is M.identity(ring, n), (name, n)
+            assert ident == O.identity_loops(ring, n) and ints(ident)
+            for _ in range(3):
+                A, B = rand(ring, n), rand(ring, n)
+                C = rand(ring, rng.randint(1, 4))
+                word = M.ElemWord(n, tuple(
+                    M.ElemOp(rng.choice((M.LEFT, M.RIGHT)), i, j,
+                             rng.randrange(ring.size))
+                    for i, j in [rng.sample(range(1, n + 1), 2)
+                                 for _ in range(6 if n > 1 else 0)]))
+                for got, want in (
+                        (M.mat_mul(A, B), O.mat_mul_loops(A, B)),
+                        (A.transpose(), O.transpose_loops(A)),
+                        (A.op(), M.RMatrix(ring.op(), n,
+                                           O.transpose_loops(A).entries)),
+                        (M.direct_sum(A, C), O.direct_sum_loops(A, C)),
+                        (M.apply_elem_word(A, word), O.replay_per_op(A, word)),
+                        (M.mat_mul(A, ident), A), (M.mat_mul(ident, A), A)):
+                    assert got == want, (name, n)
+                    assert ints(got), (name, n)
+
+
 def test_split_and_zero_row_match_numpy_forms():
-    # M_2(Z/6) and M_2(Z/8) keep no list mirrors: their rows are converted,
-    # but for the zero row, which mul_row builds without reading the table
+    # M_2(Z/6) and M_2(Z/8) keep no list mirrors: the scans answer from
+    # numpy rows, masks and first hits, and still hand back Python ints
+    # (the zero row among them: the zero element is an argument)
     rng = random.Random(17)
     hits = misses = 0
     for n in (6, 8):
         mring = R.build_ring(R.MatrixSpec(R.ZmodSpec(n), 2))
         for ring in (mring, mring.op()):
             assert ring._mul is None
-            zero_row = ring.mul_row(ring.zero)
-            assert zero_row == ring.npmul[ring.zero].tolist()
-            assert all(type(x) is int for x in zero_row)
             size, idems = ring.size, ring.idempotents()
             args = [(ring.zero, ring.zero), (ring.zero, ring.one),
                     (ring.one, ring.zero), (ring.one, ring.one)]
@@ -405,14 +449,17 @@ def test_split_and_zero_row_match_numpy_forms():
                      for _ in range(60)]
             for a, b in args:
                 want = O.split_numpy(ring, a, b)
-                assert scans._split(ring, a, b) == want, \
-                    (ring.describe(), a, b)
+                got = scans._split(ring, a, b)
+                assert got == want, (ring.describe(), a, b)
+                assert all(type(x) is int for x in got or ())
                 hits += want is not None
                 misses += want is None
                 for t in (ring.zero, ring.one, ring.mul(a, b)):
-                    assert (R.solve_right(ring, a, t)
-                            == O.solve_right_numpy(ring, a, t)), (a, t)
-                    assert (R.solve_pair_right(ring, a, b, t)
-                            == O.solve_pair_right_mask(ring, a, b, t)), \
+                    x = R.solve_right(ring, a, t)
+                    assert x == O.solve_right_numpy(ring, a, t), (a, t)
+                    assert x is None or type(x) is int
+                    got = R.solve_pair_right(ring, a, b, t)
+                    assert all(type(v) is int for v in got or ())
+                    assert got == O.solve_pair_right_mask(ring, a, b, t), \
                         (a, b, t)
     assert hits and misses

@@ -565,12 +565,19 @@ def test_forced_m4_lift_forms_no_whole_table_of_a_stage_ring(monkeypatch):
 
 def test_forced_m4_stage_answers_row_questions_in_numpy(monkeypatch):
     # over M_2(Z/8) and its opposite, which keep no list mirrors, the lift
-    # reads aR + bR through coset masks, never through add rows, and the
-    # verifier decides "g in f1R+f2R" by a pair solve, building no span;
-    # each side starts from fresh rings
-    added, spanned = [], []
-    add_row, right_span = R.FiniteRing.add_row, R.FiniteRing.right_span
+    # and the verifier read no list row (no mul_row, no add_row) and aR + bR
+    # only through coset masks in the lift, and the verifier decides "g in
+    # f1R+f2R" by a pair solve, building no span.  M_k(I) is built once per
+    # (stage ring, I): the verify in the lift's process reuses it, a verify
+    # from fresh rings builds it again
+    rows, added, spanned, built = [], [], [], []
+    mul_row, add_row = R.FiniteRing.mul_row, R.FiniteRing.add_row
+    right_span, matrix_ideal = R.FiniteRing.right_span, M.matrix_ideal
     phase = ["lift"]
+
+    def spy_mul_row(ring, a):
+        rows.append(ring.describe())
+        return mul_row(ring, a)
 
     def spy_add_row(ring, a):
         added.append(ring.describe())
@@ -580,21 +587,36 @@ def test_forced_m4_stage_answers_row_questions_in_numpy(monkeypatch):
         spanned.append((phase[0], ring.describe()))
         return right_span(ring, a, b)
 
+    def spy_matrix_ideal(block_ring, base_ring, k, ideal):
+        built.append((phase[0], block_ring, ideal.members))
+        return matrix_ideal(block_ring, base_ring, k, ideal)
+
+    monkeypatch.setattr(R.FiniteRing, "mul_row", spy_mul_row)
     monkeypatch.setattr(R.FiniteRing, "add_row", spy_add_row)
     monkeypatch.setattr(R.FiniteRing, "right_span", spy_right_span)
+    monkeypatch.setattr(M, "matrix_ideal", spy_matrix_ideal)
     stage = ("matrix(zmod(8),2)", "op(matrix(zmod(8),2))")
     for gen in (2, 1):
         monkeypatch.setattr(R, "_BUILD_CACHE", {})
+        built.clear()
         phase[0] = "lift"
         ring = z(8)
         ideal = R.ideal_closure(ring, [gen])
         payloads = [json.loads(C.dumps_certificate(L.lift_unit(
             ring, ideal, x, start_m=4).certificate.to_payload()))
             for x in fredholm_elements(ring, ideal)]
+        assert len(payloads) > 1
+        phase[0] = "warm"
+        assert all(C.verify_payload(p)[0] for p in payloads)
         monkeypatch.setattr(R, "_BUILD_CACHE", {})
         phase[0] = "verify"
         assert all(C.verify_payload(p)[0] for p in payloads)
+        assert [(p, r.describe(), m) for p, r, m in built] == [
+            ("lift", stage[0], ideal.members),
+            ("verify", stage[0], ideal.members)], built
+        assert built[0][1] is not built[1][1]     # a fresh M_2(Z/8)
     assert ("lift", stage[0]) in spanned and ("lift", stage[1]) in spanned
-    assert "zmod(8)" in added                 # the spies are live
+    assert "zmod(8)" in added and "zmod(8)" in rows   # the spies are live
+    assert not [r for r in rows if r in stage], rows
     assert not [r for r in added if r in stage], added
-    assert not [s for s in spanned if s[0] == "verify"], spanned
+    assert not [s for s in spanned if s[0] != "lift"], spanned

@@ -297,6 +297,30 @@ def test_matrix_ideal():
     verify_ideal(mi_full)
 
 
+def test_stage_ring_keeps_one_matrix_ideal_per_ideal(monkeypatch):
+    # M_2(I) is memoized on the stage ring M_2(R) per ideal I: each ideal
+    # of Z/6 and Z/8 gets its own, equal to a fresh build (members, mask,
+    # ascending members, generators), and the same object when asked again
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    for n in (6, 8):
+        ring = z(n)
+        ideals = R.all_ideals(ring)
+        got = []
+        for ideal in ideals:
+            sring, sideal = M.stage_ring(ring, ideal, 2)
+            fresh = M.matrix_ideal(sring, ring, 2, ideal)
+            assert M.stage_ring(ring, ideal, 2) == (sring, sideal)
+            assert M.stage_ring(ring, ideal, 2)[1] is sideal
+            assert sideal.members == fresh.members
+            assert sideal.generators == fresh.generators
+            assert sideal.sorted_members == tuple(sorted(fresh.members))
+            assert sideal.mask.tolist() == [x in fresh.members
+                                            for x in range(sring.size)]
+            got.append(sideal)
+        assert len({s.members for s in got}) == len(ideals) == 4
+    assert M.stage_ring(ring, ideals[1], 1) == (ring, ideals[1])
+
+
 def test_value_types_are_immutable_values():
     z4 = z(4)
     A, B = M.matrix(z4, [[1, 2], [3, 0]]), M.matrix(z4, [[1, 2], [3, 0]])
