@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, Guards
 from .rings import (MatrixSpec, ProductSpec, QuotientSpec, RingSpec,
-                    TriangularSpec, ZmodSpec, all_ideals, build_ring,
+                    TriangularSpec, ZmodSpec, _key, all_ideals, build_ring,
                     element_from_descriptor, ideal_closure)
 
 E12 = [[0, 1], [0, 0]]
@@ -22,39 +22,33 @@ class CorpusEntry:
     tags: tuple
 
 
-def _freeze(g):
-    if isinstance(g, list):
-        return tuple(_freeze(x) for x in g)
-    return g
-
-
 CORPUS = [
     *[CorpusEntry(f"zmod({n})", ZmodSpec(n), "all", (), ("zmod",))
       for n in (2, 3, 4, 6, 8, 9, 16)],
     CorpusEntry("triangular(zmod(2),2)", TriangularSpec(ZmodSpec(2), 2),
-                "given", (_freeze(E12),), ("triangular",)),
+                "given", (_key(E12),), ("triangular",)),
     CorpusEntry("triangular(zmod(4),2)", TriangularSpec(ZmodSpec(4), 2),
-                "given", (_freeze(E12),), ("triangular", "slow")),
+                "given", (_key(E12),), ("triangular", "slow")),
     CorpusEntry("matrix(zmod(2),2)+zero", MatrixSpec(ZmodSpec(2), 2),
                 "given", (), ("matrix",)),
     CorpusEntry("matrix(zmod(2),2)+full", MatrixSpec(ZmodSpec(2), 2),
-                "given", (_freeze(ONE2),), ("matrix",)),
+                "given", (_key(ONE2),), ("matrix",)),
     CorpusEntry("zmod(2)xM2(zmod(2))+left",
                 ProductSpec(ZmodSpec(2), MatrixSpec(ZmodSpec(2), 2)),
-                "given", (_freeze([1, [[0, 0], [0, 0]]]),), ("product",)),
+                "given", (_key([1, [[0, 0], [0, 0]]]),), ("product",)),
     CorpusEntry("zmod(2)xM2(zmod(2))+right",
                 ProductSpec(ZmodSpec(2), MatrixSpec(ZmodSpec(2), 2)),
-                "given", (_freeze([0, ONE2]),), ("product",)),
+                "given", (_key([0, ONE2]),), ("product",)),
     CorpusEntry("quotient(zmod(16),[4])",
                 QuotientSpec(ZmodSpec(16), (4,)), "all", (), ("quotient",)),
     CorpusEntry("quotient(triangular(zmod(2),2),[e12])",
                 QuotientSpec(TriangularSpec(ZmodSpec(2), 2),
-                             (tuple(map(tuple, E12)),)),
+                             (_key(E12),)),
                 "all", (), ("quotient",)),
     CorpusEntry("quotient(zmod(2)xM2,[0xM2])",
                 QuotientSpec(ProductSpec(ZmodSpec(2),
                                          MatrixSpec(ZmodSpec(2), 2)),
-                             ((0, tuple(map(tuple, ONE2))),)),
+                             (_key([0, ONE2]),)),
                 "all", (), ("quotient",)),
 ]
 

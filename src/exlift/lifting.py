@@ -25,11 +25,10 @@ from typing import Optional
 from .config import DEFAULT, Guards
 from .errors import NotFredholm, PreconditionFailed, SearchExhausted
 from .exchange import is_exchange_ideal
-from .matrices import (ElemWord, RMatrix, apply_elem_word, block_matrix,
-                       direct_sum, e_orbit_factor, identity, left_op, mat_mul,
-                       matrix, right_op, sigma_inv_word_left, sigma_word_left,
-                       sigma_word_right, stage_ring, try_inverse,
-                       unblock_matrix)
+from .matrices import (RIGHT, ElemWord, RMatrix, apply_elem_word,
+                       block_matrix, direct_sum, e_orbit_factor, identity,
+                       left_op, mat_mul, matrix, right_op, stage_ring,
+                       try_inverse, unblock_matrix, whitehead_word)
 from .rings import (FiniteRing, Ideal, digits, entry_ideal, morita_base,
                     quotient_by, solve_right)
 from . import scans, vmonoid
@@ -304,8 +303,10 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     witness (g_row, g_col; f, u and p together; v) is used as is, a missing
     one searched for; a given u that is no unit raises SearchExhausted."""
     one = ring.one
-    sigL, sigR, sig_inv = (ElemWord(2, tuple(word(ring))) for word in (
-        sigma_word_left, sigma_word_right, sigma_inv_word_left))
+    # the signed swaps w(1), as left and as right ops, and w(-1) = w(1)^-1
+    sigL = ElemWord(2, whitehead_word(ring, one))
+    sigR = ElemWord(2, whitehead_word(ring, one, side=RIGHT))
+    sig_inv = ElemWord(2, whitehead_word(ring, ring.neg(one)))
     rr = _reduce_row(ring, ideal, alpha, g_row)
     a1 = apply_elem_word(apply_elem_word(rr.result, sigR), sigL)
     rc = _reduce_col(ring, ideal, a1, g_col)

@@ -3,7 +3,10 @@
 An ElemWord is the certificate vocabulary of the whole library: a sequence of
 row/column transvections 1 + r*e_ij, applied on the left or the right.  Words
 replay deterministically, invert by reversing and negating, and can be tested
-for membership in E_n(I) entry by entry.
+for membership in E_n(I) entry by entry.  Every fixed word is built from
+Whitehead's w(v) = e_ij(v) e_ji(-v^-1) e_ij(v) (``whitehead_word``): the
+signed swaps of the 2x2 diagonalization are w(1) and w(-1), and
+diag(v, v^-1) = w(v) w(-1) moves a unit along the diagonal.
 
 A word replays on one mutable copy of the matrix's rows: each op updates a
 row or a column in place, reading the ring's list mirrors of its tables when
@@ -166,11 +169,10 @@ def matrix_ideal(block_ring: FiniteRing, base_ring: FiniteRing, k: int,
     """M_k(I) inside the materialized M_k(R)."""
     B = base_ring.size
     mask = ideal.mask[digits(np.arange(block_ring.size), B, k * k)].all(axis=1)
-    members = tuple(np.flatnonzero(mask).tolist())
     # each generator g of I gives g*e11
     gens = tuple(pack([g] + [base_ring.zero] * (k * k - 1), B)
                  for g in ideal.generators)
-    return Ideal(block_ring, frozenset(members), gens, mask, members)
+    return Ideal(block_ring, frozenset(np.flatnonzero(mask).tolist()), gens)
 
 
 def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
@@ -179,16 +181,19 @@ def stage_ring(ring: FiniteRing, ideal: Ideal, k: int,
     M_k(I) is a separative exchange ideal of it whenever I is one of R.
     (R, I) itself when k = 1.
 
-    M_k(R) keeps per-row factors, and no step forms its whole tables above
-    ``rings._LIST_MIRROR_MAX`` elements or computes an invariant of it from
-    them: the class keys that order idempotents are read off R
-    (V(M_k(R)) = V(R) by Morita equivalence, see ``lifting._class_key``),
-    pi(a') = pi(a*u^-1) is a membership test in M_k(I) rather than a
-    quotient of M_k(R), two-sided ideals are M_k(J) for ideals J of R
-    (``rings.entry_ideal``), an element's inverse comes from one array
-    test of its row (``FiniteRing.inverse``) and a matrix's over M_k(R)
-    from elimination (``try_inverse``).  M_k(I) is memoized on M_k(R)'s
-    cache under ("matrix_ideal", I's members, I's generators)."""
+    M_k(R) keeps per-row factors, and above ``rings._LIST_MIRROR_MAX``
+    elements no step of a corpus lift or verify forms its whole tables or
+    computes an invariant of it from them: the class keys that order
+    idempotents are read off R (V(M_k(R)) = V(R) by Morita equivalence, see
+    ``lifting._class_key``), pi(a') = pi(a*u^-1) is a membership test in
+    M_k(I) rather than a quotient of M_k(R), two-sided ideals are M_k(J)
+    for ideals J of R (``rings.entry_ideal``), an element's inverse comes
+    from one array test of its row (``FiniteRing.inverse``) and a matrix's
+    over M_k(R) from elimination (``try_inverse``).  Only an elimination
+    past a pivot that is no unit forms them: its row folds in
+    ``_reduce_to_diag`` read the whole tables, and no corpus lift reaches
+    one.  M_k(I) is memoized on M_k(R)'s cache under ("matrix_ideal", I's
+    members, I's generators)."""
     if k == 1:
         return ring, ideal
     mring = build_ring(MatrixSpec(ring.spec, k), guards)
@@ -315,10 +320,6 @@ def apply_elem_word(A: RMatrix, w: ElemWord) -> RMatrix:
     return RMatrix(ring, n, tuple(map(tuple, rows)))
 
 
-def apply_elem_op(A: RMatrix, op: ElemOp) -> RMatrix:
-    return apply_elem_word(A, ElemWord(A.n, (op,)))
-
-
 def evaluate_word(ring: FiniteRing, w: ElemWord) -> RMatrix:
     """The word applied to the identity (the matrix the word's action realizes
     for single-sided words)."""
@@ -329,22 +330,14 @@ def word_in_ideal(w: ElemWord, ideal: Ideal) -> bool:
     return all(ideal.contains(op.r) for op in w.ops)
 
 
-def sigma_word_right(ring: FiniteRing) -> list:
-    """The signed permutation (0 1; -1 0) as three right ops e12(1)e21(-1)e12(1)."""
-    one, neg1 = ring.one, ring.neg(ring.one)
-    return [right_op(1, 2, one), right_op(2, 1, neg1), right_op(1, 2, one)]
-
-
-def sigma_word_left(ring: FiniteRing) -> list:
-    """Same matrix as a left word (the expansion is a palindrome)."""
-    one, neg1 = ring.one, ring.neg(ring.one)
-    return [left_op(1, 2, one), left_op(2, 1, neg1), left_op(1, 2, one)]
-
-
-def sigma_inv_word_left(ring: FiniteRing) -> list:
-    """(0 -1; 1 0) as a left word."""
-    one, neg1 = ring.one, ring.neg(ring.one)
-    return [left_op(1, 2, neg1), left_op(2, 1, one), left_op(1, 2, neg1)]
+def whitehead_word(ring: FiniteRing, v: int, i: int = 1, j: int = 2,
+                   side: str = LEFT) -> tuple:
+    """Whitehead's w(v) = e_ij(v) e_ji(-v^-1) e_ij(v) for a unit v, as three
+    ops on one side: the identity with its rows and columns i, j replaced
+    by (0 v; -v^-1 0).  The expansion is a palindrome, so the left and the
+    right word are the same product."""
+    r = ring.neg(ring.inverse(v))
+    return ElemOp(side, i, j, v), ElemOp(side, j, i, r), ElemOp(side, i, j, v)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +356,11 @@ def sigma_inv_word_left(ring: FiniteRing) -> list:
 # so it raises SearchExhausted (a bug, never a routine negative).
 # ---------------------------------------------------------------------------
 
-def whitehead_ops(ring: FiniteRing, v: int, i: int, j: int) -> list:
+def whitehead_ops(ring: FiniteRing, v: int, i: int, j: int) -> tuple:
     """Left ops that multiply rows i and j by the unit v and by v^-1:
-    Whitehead's diag(v, v^-1) = w(v) w(-1), w(v) = e_ij(v) e_ji(-v^-1) e_ij(v).
-    """
-    one, neg1 = ring.one, ring.neg(ring.one)
-    return [left_op(i, j, neg1), left_op(j, i, one), left_op(i, j, neg1),
-            left_op(i, j, v), left_op(j, i, ring.neg(ring.inverse(v))),
-            left_op(i, j, v)]
+    Whitehead's diag(v, v^-1) = w(v) w(-1)."""
+    return (whitehead_word(ring, ring.neg(ring.one), i, j)
+            + whitehead_word(ring, v, i, j))
 
 
 def w_group(ring: FiniteRing) -> dict:
@@ -454,7 +444,7 @@ def _reduce_to_diag(A: RMatrix):
     def push(op):
         nonlocal A
         ops.append(op)
-        A = apply_elem_op(A, op)
+        A = apply_elem_word(A, ElemWord(n, (op,)))
 
     for c in range(n):
         if ring.inverse(A[c, c]) is None:

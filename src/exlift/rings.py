@@ -95,12 +95,6 @@ def _key(desc):
     raise InvalidSpec(f"element descriptor leaves must be ints, got {desc!r}")
 
 
-def _thaw(value):
-    if type(value) is tuple:
-        return [_thaw(v) for v in value]
-    return value
-
-
 def parse_ring_spec(obj) -> RingSpec:
     """Parse the nested dict form of a ring spec.  Unknown fields are errors."""
     if not isinstance(obj, dict):
@@ -150,7 +144,8 @@ def ring_spec_obj(spec: RingSpec):
                 "right": ring_spec_obj(spec.right)}
     if isinstance(spec, QuotientSpec):
         return {"type": "quotient", "base": ring_spec_obj(spec.base),
-                "ideal": {"generators": _thaw(list(spec.generators))}}
+                "ideal": {"generators": [_thaw_as(spec.base, g)
+                                         for g in spec.generators]}}
     raise InvalidSpec(f"spec {spec.describe()} has no external form")
 
 
@@ -428,10 +423,9 @@ def build_ring(spec: RingSpec, guards: Guards = DEFAULT) -> FiniteRing:
         return cached
     if isinstance(spec, ZmodSpec):
         ring = _build_zmod(spec, guards)
-    elif isinstance(spec, MatrixSpec):
-        ring = _build_matrix(spec, guards)
-    elif isinstance(spec, TriangularSpec):
-        ring = _build_triangular(spec, guards)
+    elif isinstance(spec, (MatrixSpec, TriangularSpec)):
+        ring = _build_matrix_like(spec, guards,
+                                  isinstance(spec, TriangularSpec))
     elif isinstance(spec, ProductSpec):
         ring = _build_product(spec, guards)
     elif isinstance(spec, QuotientSpec):
@@ -540,14 +534,6 @@ def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     return FiniteRing(size, adds, muls, negs, 0, one, spec, weights)
 
 
-def _build_matrix(spec: MatrixSpec, guards: Guards) -> FiniteRing:
-    return _build_matrix_like(spec, guards, triangular=False)
-
-
-def _build_triangular(spec: TriangularSpec, guards: Guards) -> FiniteRing:
-    return _build_matrix_like(spec, guards, triangular=True)
-
-
 def _build_product(spec: ProductSpec, guards: Guards) -> FiniteRing:
     lring = build_ring(spec.left, guards)
     rring = build_ring(spec.right, guards)
@@ -584,18 +570,17 @@ def _build_quotient(spec: QuotientSpec, guards: Guards) -> FiniteRing:
 
 @dataclass(eq=False)
 class Ideal:
-    """A two-sided ideal as an explicit carrier subset plus its generators."""
+    """A two-sided ideal as an explicit carrier subset plus its generators;
+    its views, ``mask`` over the carrier and ``sorted_members``, are derived
+    from ``members`` when it is built."""
 
     ring: FiniteRing
     members: frozenset
     generators: tuple
-    mask: Optional[np.ndarray] = None   # with sorted_members: derived if None
-    sorted_members: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.mask is None:
-            self.mask = member_mask(list(self.members), self.ring.size)
-            self.sorted_members = tuple(sorted(self.members))
+        self.mask = member_mask(list(self.members), self.ring.size)
+        self.sorted_members = tuple(sorted(self.members))
 
     def contains(self, x: int) -> bool:
         return bool(self.mask[x])

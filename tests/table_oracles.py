@@ -18,7 +18,9 @@ the whole tables, are the references for the list-row kernels and for the
 array forms read off the factors.  The replay of a word one op at a time,
 each op building a new matrix, is the reference for the in-place replay,
 and the nested loops of ``mat_mul``, ``transpose``, ``direct_sum`` and
-``identity`` for the matrix values.  The embedded
+``identity`` for the matrix values.  The generic thaw of a frozen
+descriptor is the reference for ``rings._thaw_as``, which thaws by the
+ring's shape.  The embedded
 exchange witness and the idempotent lift by a loop over idempotents
 cross-check the exchange theory on the corpus.
 """
@@ -35,6 +37,14 @@ from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
                              matrix)
 from exlift.rings import (FiniteRing, Ideal, _positions, digits, distinct,
                           pack, quotient_by)
+
+
+def thaw(value):
+    """A frozen element descriptor as lists, by its type alone: tuples
+    become lists at every depth, whatever ring it describes."""
+    if type(value) is tuple:
+        return [thaw(v) for v in value]
+    return value
 
 
 def solve_pair_right(ring: FiniteRing, c: int, d: int,

@@ -14,6 +14,7 @@ from exlift.ktheory import fredholm_elements
 import certificates_v1 as V1
 import tamper as T
 from reduction_contracts import corpus_lifts, reduction_contract_failures
+from table_oracles import thaw
 
 
 def z4_pair():
@@ -293,9 +294,11 @@ def test_single_field_mutations_rejected():
         assert failed >= 40, (kind, failed)
 
 
-# one certificate per ring shape, and the forced m=4 Z/4 certificate
+# one certificate per ring shape, one whose recipe nests a quotient's
+# generators in a product's descriptor, and the forced m=4 Z/4 certificate
 SWEEP = {"zmod": ("zmod(8) |I|=2", 2),
          "quotient": ("quotient(zmod(16),[4]) |I|=2", 2),
+         "quotient of a product": ("quotient(zmod(2)xM2,[0xM2]) |I|=2", 2),
          "matrix": ("matrix(zmod(2),2)+zero", 2),
          "triangular": ("triangular(zmod(2),2)", 2),
          "product": ("zmod(2)xM2(zmod(2))+left", 2),
@@ -618,11 +621,42 @@ def test_descriptors_by_shape_match_the_generic_thaw(scan_rings):
         for idx in range(ring.size):
             first = R.element_descriptor(ring, idx)
             second = R.element_descriptor(ring, idx)
-            assert first == R._thaw(R._encode(ring, idx)), (ring.describe(),
-                                                              idx)
+            assert first == thaw(R._encode(ring, idx)), (ring.describe(),
+                                                           idx)
             assert not _list_ids(first) & _list_ids(second), idx
             count += 1
     assert count > 10000
+
+
+def _plain_json(value) -> bool:
+    """value holds only dicts with str keys, lists, ints and strs."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain_json(v) for v in value)
+    return type(value) in (int, str)
+
+
+def test_ring_spec_objects_are_plain_json(corpus_rings):
+    # a quotient's generators come out as lists at every depth, as a
+    # certificate file holds them, also where the recipe nests descriptors
+    for entry, ring in corpus_rings:
+        obj = R.ring_spec_obj(ring.spec)
+        assert _plain_json(obj), (entry.name, obj)
+        assert json.loads(json.dumps(obj)) == obj, entry.name
+        assert R.parse_ring_spec(obj) == entry.spec, entry.name
+
+
+def test_verified_claims_equal_the_loaded_claims(corpus_pairs):
+    # the claim the verifier reports equals the claim fields of the file it
+    # read, for one certificate per default pair
+    for name, ring, ideal, _ in corpus_pairs:
+        x = fredholm_elements(ring, ideal)[0]
+        payload = json.loads(C.dumps_certificate(
+            L.lift_unit(ring, ideal, x).certificate.to_payload()))
+        ok, _, claim = C.verify_claim(payload)
+        assert ok and claim == {k: payload[k] for k in T.CLAIM_FIELDS}, \
+            (name, claim)
 
 
 def _list_ids(value) -> set:

@@ -78,7 +78,7 @@ def test_word_replay_refuses_an_op_outside_the_matrix():
     with pytest.raises(DimensionMismatch):
         M.apply_elem_word(A, word(2, ops[:2] + [M.right_op(0, 2, 1)]))
     with pytest.raises(DimensionMismatch):
-        M.apply_elem_op(A, ops[2])
+        M.apply_elem_word(A, word(2, ops[2:]))
 
 
 ops_strategy = st.lists(
@@ -255,10 +255,33 @@ def test_e_orbit_factor_agrees_with_oracle():
 
 def test_sigma_words():
     z5 = z(5)
-    sig = M.evaluate_word(z5, word(2, M.sigma_word_right(z5)))
+    sig = M.evaluate_word(z5, word(2, M.whitehead_word(z5, 1, side=M.RIGHT)))
     assert sig == M.matrix(z5, [[0, 1], [4, 0]])
-    siginv = M.evaluate_word(z5, word(2, M.sigma_inv_word_left(z5)))
+    siginv = M.evaluate_word(z5, word(2, M.whitehead_word(z5, 4)))
     assert M.mat_mul(sig, siginv) == M.identity(z5, 2)
+
+
+def test_whitehead_words_evaluate_to_their_matrices(scan_rings):
+    # w(v) = (0 v; -v^-1 0) as left and as right ops, and
+    # diag(v, v^-1) = w(v) w(-1), for every unit v of every ring the 2x2
+    # step runs on (with and without list mirrors, and opposites) and of
+    # the z/5 of test_sigma_words
+    units = 0
+    for ring in scan_rings + [z(5), z(5).op()]:
+        zero = ring.zero
+        for v in ring.units():
+            vinv = ring.inverse(v)
+            w = M.matrix(ring, [[zero, v], [ring.neg(vinv), zero]])
+            for side in (M.LEFT, M.RIGHT):
+                ops = M.whitehead_word(ring, v, side=side)
+                assert {op.side for op in ops} == {side}
+                assert M.evaluate_word(ring, word(2, ops)) == w, \
+                    (ring.describe(), v, side)
+            ops = M.whitehead_ops(ring, v, 1, 2)
+            assert M.evaluate_word(ring, word(2, ops)) == M.matrix(
+                ring, [[v, zero], [zero, vinv]]), (ring.describe(), v)
+            units += 1
+    assert units > 5000
 
 
 def test_block_roundtrip():

@@ -1,13 +1,15 @@
-"""The inline Python scripts of the CI workflow compile.
+"""The shell steps of the CI workflow and their inline Python scripts parse.
 
-``.github/workflows/tier1.yml`` feeds several scripts to ``python3 -``
-through ``<<'EOF'`` heredocs.  A syntax slip in one of them would show only
-on a runner, so each body is read out of the workflow text here (line by
-line, no YAML parser) and passed to ``compile()``.
+``.github/workflows/tier1.yml`` runs each step's ``run:`` text with bash,
+and feeds several scripts to ``python3 -`` through ``<<'EOF'`` heredocs.  A
+syntax slip in either would show only on a runner, so both are read out of
+the workflow text here (line by line, no YAML parser): each ``run:`` text
+goes through ``bash -n``, each heredoc body through ``compile()``.
 """
 
 import pathlib
 import re
+import subprocess
 import textwrap
 
 import pytest
@@ -62,3 +64,66 @@ def test_a_syntax_slip_fails_to_compile():
     assert line == 2 and body.startswith("import sys\nfor p")
     with pytest.raises(SyntaxError):
         compile(body, "slip", "exec")
+
+
+def run_blocks(text: str) -> list:
+    """(line, script) of every ``run:`` step: the command on its ``run:``
+    line, or the lines of its ``run: |`` block, which ends before the first
+    non-blank line indented no deeper than ``run:``, dedented as the YAML
+    block scalar dedents them.  A ``${{ ... }}`` expression, which the
+    runner replaces before bash reads the script, is replaced by a word."""
+    lines = text.splitlines()
+    out = []
+    for start, line in enumerate(lines):
+        m = re.match(r"( *)run:\s*(.*)$", line)
+        if not m:
+            continue
+        script = m.group(2)
+        if script == "|":
+            end = start + 1
+            while end < len(lines) and (
+                    not lines[end].strip()
+                    or len(lines[end]) - len(lines[end].lstrip(" "))
+                    > len(m.group(1))):
+                end += 1
+            script = textwrap.dedent("\n".join(lines[start + 1:end]))
+        out.append((start + 1, re.sub(r"\$\{\{.*?\}\}", "x", script) + "\n"))
+    return out
+
+
+def bash_syntax_error(script: str) -> str:
+    """What ``bash -n`` says about script: "" when it parses."""
+    done = subprocess.run(["bash", "-n"], input=script, text=True,
+                          capture_output=True, timeout=60)
+    return done.stderr if done.returncode else ""
+
+
+def test_every_run_block_is_found():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    blocks = run_blocks(text)
+    assert len(blocks) == len(re.findall(r"(?m)^\s*run:", text)) >= 9
+    assert all("${{" not in script for _, script in blocks)
+
+
+def test_workflow_run_blocks_parse_in_bash():
+    for line, script in run_blocks(WORKFLOW.read_text(encoding="utf-8")):
+        assert bash_syntax_error(script) == "", (f"{WORKFLOW.name}:{line}",
+                                                 script)
+
+
+def test_a_shell_slip_fails_to_parse():
+    text = ("      - name: Check\n"
+            "        run: |\n"
+            "          status=0\n"
+            "          if test \"$status\" -eq 0; then\n"
+            "            echo ok\n"
+            "          python3 - <<'EOF'\n"
+            "          print(1)\n"
+            "          EOF\n"
+            "      - name: Next\n"
+            "        run: echo \"${{ matrix.numpy }}\"\n")
+    (line, script), (line2, script2) = run_blocks(text)
+    assert (line, line2) == (2, 10) and script.startswith("status=0\nif")
+    assert script.endswith("EOF\n") and script2 == 'echo "x"\n'
+    assert "syntax error" in bash_syntax_error(script)
+    assert bash_syntax_error(script2) == ""
