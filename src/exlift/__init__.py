@@ -27,7 +27,7 @@ from .vmonoid import (CheckOutcome, FinMonoid, OrderIdeal, VClass, VMonoid,
                       lemma13_check, monoid_to_obj, parse_monoid_obj,
                       v_order_ideal)
 from .ktheory import (K0Element, connecting_delta, fredholm_elements, index,
-                      is_fredholm, k0_zero_test, whitehead_factor)
+                      is_fredholm, k0_zero_test)
 from .lifting import (DiagonalizationResult, LiftCertificate, LiftResult,
                       ReductionResult, diagonalize_2x2, join_idempotent,
                       lift_unit, oracle_lift, reduce_col, reduce_row,

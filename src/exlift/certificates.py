@@ -213,7 +213,7 @@ def load_certificate(path: str) -> dict:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read certificate {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # JSON too deep or too long
         raise InvalidSpec(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidSpec("certificate must be a JSON object")

@@ -93,7 +93,7 @@ def _load_spec_file(path: str) -> dict:
         raise InvalidSpec(f"spec file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # JSON too deep or too long
         raise InvalidSpec(f"spec file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidSpec("spec file must hold a JSON object")
@@ -107,32 +107,30 @@ def _load_spec_file(path: str) -> dict:
 
 
 def _ring_context(obj: dict, ideal_opt, guards: Guards):
-    ring = build_ring(parse_ring_spec(obj["ring"]), guards)
-    gens_desc = None
+    # a monoid spec has no ring: its None is refused as a ring spec
+    ring = build_ring(parse_ring_spec(obj.get("ring")), guards)
     if ideal_opt is not None:
         try:
             gens_desc = json.loads(ideal_opt)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidSpec(f"--ideal is not valid JSON: {exc}") from exc
     elif "ideal" in obj:
         ideal_obj = obj["ideal"]
         if not isinstance(ideal_obj, dict) or set(ideal_obj) != {"generators"}:
             raise InvalidSpec("ideal must be an object with only 'generators'")
         gens_desc = ideal_obj["generators"]
-    if gens_desc is None:
-        ideal = full_ideal(ring)
     else:
-        if not isinstance(gens_desc, list):
-            raise InvalidSpec("ideal generators must be a list")
-        gens = [element_from_descriptor(ring, g) for g in gens_desc]
-        ideal = ideal_closure(ring, gens)
-    return ring, ideal
+        return ring, full_ideal(ring)
+    if not isinstance(gens_desc, list):     # null names no ideal either
+        raise InvalidSpec("ideal generators must be a list")
+    return ring, ideal_closure(ring, [element_from_descriptor(ring, g)
+                                      for g in gens_desc])
 
 
 def _parse_element(ring: FiniteRing, text: str) -> int:
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidSpec(f"--element is not valid JSON: {exc}") from exc
     return element_from_descriptor(ring, desc)
 

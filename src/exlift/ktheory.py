@@ -1,9 +1,12 @@
-"""Fredholm elements, the Whitehead factorization, and the K0 index map.
+"""Fredholm elements and the K0 index map.
 
 The connecting map is computed by the standard recipe: factor diag(u, u^-1)
 into elementary matrices over R/I, lift each parameter to R, conjugate 1+0 by
 the lifted product, and read off a formal difference of idempotents that are
-congruent modulo M_2(I).
+congruent modulo M_2(I).  The factorization is Whitehead's
+diag(u, u^-1) = w(u) w(-1) (``matrices.whitehead_ops``, built from w(v)).
+``test_delta_output_contracts`` asserts both properties of p for every
+unit of every corpus quotient; they are not re-checked here.
 
 Vanishing in K0(I) is decided by one exact comparison: ``class_key`` of pos
 against ``class_key`` of neg.  Over a finite ring K0(I) -> K0(R) is
@@ -16,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAUnit, NotFredholm, RingMismatch
-from .matrices import (ElemWord, RMatrix, congruent_mod, direct_sum,
-                       evaluate_word, is_idempotent, mat_mul, matrix,
-                       right_op, whitehead_ops)
+from .matrices import (ElemWord, RMatrix, direct_sum, evaluate_word, left_op,
+                       mat_mul, matrix, whitehead_ops)
 from .rings import FiniteRing, Ideal, quotient_by
 from . import vmonoid as _vm
 
@@ -32,25 +34,6 @@ def fredholm_elements(ring: FiniteRing, ideal: Ideal) -> list:
     qmap = quotient_by(ring, ideal)
     units = set(qmap.target.units())
     return [x for x in ring.elements() if int(qmap.image[x]) in units]
-
-
-def whitehead_factor(ring: FiniteRing, u: int) -> ElemWord:
-    """Six right ops whose product is exactly diag(u, u^-1).
-
-    The word is (1 u; 0 1)(1 0; -u^-1 1)(1 u; 0 1) followed by the inverse
-    signed permutation (0 -1; 1 0) expanded into three transvections.
-    """
-    uinv = ring.inverse(u)
-    if uinv is None:
-        raise NotAUnit(f"element {u} has no two-sided inverse")
-    # right ops run in product order, left ops in reverse
-    w = ElemWord(2, tuple(right_op(op.i, op.j, op.r)
-                          for op in reversed(whitehead_ops(ring, u, 1, 2))))
-    target = matrix(ring, [[u, ring.zero], [ring.zero, uinv]])
-    got = evaluate_word(ring, w)
-    if got != target:
-        raise AssertionError("whitehead factorization failed to replay")
-    return w
 
 
 @dataclass(frozen=True)
@@ -94,21 +77,18 @@ def _dsum(parts: tuple) -> RMatrix:
 
 def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int) -> K0Element:
     """delta([ubar]) as [p] - [1+0], with p = v (1+0) v^-1 for v the
-    Whitehead word of ubar with each parameter lifted to its least-index
-    preimage."""
+    Whitehead word of diag(ubar, ubar^-1) over R/I with each parameter
+    lifted to its least-index preimage."""
     qmap = quotient_by(ring, ideal)
-    word_bar = whitehead_factor(qmap.target, ubar)
-    lifted = ElemWord(2, tuple(right_op(op.i, op.j, qmap.lift(op.r))
-                               for op in word_bar.ops))
+    S = qmap.target
+    if S.inverse(ubar) is None:
+        raise NotAUnit(f"element {ubar} has no two-sided inverse")
+    lifted = ElemWord(2, tuple(left_op(op.i, op.j, qmap.lift(op.r))
+                               for op in whitehead_ops(S, ubar, 1, 2)))
     v = evaluate_word(ring, lifted)
     vinv = evaluate_word(ring, lifted.inverse(ring))
     e11 = direct_sum(matrix(ring, [[ring.one]]), matrix(ring, [[ring.zero]]))
-    p = mat_mul(mat_mul(v, e11), vinv)
-    if not is_idempotent(p):
-        raise AssertionError("conjugated idempotent is not idempotent")
-    if not congruent_mod(p, e11, ideal):
-        raise AssertionError("delta output is not congruent to 1+0 mod M_2(I)")
-    return K0Element(ring, ideal, (p,), (e11,))
+    return K0Element(ring, ideal, (mat_mul(mat_mul(v, e11), vinv),), (e11,))
 
 
 def index(ring: FiniteRing, ideal: Ideal, x: int) -> K0Element:

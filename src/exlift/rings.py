@@ -84,21 +84,32 @@ RingSpec = (
 )
 
 
-def _key(desc):
+# The deepest ring recipe, and half the deepest element descriptor (a matrix
+# level nests two lists).  Both are parsed and decoded recursively: deeper
+# input is an InvalidSpec, not a RecursionError at a depth that the call
+# stack and the cached inner rings would set.
+NESTING = 100
+
+
+def _key(desc, depth: int = 0):
     """desc with its lists frozen into tuples: the decode memo's key.  A
     leaf that is not an int is refused here, before any lookup, since
     True == 1 and 1.0 == 1 would find the entry of 1."""
     if type(desc) is int:
         return desc
     if isinstance(desc, (list, tuple)):
-        return tuple([_key(v) for v in desc])
+        if depth == 2 * NESTING:
+            raise InvalidSpec(f"descriptor nested deeper than {2 * NESTING}")
+        return tuple([_key(v, depth + 1) for v in desc])
     raise InvalidSpec(f"element descriptor leaves must be ints, got {desc!r}")
 
 
-def parse_ring_spec(obj) -> RingSpec:
+def parse_ring_spec(obj, depth: int = 0) -> RingSpec:
     """Parse the nested dict form of a ring spec.  Unknown fields are errors."""
     if not isinstance(obj, dict):
         raise InvalidSpec(f"ring spec must be an object, got {type(obj).__name__}")
+    if depth == NESTING:
+        raise InvalidSpec(f"ring spec nested deeper than {NESTING}")
     kind = obj.get("type")
     if kind == "zmod":
         _expect_fields(obj, {"type", "n"})
@@ -111,15 +122,15 @@ def parse_ring_spec(obj) -> RingSpec:
         k = obj.get("k")
         if type(k) is not int or k < 1:
             raise InvalidSpec(f"{kind} requires an integer k >= 1")
-        base = parse_ring_spec(obj.get("base"))
+        base = parse_ring_spec(obj.get("base"), depth + 1)
         return MatrixSpec(base, k) if kind == "matrix" else TriangularSpec(base, k)
     if kind == "product":
         _expect_fields(obj, {"type", "left", "right"})
-        return ProductSpec(parse_ring_spec(obj.get("left")),
-                           parse_ring_spec(obj.get("right")))
+        return ProductSpec(parse_ring_spec(obj.get("left"), depth + 1),
+                           parse_ring_spec(obj.get("right"), depth + 1))
     if kind == "quotient":
         _expect_fields(obj, {"type", "base", "ideal"})
-        base = parse_ring_spec(obj.get("base"))
+        base = parse_ring_spec(obj.get("base"), depth + 1)
         ideal = obj.get("ideal")
         if not isinstance(ideal, dict):
             raise InvalidSpec("quotient requires an ideal object")
@@ -489,13 +500,23 @@ def _positions(k: int, triangular: bool) -> tuple:
 
 def _build_matrix_like(spec, guards: Guards, triangular: bool) -> FiniteRing:
     base = build_ring(spec.base, guards)
-    k = spec.k
-    pos = _positions(k, triangular)
-    nfree = len(pos)
-    size = base.size ** nfree
+    k, B = spec.k, base.size
+    nfree = k * (k + 1) // 2 if triangular else k * k
+    # Refuse by bit length before the size, the k^2 positions or a message
+    # printing either is formed: B >= 2 gives at least 2^k matrices, and
+    # B^nfree >= 2^(nfree * (bit length of B - 1)).  M_k of the zero ring
+    # has one element; the bound on k bounds its build.
+    bits = guards.carrier.bit_length()
+    if k > bits:
+        raise GuardExceeded(f"k x k matrices over {base.describe()} with "
+                            f"k > {bits} exceed carrier guard {guards.carrier}")
+    if nfree * (B.bit_length() - 1) > 2 * bits:
+        raise GuardExceeded(f"carrier size {B}^{nfree} exceeds guard "
+                            f"{guards.carrier}")
+    size = B ** nfree
     _check_guards(size, guards)
+    pos = _positions(k, triangular)
 
-    B = base.size
     dt = _table_dtype(size)
     # Layout: an element's code reads its free entries pos[0], pos[1], ... as
     # a big-endian base-B number.  pos is row-major, so a code is also the

@@ -8,6 +8,8 @@ recorded witness and reject any transcript that did not come from the
 canonical search order.  The scans read rows of the multiplication table as
 Python lists (``FiniteRing.mul_row``) on rings with list mirrors, and as
 numpy rows with membership masks and first hits on rings without them.
+``split`` is the one scan that decomposes R, for the row passes, the
+corner step and the direct sum R = c'R + d'R of a reduced row.
 
 Each scan is right-handed (ideals aR, equations a*x = b).  Its left-handed
 form is the same scan over ``ring.op()``: Ra is a*R^op, and x*a = b in R is
@@ -25,7 +27,7 @@ from .rings import (FiniteRing, first_hit, member_mask, solve_pair_right,
                     solve_right)
 
 
-def _split(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
+def split(ring: FiniteRing, a: int, b: int) -> Optional[tuple]:
     """(e, t, u): the least idempotent e with e in aR and 1-e in bR, with
     the least t, u solving a*t = e and b*u = 1-e (``solve_right`` on the
     rows of a and b, read once; without list mirrors, masks of aR, bR)."""
@@ -53,7 +55,7 @@ def row_pass_witnesses(ring: FiniteRing, c: int, d: int) -> Optional[tuple]:
     if sol is None:
         return None
     x, y = sol
-    got = _split(ring, ring.mul(c, x), d)
+    got = split(ring, ring.mul(c, x), d)
     if got is None:
         return None
     e, t, s0 = got
@@ -64,22 +66,11 @@ def row_pass_witnesses(ring: FiniteRing, c: int, d: int) -> Optional[tuple]:
 def corner_witnesses_right(ring: FiniteRing, e: int, w: int) -> Optional[tuple]:
     """(f, w1, w2) with f = e*w*w1 idempotent, w1*f = w1, and
     1-f = (1-e)*w*w2, w2*(1-f) = w2; least f first."""
-    got = _split(ring, ring.mul(e, w), ring.mul(ring.sub(ring.one, e), w))
+    got = split(ring, ring.mul(e, w), ring.mul(ring.sub(ring.one, e), w))
     if got is None:
         return None
     f, w10, w20 = got
     return f, ring.mul(w10, f), ring.mul(w20, ring.sub(ring.one, f))
-
-
-def complement_right(ring: FiniteRing, cP: int, dP: int) -> Optional[int]:
-    """h with c'R = (1-h)R and d'R = hR: scan the first u in c'R with
-    1 - u in d'R and return h = 1 - u (idempotency is then forced)."""
-    dset = set(ring.right_multiples(dP))
-    for u in ring.right_multiples(cP):
-        v = ring.sub(ring.one, u)
-        if v in dset:
-            return v if ring.mul(v, v) == v else None
-    return None
 
 
 def idempotent_generator_right(ring: FiniteRing, d: int) -> Optional[int]:

@@ -8,12 +8,13 @@ property by theorem and finds no witness), the quotient tables by a loop
 over cosets, M_k(I) by a loop over the codes of M_k(R), the M_k(R) and
 T_k(R) tables by one full-size pass per free entry and per row, the units
 by a loop over the carrier, the unit-regular witness by a scan of all units,
-the inverse of a matrix by a search of every candidate column, and the
-sorted sets aR and aR + bR by ``np.unique``.
+the inverse of a matrix by a search of every candidate column, the
+sorted sets aR and aR + bR by ``np.unique``, and the left ideal
+R*e_1 + ... + R*e_k by sums of sorted sets.
 The kernels and the theorem must give exactly what these give.
 
 The vectorized row scans (``solve_right``, the idempotent split of
-``scans._split`` and the pair solve over a membership mask of dR), read off
+``scans.split`` and the pair solve over a membership mask of dR), read off
 the whole tables, are the references for the list-row kernels and for the
 array forms read off the factors.  The replay of a word one op at a time,
 each op building a new matrix, is the reference for the in-place replay,
@@ -23,6 +24,10 @@ descriptor is the reference for ``rings._thaw_as``, which thaws by the
 ring's shape.  The embedded
 exchange witness and the idempotent lift by a loop over idempotents
 cross-check the exchange theory on the corpus.
+
+``is_idempotent`` and ``congruent_mod`` state the contracts of
+``ktheory.connecting_delta``'s p and of the lift's w1 for the tests; the
+library does not re-check them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from exlift.errors import PreconditionFailed
 from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
                              matrix)
 from exlift.rings import (FiniteRing, Ideal, _positions, digits, distinct,
-                          pack, quotient_by)
+                          member_mask, pack, quotient_by)
 
 
 def thaw(value):
@@ -407,3 +412,25 @@ def right_span_numpy(ring: FiniteRing, a: int, b: int) -> tuple:
     aR, bR = (distinct(ring.npmul[x], ring.size) for x in (a, b))
     return tuple(distinct(ring.npadd[aR[:, None], bR[None, :]],
                           ring.size).tolist())
+
+
+def left_span_numpy(ring: FiniteRing, elems) -> np.ndarray:
+    """Membership mask of R*e_1 + ... + R*e_k, by summing the sorted set
+    R*e_i into the span one generator at a time."""
+    span = np.array([ring.zero])
+    for e in elems:
+        Re = distinct(ring.npmul[:, e], ring.size)
+        span = distinct(ring.npadd[span[:, None], Re[None, :]], ring.size)
+    return member_mask(span, ring.size)
+
+
+def is_idempotent(A: RMatrix) -> bool:
+    return mat_mul(A, A) == A
+
+
+def congruent_mod(A: RMatrix, B: RMatrix, ideal: Ideal) -> bool:
+    """A == B entrywise modulo the ideal."""
+    assert A.ring is B.ring and A.n == B.n
+    return all(ideal.contains(A.ring.sub(x, y))
+               for ra, rb in zip(A.entries, B.entries)
+               for x, y in zip(ra, rb))

@@ -342,7 +342,9 @@ def _miss_on_call(fn, n):
     ("g idempotent in wR", L, "solve_right", 1),
     # the first call is the row reduction's pass 1
     ("pass2 witnesses found", scans, "row_pass_witnesses", 2),
-    ("h found", scans, "complement_right", 1),
+    # split's fourth call decomposes R for h: after pass 1, the corner
+    # and pass 2 of the row reduction
+    ("h found", scans, "split", 4),
 ])
 def test_replay_misses_fail_under_their_own_names(monkeypatch, check, module,
                                                   name, n):

@@ -290,6 +290,21 @@ def test_inverse_by_elimination_matches_grid(corpus_rings):
     assert invertible > 100 and singular > 100
 
 
+def test_left_span_matches_sorted_set_sums(corpus_rings):
+    # the left ideal of an elimination column, as one additive span
+    rng = random.Random(15)
+    full = proper = 0
+    for ring in {r.spec: r for _, r in corpus_rings}.values():
+        for _ in range(40):
+            elems = [rng.randrange(ring.size) for _ in range(rng.randrange(4))]
+            got = M._left_span(ring, elems)
+            assert np.array_equal(got, O.left_span_numpy(ring, elems)), \
+                (ring.describe(), elems)
+            full += bool(got[ring.one])
+            proper += not got[ring.one]
+    assert full and proper
+
+
 def test_mask_sets_match_np_unique(corpus_rings):
     rng = random.Random(14)
     for ring in {r.spec: r for _, r in corpus_rings}.values():
@@ -449,7 +464,7 @@ def test_split_and_zero_row_match_numpy_forms():
                      for _ in range(60)]
             for a, b in args:
                 want = O.split_numpy(ring, a, b)
-                got = scans._split(ring, a, b)
+                got = scans.split(ring, a, b)
                 assert got == want, (ring.describe(), a, b)
                 assert all(type(x) is int for x in got or ())
                 hits += want is not None

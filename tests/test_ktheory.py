@@ -4,6 +4,7 @@ import pytest
 
 from exlift import ktheory as K, matrices as M, rings as R, vmonoid
 from exlift.errors import NotAUnit, NotFredholm
+import table_oracles as O
 from witness_search import strict_zero_padding
 
 
@@ -31,23 +32,29 @@ def test_is_fredholm_examples():
         assert K.is_fredholm(pr, ipr, x)
 
 
+def _whitehead(ring, u):
+    """The word connecting_delta factors diag(u, u^-1) by."""
+    return M.ElemWord(2, M.whitehead_ops(ring, u, 1, 2))
+
+
 def test_whitehead_examples():
     z3 = z(3)
-    w = K.whitehead_factor(z3, 2)
+    w = _whitehead(z3, 2)
     assert M.evaluate_word(z3, w) == M.matrix(z3, [[2, 0], [0, 2]])
     z5 = z(5)
-    assert M.evaluate_word(z5, K.whitehead_factor(z5, 2)) == \
+    assert M.evaluate_word(z5, _whitehead(z5, 2)) == \
         M.matrix(z5, [[2, 0], [0, 3]])
-    w1 = K.whitehead_factor(z3, 1)
+    w1 = _whitehead(z3, 1)
     assert M.evaluate_word(z3, w1) == M.identity(z3, 2)
+    z4 = z(4)
     with pytest.raises(NotAUnit):
-        K.whitehead_factor(z(4), 2)
+        K.connecting_delta(z4, R.ideal_closure(z4, [2]), 0)
 
 
 def test_whitehead_replays_for_every_corpus_unit(corpus_rings):
     for entry, ring in corpus_rings:
         for u in ring.units():
-            w = K.whitehead_factor(ring, u)
+            w = _whitehead(ring, u)
             got = M.evaluate_word(ring, w)
             uinv = ring.inverse(u)
             assert got == M.matrix(ring, [[u, ring.zero], [ring.zero, uinv]])
@@ -60,7 +67,7 @@ def test_delta_output_contracts(corpus_pairs):
         for ubar in qmap.target.units():
             d = K.connecting_delta(ring, ideal, ubar)
             p = d.pos
-            assert M.is_idempotent(p)
+            assert O.is_idempotent(p)
             e11 = d.neg
             assert all(ideal.contains(ring.sub(p.entries[i][j],
                                                e11.entries[i][j]))
@@ -152,17 +159,17 @@ def _delta_with_lift(ring, ideal, ubar, lift):
     ``lift`` instead of to its least-index preimage."""
     qmap = R.quotient_by(ring, ideal)
     ops = []
-    for op in K.whitehead_factor(qmap.target, ubar).ops:
+    for op in M.whitehead_ops(qmap.target, ubar, 1, 2):
         r = lift(op.r)
         assert qmap.pi(r) == op.r
-        ops.append(M.right_op(op.i, op.j, r))
+        ops.append(M.left_op(op.i, op.j, r))
     lifted = M.ElemWord(2, tuple(ops))
     v = M.evaluate_word(ring, lifted)
     vinv = M.evaluate_word(ring, lifted.inverse(ring))
     e11 = M.direct_sum(M.matrix(ring, [[ring.one]]),
                        M.matrix(ring, [[ring.zero]]))
     p = M.mat_mul(M.mat_mul(v, e11), vinv)
-    assert M.is_idempotent(p) and M.congruent_mod(p, e11, ideal)
+    assert O.is_idempotent(p) and O.congruent_mod(p, e11, ideal)
     return K.K0Element(ring, ideal, (p,), (e11,))
 
 
