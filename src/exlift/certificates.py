@@ -9,7 +9,11 @@ tables: a certificate whose recipe is replaced either fails or verifies the
 claim about the ring the new recipe builds, and ``verify_claim`` returns
 the claim it checked (the recipe as ``ring_spec_obj`` writes it, the
 generators, x and y as ``element_descriptor`` writes them, and m), which
-the ``exlift verify`` report echoes.
+the ``exlift verify`` report echoes; ``verify_payload`` builds no claim.
+What depends only on the ring, the ideal or a stage ring (the closure of
+the generators, R/I, each M_k(R) and M_k(I), the signed swaps, inverses,
+the element codec) is read from per-ring memos: a cold ``exlift verify``
+pays for each once, later certificates of a process for their own only.
 
 Recorded, besides the claim:
 
@@ -58,9 +62,9 @@ from json.encoder import encode_basestring_ascii
 from .config import DEFAULT, Guards
 from .errors import InvalidSpec, SearchExhausted
 from .lifting import _diagonalize
-from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, apply_elem_word,
-                       block_matrix, direct_sum, identity, map_entries,
-                       mat_mul, matrix, stage_ring, try_inverse,
+from .matrices import (LEFT, RIGHT, ElemOp, ElemWord, RMatrix,
+                       apply_elem_word, block_matrix, direct_sum, identity,
+                       map_entries, mat_mul, matrix, stage_ring, try_inverse,
                        unblock_matrix, word_in_ideal)
 from .rings import (FiniteRing, Ideal, build_ring, element_descriptor,
                     element_from_descriptor, entry_ideal, ideal_closure,
@@ -225,9 +229,15 @@ def load_certificate(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 class _Report:
-    def __init__(self):
+    """The checks of one replay of payload, and the claim it decoded."""
+
+    def __init__(self, payload: dict, guards: Guards):
         self.checks = []
-        self.claim = None
+        self.claim = None     # (spec, ring, ideal, x, y, m) once decoded
+        try:
+            _verify(payload, self, guards)
+        except Exception as exc:   # malformed input: a check, no traceback
+            self.add("well-formed", False, f"{type(exc).__name__}: {exc}")
 
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append({"check": name, "ok": bool(ok), "detail": detail})
@@ -240,11 +250,9 @@ class _Report:
 
 def verify_payload(payload: dict, guards: Guards = DEFAULT):
     """Replays a certificate payload; returns (ok, list of check records).
-
-    Never raises on malformed input: every defect becomes a failed check.
-    """
-    ok, checks, _ = verify_claim(payload, guards)
-    return ok, checks
+    Never raises on malformed input: every defect becomes a failed check."""
+    rep = _Report(payload, guards)
+    return rep.ok, rep.checks
 
 
 def verify_claim(payload: dict, guards: Guards = DEFAULT):
@@ -252,12 +260,16 @@ def verify_claim(payload: dict, guards: Guards = DEFAULT):
     a dict of the recipe, ideal generators, x, y and m in canonical form,
     or None when the payload states none that can be read.  The claim is
     proven only when ok is True."""
-    rep = _Report()
-    try:
-        _verify(payload, rep, guards)
-    except Exception as exc:  # malformed payloads land here, not in tracebacks
-        rep.add("well-formed", False, f"{type(exc).__name__}: {exc}")
-    return rep.ok, rep.checks, rep.claim
+    rep = _Report(payload, guards)
+    if rep.claim is None:
+        return rep.ok, rep.checks, None
+    spec, ring, ideal, x, y, m = rep.claim
+    return rep.ok, rep.checks, {
+        "ring": ring_spec_obj(spec),
+        "ideal_generators": [element_descriptor(ring, g)
+                             for g in ideal.generators],
+        "x": element_descriptor(ring, x), "y": element_descriptor(ring, y),
+        "m": m}
 
 
 def _verify(payload: dict, rep: _Report, guards: Guards) -> None:
@@ -286,11 +298,7 @@ def _verify(payload: dict, rep: _Report, guards: Guards) -> None:
     # type() rather than isinstance(): JSON true would pass as the int 1
     if not rep.add("stabilization level", type(m) is int and m in (2, 4)):
         return
-    rep.claim = {"ring": ring_spec_obj(spec),
-                 "ideal_generators": [element_descriptor(ring, g)
-                                      for g in ideal.generators],
-                 "x": element_descriptor(ring, x),
-                 "y": element_descriptor(ring, y), "m": m}
+    rep.claim = spec, ring, ideal, x, y, m
     _verify_lift(ring, ideal, x, y, m, payload, rep, guards)
 
 
@@ -367,11 +375,11 @@ def _check_diagonalization(dg, a_prime: int, rep: _Report) -> None:
             ring.mul(lhs, v) == ring.sub(one, f)
             and ring.mul(v, ring.sub(one, f)) == v)
     rep.add("a' is a unit", ring.inverse(a_prime) is not None)
-    lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
+    lam = RMatrix(ring, 2, ((one, ring.zero), (ring.zero, uinv)))
     final = apply_elem_word(apply_elem_word(
         mat_mul(apply_elem_word(dg.alpha, dg.beta), lam), dg.epsilon),
         dg.gamma)
-    target = direct_sum(matrix(ring, [[a_prime]]), matrix(ring, [[one]]))
+    target = RMatrix(ring, 2, ((a_prime, ring.zero), (ring.zero, one)))
     rep.add("diagonalization identity", final == target)
     rep.add("pi(a') = pi(a u^-1)",
             ideal.contains(ring.sub(a_prime, ring.mul(dg.alpha[0, 0], uinv))))

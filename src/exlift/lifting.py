@@ -103,8 +103,9 @@ def join_idempotent(ring: FiniteRing, ideal: Ideal, e1: int, e2: int) -> int:
         raise PreconditionFailed("first idempotent must lie in the ideal")
     k1, k2 = _class_key(ring, e1), _class_key(ring, e2)
     target = entry_ideal(ring, [e1, e2]).members
-    for g in ring.right_span(e1, e2):
-        if ring.mul(g, g) != g:
+    span = frozenset(ring.right_span(e1, e2))
+    for g in ring.idempotents():
+        if g not in span:
             continue
         if not all(a <= c and b <= c
                    for a, b, c in zip(k1, k2, _class_key(ring, g))):
@@ -304,12 +305,16 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
                  v=None) -> DiagonalizationResult:
     """diagonalize_2x2 on an alpha already checked by the caller.  A given
     witness (g_row, g_col; f, u and p together; v) is used as is, a missing
-    one searched for; a given u that is no unit raises SearchExhausted."""
-    one = ring.one
+    one searched for; a given u that is no unit raises SearchExhausted.
+    Its fixed words are built once per ring, kept in ``ring._cache``."""
+    one, zero = ring.one, ring.zero
     # the signed swaps w(1), as left and as right ops, and w(-1) = w(1)^-1
-    sigL = ElemWord(2, whitehead_word(ring, one))
-    sigR = ElemWord(2, whitehead_word(ring, one, side=RIGHT))
-    sig_inv = ElemWord(2, whitehead_word(ring, ring.neg(one)))
+    if "signed_swaps" not in ring._cache:
+        ring._cache["signed_swaps"] = (
+            ElemWord(2, whitehead_word(ring, one)),
+            ElemWord(2, whitehead_word(ring, one, side=RIGHT)),
+            ElemWord(2, whitehead_word(ring, ring.neg(one))))
+    sigL, sigR, sig_inv = ring._cache["signed_swaps"]
     rr = _reduce_row(ring, ideal, alpha, g_row)
     a1 = apply_elem_word(apply_elem_word(rr.result, sigR), sigL)
     rc = _reduce_col(ring, ideal, a1, g_col)
@@ -321,7 +326,7 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     if uinv is None:
         raise SearchExhausted(f"u={u} has no inverse", "u is a unit")
 
-    lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
+    lam = RMatrix(ring, 2, ((one, zero), (zero, uinv)))
     a4 = mat_mul(apply_elem_word(rc.result, sig_inv), lam)
     t = a4[1, 0]                        # b'u^-1 = f sits at (2,2)
     eps1 = right_op(2, 1, ring.neg(ring.mul(f, t)))

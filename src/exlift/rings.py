@@ -664,16 +664,22 @@ def ideal_closure(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest two-sided ideal containing gens: the additive span of R*S*R.
 
     Since r*s*r' distributes over sums of r and r', the span of R*S*R is the
-    span of a*s*b over a, b in an additive generating set of R."""
+    span of a*s*b over a, b in an additive generating set of R.  Memoized in
+    ``ring._cache`` by the exact generator tuple (order and repeats kept,
+    as ``generators`` records them): one entry per distinct tuple a process
+    closes, and every caller shares the ``Ideal``, so none may mutate it."""
     gens = tuple(int(g) for g in gens)
-    for g in gens:
-        if not (0 <= g < ring.size):
-            raise InvalidSpec(f"generator index {g} outside carrier")
-    G, mul = _additive_generators(ring), ring.npmul
-    sb = mul[np.array(gens, dtype=np.intp)[:, None], G[None, :]]   # s*b
-    asb = mul[G[:, None, None], sb[None]]                          # a*s*b
-    members, _ = _additive_span(ring, asb.ravel().tolist())
-    return Ideal(ring, frozenset(members.tolist()), gens)
+    key = ("ideal_closure", gens)
+    if key not in ring._cache:
+        for g in gens:
+            if not (0 <= g < ring.size):
+                raise InvalidSpec(f"generator index {g} outside carrier")
+        G, mul = _additive_generators(ring), ring.npmul
+        sb = mul[np.array(gens, dtype=np.intp)[:, None], G[None, :]]  # s*b
+        asb = mul[G[:, None, None], sb[None]]                       # a*s*b
+        members, _ = _additive_span(ring, asb.ravel().tolist())
+        ring._cache[key] = Ideal(ring, frozenset(members.tolist()), gens)
+    return ring._cache[key]
 
 
 def morita_base(ring: FiniteRing) -> tuple:

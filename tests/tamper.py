@@ -38,9 +38,7 @@ import sys
 import time
 
 from exlift import certificates as C, errors, rings as R
-from exlift.corpus import corpus_pairs
-from exlift.ktheory import fredholm_elements
-from exlift.lifting import lift_unit
+from verify_agree import certificates
 
 CLAIM_FIELDS = ("ring", "ideal_generators", "x", "y", "m")
 
@@ -201,27 +199,12 @@ def sweep(payload: dict) -> tuple:
     return count, problems, verified
 
 
-def corpus_certificates():
-    """(name, payload) of the certificates the script sweeps."""
-    for name, ring, ideal, _ in corpus_pairs(include_slow=False):
-        fl = fredholm_elements(ring, ideal)
-        for x in fl[:3]:
-            yield f"{name} x={x}", lift_unit(ring, ideal,
-                                             x).certificate.to_payload()
-        if R.quotient_by(ring, ideal).target.size <= 2:
-            try:
-                cert = lift_unit(ring, ideal, fl[0], start_m=4).certificate
-            except errors.ExliftError:   # the stage ring exceeds a guard
-                continue
-            yield f"{name} x={fl[0]} m=4", cert.to_payload()
-
-
 def main() -> int:
     start = time.perf_counter()
     total = certs = 0
     verified: set = set()
     failed = []
-    for name, payload in corpus_certificates():
+    for name, payload in certificates(full=False):
         count, problems, seen = sweep(payload)
         certs += 1
         total += count

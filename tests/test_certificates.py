@@ -13,6 +13,7 @@ from exlift.ktheory import fredholm_elements
 
 import certificates_v1 as V1
 import tamper as T
+import verify_agree as VA
 from reduction_contracts import corpus_lifts, reduction_contract_failures
 from table_oracles import thaw
 
@@ -674,3 +675,64 @@ def test_writer_refuses_what_json_would_coerce_or_reject():
                   [object()], {"b": b"x"}):
         with pytest.raises(TypeError):
             C.dumps_certificate(value)
+
+
+def test_warm_and_cold_verifiers_agree(tmp_path):
+    # the 94 `exlift corpus` certificates and the forced m=4 ones, verified
+    # after this process's lifts and verifies, and in a fresh interpreter;
+    # ``python tests/verify_agree.py`` replays the --full corpus
+    count, differ = VA.agree(VA.certificates(full=False), str(tmp_path))
+    assert count == 110 and differ == []
+
+
+def _drop_closures(ring) -> None:
+    for key in [k for k in ring._cache
+                if type(k) is tuple and k[0] == "ideal_closure"]:
+        del ring._cache[key]
+
+
+def test_closure_memo_is_keyed_by_the_exact_generators():
+    # (2) of Z/8 named in four ways; each claim names its own generators,
+    # whichever was closed first
+    z8 = R.build_ring(R.ZmodSpec(8))
+    payload = L.lift_unit(z8, R.ideal_closure(z8, [2, 4]),
+                          3).certificate.to_payload()
+    names = ([2, 4], [4, 2], [2, 4, 2], [6])
+    for order in (names, names[::-1]):
+        _drop_closures(z8)
+        for gens in order:
+            ok, checks, claim = C.verify_claim(dict(payload,
+                                                    ideal_generators=gens))
+            assert ok and claim["ideal_generators"] == gens, (gens, checks)
+    # a tuple that closes to another ideal never gets an earlier Ideal
+    two = R.ideal_closure(z8, [2])
+    four = R.ideal_closure(z8, [4])
+    assert R.ideal_closure(z8, [2]) is two and four is not two
+    assert (four.sorted_members, four.generators) == ((0, 4), (4,))
+    assert two.sorted_members == (0, 2, 4, 6)
+    other = dict(payload, ideal_generators=[4])
+    warm = C.verify_claim(other)
+    _drop_closures(z8)
+    assert C.verify_claim(other) == warm
+    assert warm[2]["ideal_generators"] == [4]
+
+
+def test_both_entry_points_agree():
+    # verify_payload is verify_claim without its claim, on every corpus
+    # certificate and, on every tenth, on one tamper mutant per field,
+    # picked by a fixed seed
+    rng = random.Random(20261020)
+    payloads = [p for _, p in VA.certificates(full=False)]
+    fields = set()
+    for idx, payload in enumerate(payloads):
+        assert C.verify_payload(payload) == C.verify_claim(payload)[:2]
+        if idx % 10:
+            continue
+        by_field = defaultdict(list)
+        for path, mutant in T.mutants(payload):
+            by_field[T.witness_field(path)].append(mutant)
+        fields |= by_field.keys()
+        for field in sorted(by_field, key=str):
+            p = rng.choice(by_field[field])
+            assert C.verify_payload(p) == C.verify_claim(p)[:2], field
+    assert fields == C._FIELDS | C._STAGE_FIELDS | {None}

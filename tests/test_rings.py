@@ -407,3 +407,17 @@ def test_quotient_descriptors_close_the_ideal_once(monkeypatch):
             assert R.element_from_descriptor(ring, desc) == idx
         monkeypatch.setattr(R, "ideal_closure", real)
         assert len(closures) <= 1, ring.describe()
+
+
+def test_all_ideals_do_not_depend_on_the_closure_memo(corpus_rings):
+    # the same members and generators with the memo as earlier calls left
+    # it and with every closure of the ring dropped from it
+    def ideals(ring):
+        return [(i.sorted_members, i.generators) for i in R.all_ideals(ring)]
+
+    for entry, ring in corpus_rings:
+        warm = ideals(ring)
+        for key in [k for k in ring._cache
+                    if type(k) is tuple and k[0] == "ideal_closure"]:
+            del ring._cache[key]
+        assert ideals(ring) == warm, entry.name
