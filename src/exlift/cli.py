@@ -28,7 +28,7 @@ from . import certificates as certs
 from . import corpus as corpus_mod
 from .exchange import is_exchange_ideal, is_exchange_ring
 from .ktheory import index as k_index, is_fredholm, k0_zero_test
-from .lifting import lift_unit, oracle_lift, separative_exchange_status
+from .lifting import lift_unit, separative_exchange_status
 from .rings import (FiniteRing, build_ring, element_descriptor,
                     element_from_descriptor, full_ideal, ideal_closure,
                     parse_ring_spec, ring_spec_obj)
@@ -302,15 +302,12 @@ def lift(spec, ideal, element, guard, fmt, out, cert_out):
             raise VerificationFailed(
                 f"freshly emitted certificate failed verification: "
                 f"{[c for c in checks if not c['ok']][:1]}")
-        least = oracle_lift(ring, idl, x)
         report = {
             "format": "exlift-report", "version": 1, "kind": "lift",
             "ring": ring_spec_obj(ring.spec),
             "element": element_descriptor(ring, x),
             "lifted": True,
             "y": element_descriptor(ring, cert.y),
-            "oracle_confirmed": least is not None,
-            "oracle_least_unit": element_descriptor(ring, least),
             "orbit": {"m": cert.m, "y1": payload["y1"],
                       "word_len": len(cert.z_word)},
             "stages": [{"dim": s.dim, "level": s.level} for s in cert.stages],

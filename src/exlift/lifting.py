@@ -4,10 +4,11 @@ Every operation here follows a constructive proof step by step and records
 the witnesses it finds.  The lift searches for each witness; the
 certificate verifier runs the same construction on a certificate's
 recorded ones (``_reduce_row``'s g; ``_diagonalize``'s g_row, g_col, f, u,
-p and v) and checks what it returns, as the tests do on every corpus lift,
-so the construction re-checks nothing: "y is a unit" and "x - y in I" are
-checks of the verifier, run on every ``--full`` corpus lift by
-``test_every_fredholm_element_lifts``.  Searches that the theory
+p and v) and checks what those and the claim can change; the tests hold
+the scans' contracts (``tests/reduction_contracts.py``) and each lift to
+``oracle_lift``.  So the construction re-checks nothing: "y is a unit" and
+"x - y in I" are checks of the verifier, run on every ``--full`` corpus
+lift by ``test_every_fredholm_element_lifts``.  Searches that the theory
 guarantees to succeed scan in ascending carrier index and raise
 SearchExhausted on a miss: a bug in a lift, a wrong record in a replay.
 
@@ -131,7 +132,6 @@ class ReductionResult:
     result: RMatrix
     h: int                    # row: c'R=(1-h)R, d'R=hR; col: the k idempotent
     trace: dict
-    steps: tuple              # the matrices after pass 1 and after the corner
 
 
 def _check_entries(ideal: Ideal, alpha: RMatrix) -> None:
@@ -212,8 +212,7 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
                               "h found")
     h = ring.sub(one, got[0])
     word = ElemWord(2, tuple(ops + [op3, op4] + ops2))
-    return ReductionResult(ring, ideal, "row", alpha, word, A, h, trace,
-                           (A1, A2))
+    return ReductionResult(ring, ideal, "row", alpha, word, A, h, trace)
 
 
 def reduce_col(ring: FiniteRing, ideal: Ideal,
@@ -235,8 +234,7 @@ def _reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     ``_reduce_row``'s optional join idempotent."""
     rr = _reduce_row(ring.op(), ideal, alpha.op(), g)
     return ReductionResult(ring, ideal, "col", alpha, rr.word.op(),
-                           rr.result.op(), rr.h, rr.trace,
-                           tuple(A.op() for A in rr.steps))
+                           rr.result.op(), rr.h, rr.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -619,9 +619,6 @@ class Ideal:
     def is_full(self) -> bool:
         return len(self.members) == self.ring.size
 
-    def is_zero(self) -> bool:
-        return self.members == frozenset({self.ring.zero})
-
     def __repr__(self):
         return (f"Ideal(|I|={len(self.members)} of {self.ring.describe()}, "
                 f"gens={list(self.generators)})")

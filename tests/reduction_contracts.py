@@ -1,48 +1,97 @@
 """The contracts of the reductions, diagonalizations and lifts, checked
 outside the lift.
 
-``lifting`` does not assert these inside its construction; the certificate
-verifier checks them on every certificate, and the tests check them on
+``lifting`` does not assert these inside its construction, and the
+certificate verifier checks only those a recorded witness or the claim can
+break (``certificates._check_reduction``).  The tests check all of them on
 every reduction and diagonalization a lift makes (spies on
 ``lifting._reduce_row`` and ``lifting._diagonalize``).
 
 A column reduction over R is the row reduction of alpha^T over R^op, so its
-contracts are the row contracts there.  For a row reduction of alpha with
-last row (c, d) to (c', d'): the word lies in E_2(I) and replays,
-h is an idempotent with 1-h in I, c' in Rc, c'R = (1-h)R, d'R = hR and
-RhR = R (read off R on a stage ring M_k(R), whose ideals are M_k(J)).
+contracts are the row contracts there.  A row reduction of alpha with last
+row (c, d) to (c', d') runs a row pass (two ops), a corner step (two ops)
+and a second row pass (two ops); A1 and A2, the matrices after the first
+pass and after the corner, are its word's first 2 and first 4 ops applied
+to alpha.  The contracts, by the scan or solve that holds each:
+
+- each row pass (``scans.row_pass_witnesses``) on the last row (c, d) of
+  alpha or of A2: c*x + d*y = 1, e idempotent, e = c*r with r*e = r,
+  1-e = d*s with s*(1-e) = s; after pass 1 the last row is
+  (e*c, (1-e)*d);
+- the corner (``scans.corner_witnesses_right``) on w = e*c + (1-e)*d:
+  f idempotent, f = e*w*w1 with w1*f = w1, 1-f = (1-e)*w*w2 with
+  w2*(1-f) = w2; w*w' = g (``rings.solve_right``);
+- the reduced row (``scans.split``): h idempotent with 1-h in I,
+  c' in Rc, c'R = (1-h)R, d'R = hR and RhR = R (read off R on a stage
+  ring M_k(R), whose ideals are M_k(J));
+- the word lies in E_2(I) and replays alpha to the result.
 """
 
 from exlift.errors import GuardExceeded
 from exlift.ktheory import fredholm_elements
 from exlift.lifting import lift_unit
-from exlift.matrices import (apply_elem_word, direct_sum, identity, mat_mul,
-                             matrix, word_in_ideal)
+from exlift.matrices import (ElemWord, apply_elem_word, direct_sum, identity,
+                             mat_mul, matrix, word_in_ideal)
 from exlift.rings import (entry_ideal, quotient_by, same_right_ideal,
                           solve_right)
 
 from table_oracles import congruent_mod
 
 
+def row_pass_contracts(ring, tag: str, c: int, d: int, wit: dict) -> dict:
+    """{name: holds} of the row pass tag's witnesses for the row (c, d)."""
+    x, y, e, r, s = (wit[k] for k in ("x", "y", "e", "r", "s"))
+    one = ring.one
+    return {
+        f"{tag} unimodular": ring.add(ring.mul(c, x), ring.mul(d, y)) == one,
+        f"{tag} idempotent": ring.mul(e, e) == e,
+        f"{tag} e = cr": ring.mul(c, r) == e and ring.mul(r, e) == r,
+        f"{tag} 1-e = ds": ring.mul(d, s) == ring.sub(one, e)
+        and ring.mul(s, ring.sub(one, e)) == s,
+    }
+
+
 def reduction_contract_failures(res) -> list:
     """The names of the contracts the ReductionResult res breaks."""
+    return [name for name, ok in reduction_contracts(res).items() if not ok]
+
+
+def reduction_contracts(res) -> dict:
+    """{name: holds} of each contract of the ReductionResult res."""
     ring, alpha, word, result = res.ring, res.alpha, res.word, res.result
     if res.side == "col":
         ring, alpha, word, result = (ring.op(), alpha.op(), word.op(),
                                      result.op())
-    ideal, h, one = res.ideal, res.h, ring.one
+    ideal, h, one, trace = res.ideal, res.h, ring.one, res.trace
+    A1, A2 = (apply_elem_word(alpha, ElemWord(2, word.ops[:n]))
+              for n in (2, 4))
+    c0, d0 = alpha[1, 0], alpha[1, 1]
+    e = trace["pass1"]["e"]
+    w, f, w1, w2, g, wp = (trace["corner"][k] for k in (
+        "w", "f", "w1", "w2", "g", "wprime"))
     cP, dP = result[1, 0], result[1, 1]
-    checks = {
+    return {
+        **row_pass_contracts(ring, "pass1", c0, d0, trace["pass1"]),
+        "pass1 row shape": (A1[1, 0], A1[1, 1])
+        == (ring.mul(e, c0), ring.mul(ring.sub(one, e), d0)),
+        "f idempotent": ring.mul(f, f) == f,
+        "f factorization": ring.mul(ring.mul(e, w), w1) == f
+        and ring.mul(w1, f) == w1,
+        "1-f factorization":
+            ring.mul(ring.mul(ring.sub(one, e), w), w2) == ring.sub(one, f)
+            and ring.mul(w2, ring.sub(one, f)) == w2,
+        "w w' = g": ring.mul(w, wp) == g,
+        **row_pass_contracts(ring, "pass2", A2[1, 0], A2[1, 1],
+                             trace["pass2"]),
         "word in E_2(I)": word_in_ideal(word, ideal),
         "word replays": apply_elem_word(alpha, word) == result,
         "h idempotent": ring.mul(h, h) == h,
         "1-h in ideal": ideal.contains(ring.sub(one, h)),
-        "c' in Rc": solve_right(ring.op(), alpha[1, 0], cP) is not None,
+        "c' in Rc": solve_right(ring.op(), c0, cP) is not None,
         "c'R = (1-h)R": same_right_ideal(ring, cP, ring.sub(one, h)),
         "d'R = hR": same_right_ideal(ring, dP, h),
         "RhR = R": entry_ideal(ring, [h]).is_full(),
     }
-    return [name for name, ok in checks.items() if not ok]
 
 
 def diagonalization_contract_failures(dg) -> list:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import enum
 import json
@@ -12,6 +13,8 @@ from exlift.errors import InvalidSpec
 from exlift.ktheory import fredholm_elements
 
 import certificates_v1 as V1
+import mutate_src as MS
+import reduction_contracts as R_C
 import tamper as T
 import verify_agree as VA
 from reduction_contracts import corpus_lifts, reduction_contract_failures
@@ -67,22 +70,17 @@ def test_fresh_certificates_verify():
 
 
 # the checks a valid certificate passes, each once per reduction, stage or
-# lift; a column reduction runs the row reduction's checks over R^op
-_ROW_PASS = ("witnesses found", "unimodular", "idempotent", "e = cr",
-             "1-e = ds")
-REDUCTION_CHECKS = (
-    [f"pass1 {c}" for c in _ROW_PASS]
-    + ["pass1 row shape", "corner witnesses found", "f idempotent",
-       "f factorization", "1-f factorization", "f1 in ideal",
-       "g idempotent in wR", "g spans f1,f2", "g in f1R+f2R"]
-    + [f"pass2 {c}" for c in _ROW_PASS]
-    + ["word in E_2(I)", "word replays", "h found", "h idempotent",
-       "1-h in ideal", "c' in Rc", "c'R = (1-h)R", "d'R = hR", "RhR = R"])
+# lift; a column reduction runs the row reduction's checks over R^op.  Only
+# checks a recorded witness or the claim can fail are run: the scans'
+# return contracts are asserted by ``reduction_contract_failures``
+REDUCTION_CHECKS = [
+    "f1 in ideal", "g idempotent in wR", "g spans f1,f2", "g in f1R+f2R",
+    "word in E_2(I)", "1-h in ideal", "c' in Rc", "c'R = (1-h)R",
+    "d'R = hR", "RhR = R"]
 STAGE_CHECKS = 2 * REDUCTION_CHECKS + [
-    "u is a unit", "f idempotent in I", "b' = f u", "p idempotent",
-    "1-p in ideal", "(1-p)R = b'R", "RpR = R", "f lands in (2,2)",
-    "v solves (1-f)tv = 1-f", "a' is a unit", "diagonalization identity",
-    "pi(a') = pi(a u^-1)"]
+    "f idempotent in I", "b' = f u", "p idempotent", "1-p in ideal",
+    "(1-p)R = b'R", "RpR = R", "f lands in (2,2)", "v solves (1-f)tv = 1-f",
+    "a' is a unit", "diagonalization identity", "pi(a') = pi(a u^-1)"]
 
 
 def lift_checks(m: int) -> Counter:
@@ -96,7 +94,7 @@ def lift_checks(m: int) -> Counter:
 
 def test_valid_certificates_run_every_check(corpus_pairs):
     z4, ideal = z4_pair()
-    for m, total in ((2, 79), (4, 148)):
+    for m, total in ((2, 42), (4, 74)):
         payload = L.lift_unit(z4, ideal, 3, start_m=m).certificate \
             .to_payload()
         ok, checks = C.verify_payload(payload)
@@ -167,7 +165,7 @@ def test_col_payload_replays_as_row_reduction_over_opposite_ring():
     payload = L.lift_unit(t2, full, t2.zero).certificate.to_payload()
     ok, checks = C.verify_payload(payload)
     names = [c["check"] for c in checks]
-    assert ok and names.count("h found") == 2
+    assert ok and names.count("RhR = R") == 2
     payload["stages"][0]["g_col"] = [[0, 1], [0, 0]]
     ok, checks = C.verify_payload(payload)
     assert not ok and "g idempotent in wR" in {c["check"] for c in checks
@@ -236,6 +234,41 @@ def test_lift_certificate_proves_a_lift_of_the_coset():
     ok, checks = C.verify_payload(other)
     assert not ok
     assert "pi(w1) = pi(x)+1" in {c["check"] for c in checks if not c["ok"]}
+
+
+def test_certificate_proves_its_own_lift_only():
+    # 3 is also a unit of Z/4 lifting pi(3), but not the one the replayed
+    # construction outputs: the claim checks alone would accept it, so only
+    # "y is the final stage output" ties the claim to the proof
+    z4, ideal = z4_pair()
+    payload = fresh_payloads()["lift"]
+    assert R.element_from_descriptor(z4, payload["y"]) == 1
+    ok, checks = C.verify_payload(dict(payload,
+                                       y=R.element_descriptor(z4, 3)))
+    assert not ok
+    assert [c["check"] for c in checks if not c["ok"]] \
+        == ["y is the final stage output"]
+
+
+@pytest.mark.parametrize("pair, x, key, forged, check", [
+    # p only enters the verifier through its properties: e22 is an
+    # idempotent with RpR = R, but (1-p)R = e11 R is not b'R = 0
+    ("matrix(zmod(2),2)+full", 0, "p", [[0, 0], [0, 1]], "(1-p)R = b'R"),
+    # an idempotent in wR and f1R + f2R whose reduction still carries the
+    # lift through, but RgR is not Rf1R + Rf2R
+    ("quotient(triangular(zmod(2),2),[e12]) |I|=1", 3, "g_row",
+     [[0, 0], [0, 1]], "g spans f1,f2"),
+])
+def test_a_forged_witness_only_its_own_check_rejects(corpus_pairs, pair, x,
+                                                     key, forged, check):
+    # single-leaf mutants of the sweep; disabling the one check that
+    # rejects each would let it verify
+    ring, ideal = next((r, i) for n, r, i, _ in corpus_pairs if n == pair)
+    payload = L.lift_unit(ring, ideal, x).certificate.to_payload()
+    assert payload["stages"][0][key] != forged
+    ok, checks = C.verify_payload(T.with_value(payload, ["stages", 0, key],
+                                               forged))
+    assert not ok and [c["check"] for c in checks if not c["ok"]] == [check]
 
 
 def test_certificate_verifies_in_a_cold_process(tmp_path, cold_python):
@@ -317,6 +350,28 @@ def test_tamper_sweep(shape, corpus_pairs):
     count, problems, verified = T.sweep(payload)
     assert problems == [] and count >= 80, (count, problems)
     assert verified <= set(T.CLAIM_FIELDS) | T.ALTERNATIVE_WITNESSES
+
+
+def test_shadowed_checks_fail_with_what_implies_them(corpus_pairs):
+    # tests/mutate_src.py names, for each check no test kills when it is
+    # disabled, the verifier checks, replay stops or reduction contracts
+    # that imply it; disabled, it leaves one of them failing on every
+    # mutant of the sweep shapes that it fails (the CI step runs the sweep)
+    tree = ast.parse(MS.TARGET.read_text(encoding="utf-8"))
+    checks = {s.name for s in MS.sites(tree)}
+    t2, ideal_t2, alpha = t2_pair()
+    contracts = R_C.reduction_contracts(L.reduce_row(t2, ideal_t2, alpha))
+    known = checks | set(MS.REPLAY_STOPS) | contracts.keys()
+    assert MS.SHADOWED.keys() | MS.OPEN.keys() <= checks
+    assert not MS.SHADOWED.keys() & MS.OPEN.keys()
+    assert all(set(names) <= known for names in MS.SHADOWED.values())
+    payloads = []
+    for shape, (name, m) in sorted(SWEEP.items()):
+        ring, ideal = next((r, i) for n, r, i, _ in corpus_pairs if n == name)
+        x = fredholm_elements(ring, ideal)[-1]
+        payloads.append((shape, L.lift_unit(ring, ideal, x, start_m=m)
+                         .certificate.to_payload()))
+    assert MS.shadow_misses(payloads) == []
 
 
 def test_mutation_reports_name_failing_contract():

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import random
 import sys
@@ -116,6 +118,44 @@ def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
     assert bad == []
     specs = {type(res.ring.spec).__name__ for res in seen}
     assert {"OppositeSpec", "MatrixSpec"} <= specs and len(seen) > 400
+
+
+def _perturbed(res, part, key, change):
+    """res with trace[part][key] replaced by change of it."""
+    trace = copy.deepcopy(res.trace)
+    trace[part][key] = change(trace[part][key])
+    return dataclasses.replace(res, trace=trace)
+
+
+@pytest.mark.parametrize("side", ["row", "col"])
+def test_reduction_contracts_catch_a_perturbed_reduction(side):
+    # the oracle above is not vacuous: one witness of a real reduction
+    # changed, or one op of its word dropped, breaks the contract named
+    t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
+    e12 = R.element_from_descriptor(t2, [[0, 1], [0, 0]])
+    unit = R.element_from_descriptor(t2, [[1, 0], [0, 1]])
+    alpha = M.matrix(t2, [[unit, e12], [e12, unit]])
+    reduce = L.reduce_row if side == "row" else L.reduce_col
+    res = reduce(t2, R.ideal_closure(t2, [e12]), alpha)
+    assert reduction_contract_failures(res) == []
+    flip = lambda a: t2.sub(t2.one, a)       # e -> 1-e, also over R^op
+    shift = lambda a: t2.add(a, t2.one)
+    cases = {("pass1", "e", flip): {"pass1 e = cr", "pass1 1-e = ds"},
+             ("pass1", "y", shift): {"pass1 unimodular"},
+             ("corner", "f", flip): {"f factorization", "1-f factorization"},
+             ("corner", "wprime", shift): {"w w' = g"},
+             ("pass2", "e", flip): {"pass2 e = cr", "pass2 1-e = ds"}}
+    for (part, key, change), broken in cases.items():
+        failed = reduction_contract_failures(
+            _perturbed(res, part, key, change))
+        assert broken <= set(failed), (part, key, failed)
+    assert "d'R = hR" in reduction_contract_failures(
+        dataclasses.replace(res, h=flip(res.h)))
+    ops = res.word.ops
+    last = max(i for i, op in enumerate(ops) if op.r != t2.zero)
+    dropped = M.ElemWord(2, ops[:last] + ops[last + 1:])
+    assert "word replays" in reduction_contract_failures(
+        dataclasses.replace(res, word=dropped))
 
 
 def test_every_diagonalization_meets_its_contracts(corpus_pairs,
