@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .config import Guards, default_guards
 from .errors import (DimensionMismatch, ExliftError, GuardExceeded,
                      HypothesisFailed, InvalidSpec, NotAUnit, NotDownwardClosed,
-                     NotFredholm, NotInIdeal, PreconditionFailed,
-                     RingMismatch, SearchExhausted, VerificationFailed)
+                     NotFredholm, PreconditionFailed, RingMismatch,
+                     SearchExhausted, VerificationFailed)
 from .rings import (FiniteRing, Ideal, MatrixSpec, ProductSpec, QuotientSpec,
                     TriangularSpec, ZmodSpec, all_ideals, build_ring,
                     element_descriptor, element_from_descriptor, full_ideal,

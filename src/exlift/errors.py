@@ -2,7 +2,13 @@
 
 
 class ExliftError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  When the construction replays a
+    certificate's recorded witnesses, ``check`` names the verifier check
+    the error fails ("" where it fails none by name)."""
+
+    def __init__(self, message: str = "", check: str = ""):
+        super().__init__(message)
+        self.check = check
 
 
 class InvalidSpec(ExliftError):
@@ -29,10 +35,6 @@ class NotFredholm(ExliftError):
     pass
 
 
-class NotInIdeal(ExliftError):
-    pass
-
-
 class PreconditionFailed(ExliftError):
     """An operation's stated hypothesis does not hold for the given input."""
 
@@ -50,12 +52,8 @@ class SearchExhausted(ExliftError):
     The theory guarantees a witness, so this signals an implementation bug
     or a truncation artifact, never a routine negative answer.  When the
     construction replays recorded witnesses, a miss means the record is
-    wrong; ``check`` then names the verifier check the miss fails.
+    wrong.
     """
-
-    def __init__(self, message: str, check: str = ""):
-        super().__init__(message)
-        self.check = check
 
 
 class NotDownwardClosed(ExliftError):

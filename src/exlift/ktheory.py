@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAUnit, NotFredholm, RingMismatch
-from .matrices import (ElemWord, RMatrix, direct_sum, evaluate_word, left_op,
-                       mat_mul, matrix, whitehead_ops)
+from .matrices import (ElemWord, direct_sum, evaluate_word, left_op, mat_mul,
+                       matrix, whitehead_ops)
 from .rings import FiniteRing, Ideal, quotient_by
 from . import vmonoid as _vm
 
@@ -46,14 +46,6 @@ class K0Element:
     pos_parts: tuple
     neg_parts: tuple
 
-    @property
-    def pos(self) -> RMatrix:
-        return _dsum(self.pos_parts)
-
-    @property
-    def neg(self) -> RMatrix:
-        return _dsum(self.neg_parts)
-
     def __add__(self, other: "K0Element") -> "K0Element":
         if self.ring is not other.ring or self.ideal.members != other.ideal.members:
             raise RingMismatch("K0 elements live in different contexts")
@@ -66,13 +58,6 @@ class K0Element:
 
     def __sub__(self, other: "K0Element") -> "K0Element":
         return self + (-other)
-
-
-def _dsum(parts: tuple) -> RMatrix:
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
 
 
 def connecting_delta(ring: FiniteRing, ideal: Ideal, ubar: int) -> K0Element:

@@ -3,9 +3,10 @@
 Every operation here follows a constructive proof step by step and records
 the witnesses it finds.  The lift searches for each witness; the
 certificate verifier runs the same construction on a certificate's
-recorded ones (``_reduce_row``'s g; ``_diagonalize``'s g_row, g_col, f, u,
-p and v) and checks what those and the claim can change; the tests hold
-the scans' contracts (``tests/reduction_contracts.py``) and each lift to
+recorded join idempotents (``_reduce_row``'s g; ``_diagonalize``'s g_row
+and g_col), which derives every other witness by the same scans, and
+checks what those and the claim can change; the tests hold the scans'
+contracts (``tests/reduction_contracts.py``) and each lift to
 ``oracle_lift``.  So the construction re-checks nothing: "y is a unit" and
 "x - y in I" are checks of the verifier, run on every ``--full`` corpus
 lift by ``test_every_fredholm_element_lifts``.  Searches that the theory
@@ -242,29 +243,31 @@ def _reduce_col(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
 # ---------------------------------------------------------------------------
 
 def unit_regular_witness(ring: FiniteRing, ideal: Ideal, d: int) -> tuple:
-    """(f, u, p, q) with d = f*u, f idempotent, u a unit; hypotheses of the
-    underlying proposition (p, q exist with full two-sided span) are verified
-    and PreconditionFailed names whichever fails."""
+    """(f, u, p) with d = f*u, f idempotent, u a unit, and p the idempotent
+    of the underlying proposition's hypothesis: dR = (1-p)R with RpR = R.
+    PreconditionFailed names whichever part of the hypothesis fails.
+
+    The proposition also asks for q with Rd = R(1-q) and RqR = R, which
+    p's hypothesis implies: d is then regular, so Rd = R(1-q) for an
+    idempotent q, (1-q)R is isomorphic to dR = (1-p)R, and V(R) = N^t
+    cancels, so RqR = RpR.  A failure here is the check
+    "unit-regular step" of a certificate replay."""
     if not ideal.contains(d):
-        raise PreconditionFailed("element is not in the ideal")
-    one = ring.one
-    gen_r = scans.idempotent_generator_right(ring, d)
-    if gen_r is None:
-        raise PreconditionFailed("no idempotent 1-p with dR = (1-p)R")
-    p = ring.sub(one, gen_r)
-    gen_l = scans.idempotent_generator_right(ring.op(), d)
-    if gen_l is None:
-        raise PreconditionFailed("no idempotent 1-q with Rd = R(1-q)")
-    q = ring.sub(one, gen_l)
+        raise PreconditionFailed("element is not in the ideal",
+                                 "unit-regular step")
+    gen = scans.idempotent_generator_right(ring, d)
+    if gen is None:
+        raise PreconditionFailed("no idempotent 1-p with dR = (1-p)R",
+                                 "unit-regular step")
+    p = ring.sub(ring.one, gen)
     if not entry_ideal(ring, [p]).is_full():
-        raise PreconditionFailed("RpR != R")
-    if not entry_ideal(ring, [q]).is_full():
-        raise PreconditionFailed("RqR != R")
+        raise PreconditionFailed("RpR != R", "unit-regular step")
     got = scans.unit_regular_scan(ring, d)
     if got is None:
-        raise SearchExhausted(f"no unit w with dwd = d for d={d}")
+        raise SearchExhausted(f"no unit w with dwd = d for d={d}",
+                              "unit-regular step")
     f, u = got
-    return f, u, p, q
+    return f, u, p
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,6 @@ class DiagonalizationResult:
     row_reduction: ReductionResult
     col_reduction: ReductionResult
     trace: dict
-    scaled: RMatrix           # after the 1+u^-1 factor: f at (2,2)
 
 
 def diagonalize_2x2(ring: FiniteRing, ideal: Ideal,
@@ -299,12 +301,12 @@ def diagonalize_2x2(ring: FiniteRing, ideal: Ideal,
 
 
 def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
-                 g_col=None, f=None, u=None, p=None,
-                 v=None) -> DiagonalizationResult:
+                 g_col=None) -> DiagonalizationResult:
     """diagonalize_2x2 on an alpha already checked by the caller.  A given
-    witness (g_row, g_col; f, u and p together; v) is used as is, a missing
-    one searched for; a given u that is no unit raises SearchExhausted.
-    Its fixed words are built once per ring, kept in ``ring._cache``."""
+    join idempotent (g_row, g_col) is used as is, a missing one searched
+    for; everything else, f, u and p of the unit-regular step and v
+    included, is derived by the same scans whoever picked g.  Its fixed
+    words are built once per ring, kept in ``ring._cache``."""
     one, zero = ring.one, ring.zero
     # the signed swaps w(1), as left and as right ops, and w(-1) = w(1)^-1
     if "signed_swaps" not in ring._cache:
@@ -318,21 +320,15 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     rc = _reduce_col(ring, ideal, a1, g_col)
     bP = rc.result[0, 1]
 
-    if u is None:
-        f, u, p, _ = unit_regular_witness(ring, ideal, bP)
-    uinv = ring.inverse(u)
-    if uinv is None:
-        raise SearchExhausted(f"u={u} has no inverse", "u is a unit")
-
-    lam = RMatrix(ring, 2, ((one, zero), (zero, uinv)))
+    f, u, p = unit_regular_witness(ring, ideal, bP)
+    lam = RMatrix(ring, 2, ((one, zero), (zero, ring.inverse(u))))
     a4 = mat_mul(apply_elem_word(rc.result, sig_inv), lam)
     t = a4[1, 0]                        # b'u^-1 = f sits at (2,2)
     eps1 = right_op(2, 1, ring.neg(ring.mul(f, t)))
     lhs = ring.mul(ring.sub(one, f), t)
+    v = scans.pseudoinverse_scan(ring, lhs, ring.sub(one, f))
     if v is None:
-        v = scans.pseudoinverse_scan(ring, lhs, ring.sub(one, f))
-        if v is None:
-            raise SearchExhausted("no v with (1-f)tv = 1-f")
+        raise SearchExhausted("no v with (1-f)tv = 1-f", "v found")
     eps2 = right_op(1, 2, v)
     a6 = apply_elem_word(a4, ElemWord(2, (eps1, eps2)))
     z_prime = a6[0, 1]
@@ -346,7 +342,7 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     trace = {"q": rc.h, "p": p, "f": f, "v": v, "t": t, "z_prime": z_prime,
              "b_prime": bP}
     return DiagonalizationResult(ring, ideal, alpha, gamma, beta, epsilon,
-                                 u, a_prime, rr, rc, trace, a4)
+                                 u, a_prime, rr, rc, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,6 @@ class RMatrix(namedtuple("RMatrix", "ring n entries")):
         i, j = ij
         return self.entries[i][j]
 
-    def encode(self) -> int:
-        """The code of this matrix as an element of M_n(R)."""
-        return pack([x for row in self.entries for x in row], self.ring.size)
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(self.ring, self.n, tuple(zip(*self.entries)))
-
     def op(self) -> "RMatrix":
         """A^T over R^op.  Transposition is an anti-isomorphism
         M_n(R) -> M_n(R^op): (A*B)^T = B^T*A^T there."""

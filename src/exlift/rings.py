@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import DEFAULT, Guards
-from .errors import GuardExceeded, InvalidSpec, NotInIdeal
+from .errors import GuardExceeded, InvalidSpec
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +605,6 @@ class Ideal:
 
     def contains(self, x: int) -> bool:
         return bool(self.mask[x])
-
-    def require(self, x: int) -> None:
-        if not self.mask[x]:
-            raise NotInIdeal(f"element {x} is not in the ideal")
 
     def __iter__(self):
         return iter(self.sorted_members)

@@ -1,14 +1,16 @@
-"""Version 1 of the certificate format, kept as a test oracle.
+"""Versions 1 and 2 of the certificate format, kept as test oracles.
 
 A version 1 certificate was a complete transcript: the ring recipe with a
 digest of its tables, the ideal generators with a digest of the ideal, and
-every word, matrix and witness of the construction.  The library now writes
-version 2 (``exlift.certificates``), which records the claim and the
-witnesses its verifier checks by property, and derives the rest.  These
-builders still produce the version 1 payloads of reductions,
-diagonalizations and lifts from the result objects of ``exlift.lifting``,
-so the golden digests of those payloads keep pinning every value the lift
-computes, and the verifier can be shown to refuse a version 1 file.
+every word, matrix and witness of the construction.  Version 2 recorded the
+claim and, per stage, the join idempotents, f, p, u and v of the
+unit-regular step, and a'.  The library now writes version 3
+(``exlift.certificates``), whose stages keep only the join idempotents and
+a', and derives the rest.  These builders still produce the version 1
+payloads of reductions, diagonalizations and lifts from the result objects
+of ``exlift.lifting``, so the golden digests of those payloads keep pinning
+every value the lift computes, and the version 2 payload of a lift, so the
+verifier can be shown to refuse a file of either version.
 
     PYTHONPATH=src python tests/certificates_v1.py OUT.json
 
@@ -133,6 +135,19 @@ def lift_payload(cert) -> dict:
         } for st in cert.stages],
         "oracle_confirmed": True,
     })
+    return payload
+
+
+def lift_payload_v2(cert) -> dict:
+    """The version 2 payload of a LiftCertificate: version 3's, with f, p,
+    u and v of each stage's unit-regular step recorded beside g_row, g_col
+    and a'."""
+    payload = dict(cert.to_payload(), version=2)
+    for rec, st in zip(payload["stages"], cert.stages):
+        dg = st.diag
+        for key, val in (("f", dg.trace["f"]), ("p", dg.trace["p"]),
+                         ("u", dg.u), ("v", dg.trace["v"])):
+            rec[key] = element_descriptor(st.stage_ring, val)
     return payload
 
 

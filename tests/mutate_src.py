@@ -44,43 +44,36 @@ MAP_TEST = "test_shadowed_checks_fail_with_what_implies_them"
 
 # A check whose disabling the tests do not notice -> the checks that imply
 # it: when all of those pass, so does it.  A name outside the verifier is a
-# contract of ``reduction_contracts.reduction_contract_failures``, which the
-# tests assert on every reduction of the corpus lifts.  ``_INPUT_IN_I``
-# below says the stage input's off-diagonal entries lie in I, with its
-# (2,2) entry congruent to 1: "pi(w1) = pi(x)+1" before stage 0, the
-# previous stage's "pi(a') = pi(a u^-1)" before stage 1, and the row
-# reduction's "word in E_2(I)" before the column reduction.
+# contract of ``reduction_contracts.reduction_contracts`` or
+# ``.diagonalization_contracts``, which the tests assert on every reduction
+# and diagonalization of the corpus lifts.  ``_INPUT_IN_I`` below says the
+# stage input's off-diagonal entries lie in I, with its (2,2) entry
+# congruent to 1: "pi(w1) = pi(x)+1" before stage 0, the previous stage's
+# "pi(a') = pi(a u^-1)" before stage 1, and the row reduction's "word in
+# E_2(I)" before the column reduction.
 _INPUT_IN_I = ("pi(w1) = pi(x)+1", "pi(a') = pi(a u^-1)", "word in E_2(I)")
-# the names under which a replay of the construction stops: a scan's miss,
-# or a record it cannot decode or a guard it exceeds
+# the names under which a replay of the construction stops: a scan's miss
+# or a failed hypothesis of the unit-regular step, or a record it cannot
+# decode or a guard it exceeds
 REPLAY_STOPS = ("pass1 witnesses found", "corner witnesses found",
                 "g idempotent in wR", "pass2 witnesses found", "h found",
-                "u is a unit", "well-formed")
+                "unit-regular step", "v found", "well-formed")
 SHADOWED = {
     # a replay of stage 0 that does not stop rebuilds w1 = z_word (y1 + 1)
     # into a'+1 by invertible factors, so w1, y1 + 1 and y1 (R is
     # Dedekind-finite) are invertible
     "y1 invertible": ("diagonalization identity", "a' is a unit")
     + REPLAY_STOPS,
-    # y = a'u of the last stage
+    # y = a'u of the last stage, u from the unit-regular step
     "y is a unit": ("y is the final stage output", "a' is a unit",
-                    "u is a unit"),
+                    "b' = f u"),
     # each stage's a'u is congruent to its input's (1,1) entry mod I
     "x - y in I": ("y is the final stage output", "pi(w1) = pi(x)+1",
                    "pi(a') = pi(a u^-1)"),
     # a' + 1 is a product of invertible matrices (its input: y1 + 1 or the
     # previous stage's a'u)
     "a' is a unit": ("diagonalization identity", "y1 invertible",
-                     "u is a unit"),
-    # the (2,2) entry of w(-1)(col-reduced matrix)diag(1, u^-1) is b'u^-1
-    "f lands in (2,2)": ("b' = f u",),
-    # with F = b'u^-1, the identity's (2,1) and (2,2) entries read
-    # (1-F)ft = 0 and F + (t-Fft)v = 1; with (1-f)tv = 1-f, F = f
-    "b' = f u": ("diagonalization identity", "v solves (1-f)tv = 1-f"),
-    # with F = f the same entries give (f-f^2)tv = f-f^2 and (f-f^2)t = 0;
-    # f = b'u^-1, and b' is an off-diagonal entry of the column reduction
-    "f idempotent in I": ("diagonalization identity", "b' = f u")
-    + _INPUT_IN_I,
+                     "b' = f u"),
     # modulo I every word in E_2(I) and f vanish, and the identity reads
     # a' = a u^-1
     "pi(a') = pi(a u^-1)": ("diagonalization identity", "word in E_2(I)",
@@ -104,14 +97,6 @@ SHADOWED = {
 # implies: no certificate fails it yet.  Each needs a forged certificate
 # that only it rejects, or a proof that the others imply it.
 OPEN = {
-    "v solves (1-f)tv = 1-f":
-        "(1-f)tv = 1-f follows from the identity and b' = f u; no stage "
-        "of the --full corpus has a v' solving it with v'(1-f) != v'",
-    "p idempotent": "p is read by the four p checks only, and no element "
-                    "of a stage ring of the --full corpus (up to 1,024 "
-                    "elements) fails this one alone",
-    "1-p in ideal": "as for p idempotent",
-    "RpR = R": "as for p idempotent",
     "g in f1R+f2R": "w is a unit and f1R + f2R = wR on every reduction of "
                     "the corpus lifts, so g in wR puts g there",
     "RhR = R": "no idempotent g in wR of a reduction of the corpus lifts "

@@ -3,9 +3,9 @@ outside the lift.
 
 ``lifting`` does not assert these inside its construction, and the
 certificate verifier checks only those a recorded witness or the claim can
-break (``certificates._check_reduction``).  The tests check all of them on
-every reduction and diagonalization a lift makes (spies on
-``lifting._reduce_row`` and ``lifting._diagonalize``).
+break (``certificates._check_reduction`` and ``_check_diagonalization``).
+The tests check all of them on every reduction and diagonalization a lift
+makes (spies on ``lifting._reduce_row`` and ``lifting._diagonalize``).
 
 A column reduction over R is the row reduction of alpha^T over R^op, so its
 contracts are the row contracts there.  A row reduction of alpha with last
@@ -25,13 +25,18 @@ to alpha.  The contracts, by the scan or solve that holds each:
   c' in Rc, c'R = (1-h)R, d'R = hR and RhR = R (read off R on a stage
   ring M_k(R), whose ideals are M_k(J));
 - the word lies in E_2(I) and replays alpha to the result.
+
+A diagonalization's contracts (``diagonalization_contract_failures``) are
+those of its unit-regular step (``lifting.unit_regular_witness``) on the
+column-reduced b', of its pseudo-inverse v (``scans.pseudoinverse_scan``)
+and of its output.
 """
 
 from exlift.errors import GuardExceeded
 from exlift.ktheory import fredholm_elements
 from exlift.lifting import lift_unit
 from exlift.matrices import (ElemWord, apply_elem_word, direct_sum, identity,
-                             mat_mul, matrix, word_in_ideal)
+                             mat_mul, matrix, whitehead_word, word_in_ideal)
 from exlift.rings import (entry_ideal, quotient_by, same_right_ideal,
                           solve_right)
 
@@ -95,24 +100,43 @@ def reduction_contracts(res) -> dict:
 
 
 def diagonalization_contract_failures(dg) -> list:
-    """The names of the contracts the DiagonalizationResult dg breaks: the
-    column reduction's input has its off-diagonal entries in I, the
-    unit-regular step replays (f idempotent, b' = f*u with u a unit),
-    b'u^-1 lands on f, gamma*alpha*beta*(1+u^-1)*epsilon = a'+1 with a' a
-    unit, and pi(a') = pi(a*u^-1)."""
+    """The names of the contracts the DiagonalizationResult dg breaks."""
+    return [name for name, ok in diagonalization_contracts(dg).items()
+            if not ok]
+
+
+def diagonalization_contracts(dg) -> dict:
+    """{name: holds} of each contract of the DiagonalizationResult dg: the
+    column reduction's input has its off-diagonal entries in I; the
+    unit-regular step on b' gives an idempotent f in I and a unit u with
+    b' = f*u, and an idempotent p with 1-p in I, (1-p)R = b'R and RpR = R;
+    b'u^-1 lands on f at (2,2) of w(-1)*(column-reduced matrix)*
+    diag(1, u^-1); v solves (1-f)tv = 1-f with v(1-f) = v;
+    gamma*alpha*beta*(1+u^-1)*epsilon = a'+1 with a' a unit, and
+    pi(a') = pi(a*u^-1)."""
     ring, ideal, one = dg.ring, dg.ideal, dg.ring.one
-    f, bP, a1 = dg.trace["f"], dg.trace["b_prime"], dg.col_reduction.alpha
+    f, p, v, t, bP = (dg.trace[k] for k in ("f", "p", "v", "t", "b_prime"))
+    a1 = dg.col_reduction.alpha
     uinv = ring.inverse(dg.u)
     lam = matrix(ring, [[one, ring.zero], [ring.zero, uinv]])
+    scaled = mat_mul(apply_elem_word(dg.col_reduction.result, ElemWord(
+        2, whitehead_word(ring, ring.neg(one)))), lam)
     replay = apply_elem_word(apply_elem_word(
         mat_mul(apply_elem_word(dg.alpha, dg.beta), lam), dg.epsilon),
         dg.gamma)
-    checks = {
+    return {
         "a1 entries in I": ideal.contains(a1[0, 1])
         and ideal.contains(a1[1, 0]),
-        "unit-regular replay": ring.mul(f, f) == f
-        and ring.mul(f, dg.u) == bP,
-        "f lands in (2,2)": dg.scaled[1, 1] == f,
+        "f idempotent in I": ring.mul(f, f) == f and ideal.contains(f),
+        "b' = f u": uinv is not None and ring.mul(f, dg.u) == bP,
+        "p idempotent": ring.mul(p, p) == p,
+        "1-p in ideal": ideal.contains(ring.sub(one, p)),
+        "(1-p)R = b'R": same_right_ideal(ring, ring.sub(one, p), bP),
+        "RpR = R": entry_ideal(ring, [p]).is_full(),
+        "f lands in (2,2)": scaled[1, 1] == f,
+        "v solves (1-f)tv = 1-f":
+            ring.mul(ring.mul(ring.sub(one, f), t), v) == ring.sub(one, f)
+            and ring.mul(v, ring.sub(one, f)) == v,
         "diagonalization identity":
             replay == direct_sum(matrix(ring, [[dg.a_prime]]),
                                  identity(ring, 1)),
@@ -120,7 +144,6 @@ def diagonalization_contract_failures(dg) -> list:
         "pi(a') = pi(a u^-1)": ideal.contains(
             ring.sub(dg.a_prime, ring.mul(dg.alpha[0, 0], uinv))),
     }
-    return [name for name, ok in checks.items() if not ok]
 
 
 def w1_congruent(cert) -> bool:

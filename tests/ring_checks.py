@@ -16,7 +16,7 @@ from exlift.errors import (DimensionMismatch, GuardExceeded, InvalidSpec,
                            PreconditionFailed)
 from exlift.matrices import ElemOp, ElemWord, RMatrix, _same_context, direct_sum
 from exlift.rings import (FiniteRing, Ideal, RingSpec, _table_dtype,
-                          distinct, ideal_closure, unpack)
+                          distinct, ideal_closure, pack, unpack)
 from exlift.vmonoid import class_key
 
 
@@ -77,8 +77,13 @@ def regular_witness(ring: FiniteRing, x: int) -> Optional[int]:
 # Matrices
 # ---------------------------------------------------------------------------
 
+def encode_matrix(A: RMatrix) -> int:
+    """The code of A as an element of M_n(R)."""
+    return pack([x for row in A.entries for x in row], A.ring.size)
+
+
 def decode_matrix(ring: FiniteRing, n: int, code: int) -> RMatrix:
-    """Inverse of RMatrix.encode."""
+    """Inverse of ``encode_matrix``."""
     flat = unpack(code, ring.size, n * n)
     return RMatrix(ring, n, tuple(tuple(flat[i * n:(i + 1) * n])
                                   for i in range(n)))

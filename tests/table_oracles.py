@@ -187,7 +187,8 @@ def exchange_witness_ideal(ring: FiniteRing, ideal: Ideal,
                            x: int) -> Optional[ExchangeWitness]:
     """Least (e, r, s) in I^3 with e = x*r = x + s - x*s, e idempotent,
     trying the idempotents of I in ascending order."""
-    ideal.require(x)
+    if not ideal.contains(x):
+        raise PreconditionFailed(f"element {x} is not in the ideal")
     members = np.fromiter(ideal.sorted_members, dtype=np.int64)
     row_x = ring.npmul[x][members]                      # x*r over r in I
     rhs = ring.npadd[ring.npadd[x][members], ring.npneg[row_x]]
@@ -211,7 +212,8 @@ def embedded_exchange_witness(ring: FiniteRing, ideal: Ideal,
     The equivalence with the intrinsic form is a cited theorem; this exists so
     the corpus can cross-check it rather than assume it.
     """
-    ideal.require(x)
+    if not ideal.contains(x):
+        raise PreconditionFailed(f"element {x} is not in the ideal")
     members = np.fromiter(ideal.sorted_members, dtype=np.int64)
     row_x = ring.npmul[x][members]                      # x*i over i in I
     one_minus_x = ring.sub(ring.one, x)

@@ -1,4 +1,4 @@
-"""Single-leaf tampering of version 2 lift certificates.
+"""Single-leaf tampering of version 3 lift certificates.
 
 ``mutants(payload)`` yields every mutant of a certificate by each rule that
 applies to one node of it:

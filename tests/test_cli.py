@@ -246,6 +246,20 @@ def test_version_1_certificate_fails_verify(tmp_path):
     assert report["claim"] is None
 
 
+def test_version_2_certificate_fails_verify(tmp_path):
+    import certificates_v1
+    from exlift import certificates, lifting, rings
+    z4 = rings.build_ring(rings.ZmodSpec(4))
+    cert = lifting.lift_unit(z4, rings.ideal_closure(z4, [2]), 3).certificate
+    path = str(tmp_path / "v2.json")
+    certificates.save_certificate(certificates_v1.lift_payload_v2(cert), path)
+    res = CliRunner().invoke(main, ["verify", path, "--format", "machine"])
+    assert res.exit_code == 6, (res.output, res.exception)
+    report = json.loads(res.stdout)
+    assert [c["check"] for c in report["checks_failed"]] == ["format"]
+    assert report["claim"] is None
+
+
 def test_non_integer_guard_variable_exits_7(tmp_path):
     spec = _zmod_spec(tmp_path, {"type": "zmod", "n": 4}, [2])
     for args in (["check", "--spec", spec],

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exlift import exchange as E, matrices as M, rings as R
-from exlift.errors import NotInIdeal, PreconditionFailed
+from exlift.errors import PreconditionFailed
 
 import table_oracles as O
 from ring_checks import corner_ring
@@ -33,7 +33,7 @@ def test_ideal_witness_examples():
 def test_ideal_witness_requires_membership():
     z4 = z(4)
     ideal = R.ideal_closure(z4, [2])
-    with pytest.raises(NotInIdeal):
+    with pytest.raises(PreconditionFailed, match="not in the ideal"):
         O.exchange_witness_ideal(z4, ideal, 1)
 
 

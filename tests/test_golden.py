@@ -5,11 +5,15 @@ machine`` report, default and ``--full``.
 The version 1 payloads, built by the test oracle ``certificates_v1``, hold
 every word, matrix and witness the reductions, diagonalizations and lifts
 compute, so their digests (``golden_certificates.json``) pin the
-computation.  The version 2 payloads the library writes, the claim and the
-witnesses checked by property, are pinned beside them
-(``golden_certificates_v2.json``), and so are the forced m=4 lifts over
-zmod(6) and zmod(8) (``golden_certificates_m4.json``), whose stage rings
-M_2(Z/6) and M_2(Z/8) keep no list mirrors.  A refactor of the reduction,
+computation.  The payloads the library writes, the claim and the witnesses
+checked by property, are pinned beside them (``golden_certificates_v2.json``,
+named for the format it first pinned; it holds version 3 now), and so are
+the forced m=4 lifts over zmod(6) and zmod(8)
+(``golden_certificates_m4.json``), whose stage rings M_2(Z/6) and M_2(Z/8)
+keep no list mirrors.  Each version 3 digest is that of the version 2
+payload of the same lift with f, p, u and v dropped from every stage and
+the version set to 3: the lift's computation did not change with the
+format.  A refactor of the reduction,
 scan or certificate code must leave every digest unchanged, and the corpus
 reports (``golden_corpus.json``) too; a deliberate change to either means
 writing new ones and saying why.
@@ -87,14 +91,14 @@ def golden_payloads(corpus_pairs):
 
 
 def golden_payloads_v2(corpus_pairs):
-    """name -> version 2 payload for every pinned lift."""
+    """name -> library (version 3) payload for every pinned lift."""
     return {name: res.to_payload()
             for name, res in golden_results(corpus_pairs).items()
             if isinstance(res, L.LiftCertificate)}
 
 
 def forced_m4_payloads():
-    """name -> version 2 payload of the forced m=4 lift of every Fredholm
+    """name -> library payload of the forced m=4 lift of every Fredholm
     element of every ideal of zmod(6) and zmod(8): the blocked stage over
     M_2(R), a ring of 1,296 or 4,096 elements without list mirrors."""
     out = {}

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
+import functools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from exlift import (certificates as C, lifting as L, matrices as M,
-                    rings as R, vmonoid as V)
+                    rings as R, scans, vmonoid as V)
 from exlift.errors import NotFredholm, PreconditionFailed
 from exlift.ktheory import fredholm_elements, index, k0_zero_test
 from witness_search import strict_zero_padding
@@ -182,16 +184,44 @@ def test_every_diagonalization_meets_its_contracts(corpus_pairs,
     assert len(seen) == stages == 224
 
 
+def test_diagonalization_contracts_catch_a_perturbed_step():
+    # the oracle is not vacuous either: one derived witness of a real
+    # diagonalization changed breaks the contracts named
+    t2 = R.build_ring(R.TriangularSpec(R.ZmodSpec(2), 2))
+    e12 = R.element_from_descriptor(t2, [[0, 1], [0, 0]])
+    dg = L.diagonalize_2x2(t2, R.ideal_closure(t2, [e12]),
+                           M.matrix(t2, [[t2.one, e12], [e12, t2.one]]))
+    z4 = z(4)
+    dz = L.diagonalize_2x2(z4, R.full_ideal(z4), M.matrix(z4, [[2, 1],
+                                                               [1, 2]]))
+    flip = lambda ring, a: ring.sub(ring.one, a)
+    shift = lambda ring, a: ring.add(a, ring.one)
+    cases = [(dg, "f", flip, {"f idempotent in I", "b' = f u",
+                              "f lands in (2,2)"}),
+             (dg, "p", flip, {"1-p in ideal", "(1-p)R = b'R", "RpR = R"}),
+             (dg, "v", flip, {"v solves (1-f)tv = 1-f"}),
+             (dz, "p", shift, {"p idempotent"})]
+    for res, key, change, broken in cases:
+        assert diagonalization_contract_failures(res) == []
+        trace = dict(res.trace, **{key: change(res.ring, res.trace[key])})
+        failed = diagonalization_contract_failures(
+            dataclasses.replace(res, trace=trace))
+        assert broken <= set(failed), (key, failed)
+
+
 def test_unit_regular_witness_examples():
     pr = R.build_ring(R.ProductSpec(R.ZmodSpec(2), R.MatrixSpec(R.ZmodSpec(2), 2)))
     ipr = R.ideal_closure(pr, [R.element_from_descriptor(pr, [0, [[1, 0], [0, 1]]])])
     d0 = R.element_from_descriptor(pr, [0, [[0, 0], [0, 0]]])
-    f, u, p, q = L.unit_regular_witness(pr, ipr, d0)
-    assert f == d0 and pr.mul(f, u) == d0
+    f, u, p = L.unit_regular_witness(pr, ipr, d0)
+    assert f == d0 and pr.mul(f, u) == d0 and p == pr.one
     d = R.element_from_descriptor(pr, [0, [[1, 0], [0, 0]]])
-    f, u, p, q = L.unit_regular_witness(pr, ipr, d)
+    f, u, p = L.unit_regular_witness(pr, ipr, d)
     assert pr.mul(f, f) == f and pr.mul(f, u) == d
     assert u in pr.units()
+    # dR = (1-p)R with RpR = R
+    assert pr.mul(p, p) == p and R.same_right_ideal(pr, pr.sub(pr.one, p), d)
+    assert R.entry_ideal(pr, [p]).is_full()
 
 
 def test_unit_regular_refuses_when_span_not_full():
@@ -200,7 +230,38 @@ def test_unit_regular_refuses_when_span_not_full():
     d = R.element_from_descriptor(p22, [1, 0])
     with pytest.raises(PreconditionFailed) as exc:
         L.unit_regular_witness(p22, R.full_ideal(p22), d)
-    assert "RpR" in str(exc.value) or "RqR" in str(exc.value)
+    assert str(exc.value) == "RpR != R"
+    # a certificate replay reports each failure under the step's name
+    assert exc.value.check == "unit-regular step"
+    z4, ideal = z4_pair()
+    with pytest.raises(PreconditionFailed) as exc:
+        L.unit_regular_witness(z4, ideal, 1)
+    assert exc.value.check == "unit-regular step"
+
+
+def test_q_of_the_unit_regular_step_follows_from_p(corpus_rings):
+    # the proposition's second hypothesis, an idempotent q with
+    # Rd = R(1-q) and RqR = R, is not checked: over every element d of
+    # every ideal of the default corpus rings, q exists iff p does (dR =
+    # (1-p)R), and RqR = R iff RpR = R
+    seen = Counter()
+    for entry, ring in corpus_rings:
+        if "slow" in entry.tags:
+            continue
+        for ideal in R.all_ideals(ring):
+            for d in ideal:
+                gen_p = scans.idempotent_generator_right(ring, d)
+                gen_q = scans.idempotent_generator_right(ring.op(), d)
+                assert (gen_p is None) == (gen_q is None), (entry.name, d)
+                if gen_p is None:
+                    seen["no p"] += 1
+                    continue
+                p, q = (ring.sub(ring.one, g) for g in (gen_p, gen_q))
+                full = R.entry_ideal(ring, [p]).is_full()
+                assert full == R.entry_ideal(ring, [q]).is_full(), \
+                    (entry.name, d)
+                seen["RpR = R" if full else "RpR != R"] += 1
+    assert seen == {"no p": 37, "RpR = R": 103, "RpR != R": 119}
 
 
 def test_diagonalize_examples():
@@ -378,8 +439,10 @@ def test_every_fredholm_element_lifts(corpus_pairs_full):
             assert ideal.contains(ring.sub(x, cert.y))
             ix = index(ring, ideal, x)
             p, a, b = _k0_witness(ring, ideal, x, cert.y)
-            assert p == ix.pos
-            assert M.mat_mul(a, b) == p and M.mat_mul(b, a) == ix.neg
+            pos, neg = (functools.reduce(M.direct_sum, parts)
+                        for parts in (ix.pos_parts, ix.neg_parts))
+            assert p == pos
+            assert M.mat_mul(a, b) == p and M.mat_mul(b, a) == neg
             assert congruent_mod(a, p, ideal), (name, x)
             assert k0_zero_test(ix), (name, x)
             assert strict_zero_padding(ix, stab=0) == 0, (name, x)

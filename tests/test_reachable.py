@@ -1,5 +1,6 @@
 """Every top-level function and class of ``exlift`` is reached from a CLI
-command, ``lifting.lift_unit`` or ``certificates.verify_claim``.
+command, ``lifting.lift_unit`` or ``certificates.verify_claim``, and every
+method and property of its classes is named somewhere in ``src/``.
 
 Reached means: named, directly or through an import or a module-level
 value, by a root or by a function or class already reached (a class's
@@ -7,10 +8,16 @@ methods and bases count as part of it).  A name read as ``module.name``
 through an imported module counts too.  The package ``__init__`` only
 re-exports, so it reaches nothing.  ``ALLOWED`` names the exceptions and
 why each stays.
+
+A method or property is named when its name occurs in ``src/`` outside its
+own def, as an attribute, a name or an identifier string (any class's
+member of that name counts).  Dunder methods are called by the language.
+``MEMBERS_ALLOWED`` names the exceptions and why each stays.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "exlift"
 
@@ -36,6 +43,9 @@ ALLOWED = {
 }
 
 ROOTS = {("lifting", "lift_unit"), ("certificates", "verify_claim")}
+
+# (module, class, member) -> why it stays though nothing in src/ names it
+MEMBERS_ALLOWED: dict = {}
 
 
 def _is_command(node) -> bool:
@@ -155,3 +165,63 @@ def test_unreached_names_detected(tmp_path):
 
 def test_every_name_in_src_is_reached():
     assert unreached() == sorted(ALLOWED)
+
+
+def _names(node) -> Counter:
+    """How often each attribute, name and identifier string occurs in
+    node."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            found[sub.value] += 1
+    return found
+
+
+def unnamed_members(src: pathlib.Path = SRC) -> list:
+    """(module, class, member) of each method or property of a top-level
+    class of src whose name occurs nowhere in src outside its own def."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))
+                        and named[fn.name] == _names(fn)[fn.name]):
+                    out.append((module, cls.name, fn.name))
+    return sorted(out)
+
+
+def test_unnamed_members_detected(tmp_path):
+    (tmp_path / "rings.py").write_text(
+        "class Ring:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def add(self, a):\n        return a\n"
+        "    def spare(self, a):\n        return self.spare(a)\n"
+        "    @property\n"
+        "    def view(self):\n        return 1\n"
+        "    def by_name(self):\n        return 2\n"
+        "def use(r):\n"
+        "    return r.add(1), getattr(r, 'by_name')()\n")
+    (tmp_path / "lifting.py").write_text(
+        "class Cert:\n"
+        "    def payload(self):\n        return 0\n"
+        "def lift(c):\n"
+        "    return c.payload\n")
+    # spare names only itself, view nobody; another module's read counts
+    assert unnamed_members(tmp_path) == [("rings", "Ring", "spare"),
+                                         ("rings", "Ring", "view")]
+
+
+def test_every_member_in_src_is_named():
+    assert unnamed_members() == sorted(MEMBERS_ALLOWED)

@@ -66,6 +66,15 @@ def test_a_syntax_slip_fails_to_compile():
         compile(body, "slip", "exec")
 
 
+def test_pinned_check_count_is_the_tests_count():
+    # the CLI round trip pins how many checks `exlift verify` runs on the
+    # zmod(4) lift at m = 2; the certificate tests list those checks
+    from test_certificates import lift_checks
+    pins = re.findall(r'report\["checks_total"\] == (\d+)',
+                      WORKFLOW.read_text(encoding="utf-8"))
+    assert [int(n) for n in pins] == [sum(lift_checks(2).values())]
+
+
 def run_blocks(text: str) -> list:
     """(line, script) of every ``run:`` step: the command on its ``run:``
     line, or the lines of its ``run: |`` block, which ends before the first
