@@ -9,8 +9,10 @@ checks what those and the claim can change; the tests hold the scans'
 contracts (``tests/reduction_contracts.py``) and each lift to
 ``oracle_lift``.  So the construction re-checks nothing: "y is a unit" and
 "x - y in I" are checks of the verifier, run on every ``--full`` corpus
-lift by ``test_every_fredholm_element_lifts``.  Searches that the theory
-guarantees to succeed scan in ascending carrier index and raise
+lift by ``test_every_fredholm_element_lifts``.  The 2x2 step applies its
+ops to its four entries itself, and the verifier's "diagonalization
+identity" replays its words by ``apply_elem_word``, coded apart.  Searches
+the theory guarantees to succeed scan in ascending carrier index and raise
 SearchExhausted on a miss: a bug in a lift, a wrong record in a replay.
 
 The theorem's one hypothesis, I a separative exchange ideal of R, holds on
@@ -31,8 +33,8 @@ from .errors import NotFredholm, PreconditionFailed, SearchExhausted
 from .exchange import is_exchange_ideal
 from .matrices import (RIGHT, ElemWord, RMatrix, apply_elem_word,
                        block_matrix, direct_sum, e_orbit_factor, identity,
-                       left_op, mat_mul, matrix, right_op, stage_ring,
-                       try_inverse, unblock_matrix, whitehead_word)
+                       left_op, matrix, right_op, stage_ring, try_inverse,
+                       unblock_matrix, w_group, whitehead_word)
 from .rings import (FiniteRing, Ideal, digits, entry_ideal, morita_base,
                     quotient_by, solve_right)
 from . import scans, vmonoid
@@ -142,20 +144,17 @@ def _check_entries(ideal: Ideal, alpha: RMatrix) -> None:
         raise PreconditionFailed("off-diagonal entries must lie in the ideal")
 
 
-def _row_pass(ring: FiniteRing, A: RMatrix, tag: str, trace: dict):
-    """One unimodular-row pass: ops making the last row (e*c, (1-e)*d).
-    Returns the ops and the new matrix; the witnesses go to trace[tag]."""
-    c, d = A[1, 0], A[1, 1]
+def _row_pass(ring: FiniteRing, c: int, d: int, tag: str, trace: dict):
+    """One unimodular-row pass on the last row (c, d): the two right ops
+    making it (e*c, (1-e)*d).  The witnesses go to trace[tag]."""
     got = scans.row_pass_witnesses(ring, c, d)
     if got is None:
         raise SearchExhausted(f"no exchange idempotent for the {tag} row",
                               f"{tag} witnesses found")
     x, y, e, r, s = got
-    op1 = right_op(2, 1, ring.neg(ring.mul(s, c)))
-    op2 = right_op(1, 2, ring.neg(ring.mul(r, d)))
-    A = apply_elem_word(A, ElemWord(2, (op1, op2)))
     trace[tag] = {"x": x, "y": y, "e": e, "r": r, "s": s}
-    return [op1, op2], A
+    return (right_op(2, 1, ring.neg(ring.mul(s, c))),
+            right_op(1, 2, ring.neg(ring.mul(r, d))))
 
 
 def _require_invertible(alpha: RMatrix) -> None:
@@ -175,23 +174,32 @@ def reduce_row(ring: FiniteRing, ideal: Ideal,
 def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
                 g: Optional[int] = None) -> ReductionResult:
     """reduce_row on an alpha already checked by the caller.  A given join
-    idempotent g is used as is; without one, ``join_idempotent`` picks it."""
-    one = ring.one
-    trace: dict = {}
-    c_orig = alpha[1, 0]
+    idempotent g is used as is; without one, ``join_idempotent`` picks it.
+    alpha's entries m = [a, b, c, d], row by row, take each right op
+    (i, j, r) as column j += column i * r and become one RMatrix, the
+    result."""
+    one, add, mul, trace = ring.one, ring.add, ring.mul, {}
+    m = list(alpha.entries[0] + alpha.entries[1])
+    c_orig = m[2]
 
-    ops, A1 = _row_pass(ring, alpha, "pass1", trace)
+    def apply(ops):
+        for _, i, j, r in ops:
+            m[j - 1] = add(m[j - 1], mul(m[i - 1], r))
+            m[j + 1] = add(m[j + 1], mul(m[i + 1], r))
+        return ops
+
+    ops = apply(_row_pass(ring, m[2], m[3], "pass1", trace))
     e, r = trace["pass1"]["e"], trace["pass1"]["r"]
 
     # move w = e*c + (1-e)*d into position (2,2), then strip a full corner
-    w = ring.add(A1[1, 0], A1[1, 1])
+    w = add(m[2], m[3])
     got = scans.corner_witnesses_right(ring, e, w)
     if got is None:
         raise SearchExhausted("no exchange idempotent for the corner step",
                               "corner witnesses found")
     f, w1, w2 = got
-    f1 = ring.mul(ring.mul(w, w1), e)
-    f2 = ring.mul(ring.mul(w, w2), ring.sub(one, e))
+    f1 = mul(mul(w, w1), e)
+    f2 = mul(mul(w, w2), ring.sub(one, e))
     if g is None:
         g = join_idempotent(ring, ideal, f1, f2)
     wprime = solve_right(ring, w, g)
@@ -199,21 +207,21 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
         raise SearchExhausted(f"join idempotent {g} not in wR",
                               "g idempotent in wR")
     # beta_1 = (1, r*c; 0, 1) with the original c of this reduction
-    op3 = right_op(1, 2, ring.mul(r, c_orig))
-    op4 = right_op(2, 1, ring.neg(ring.mul(ring.mul(wprime, e), c_orig)))
-    A2 = apply_elem_word(A1, ElemWord(2, (op3, op4)))
+    ops += apply((right_op(1, 2, mul(r, c_orig)),
+                  right_op(2, 1, ring.neg(mul(mul(wprime, e), c_orig)))))
     trace["corner"] = {"w": w, "f": f, "w1": w1, "w2": w2,
                        "f1": f1, "f2": f2, "g": g, "wprime": wprime}
 
-    ops2, A = _row_pass(ring, A2, "pass2", trace)
+    ops += apply(_row_pass(ring, m[2], m[3], "pass2", trace))
 
-    got = scans.split(ring, A[1, 0], A[1, 1])    # R = c'R + d'R: h = 1 - e
+    got = scans.split(ring, m[2], m[3])    # R = c'R + d'R: h = 1 - e
     if got is None:
         raise SearchExhausted("no complementary idempotent for the direct sum",
                               "h found")
     h = ring.sub(one, got[0])
-    word = ElemWord(2, tuple(ops + [op3, op4] + ops2))
-    return ReductionResult(ring, ideal, "row", alpha, word, A, h, trace)
+    return ReductionResult(ring, ideal, "row", alpha, ElemWord(2, ops),
+                           RMatrix(ring, 2, (tuple(m[:2]), tuple(m[2:]))),
+                           h, trace)
 
 
 def reduce_col(ring: FiniteRing, ideal: Ideal,
@@ -306,8 +314,11 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     join idempotent (g_row, g_col) is used as is, a missing one searched
     for; everything else, f, u and p of the unit-regular step and v
     included, is derived by the same scans whoever picked g.  Its fixed
-    words are built once per ring, kept in ``ring._cache``."""
-    one, zero = ring.one, ring.zero
+    words are built once per ring, kept in ``ring._cache``.  Between the
+    reductions it works on four entries (the signed swaps and diag(1, u^-1)
+    in closed form, eps1, eps2, mu1 and mu2 as two scalar updates each);
+    only a1, the column reduction's input, becomes an RMatrix."""
+    one, add, mul, neg = ring.one, ring.add, ring.mul, ring.neg
     # the signed swaps w(1), as left and as right ops, and w(-1) = w(1)^-1
     if "signed_swaps" not in ring._cache:
         ring._cache["signed_swaps"] = (
@@ -316,25 +327,28 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
             ElemWord(2, whitehead_word(ring, ring.neg(one))))
     sigL, sigR, sig_inv = ring._cache["signed_swaps"]
     rr = _reduce_row(ring, ideal, alpha, g_row)
-    a1 = apply_elem_word(apply_elem_word(rr.result, sigR), sigL)
+    (a, b), (c, d) = rr.result.entries     # w(1) (a b; c d) w(1) = a1
+    a1 = RMatrix(ring, 2, ((neg(d), c), (b, neg(a))))
     rc = _reduce_col(ring, ideal, a1, g_col)
-    bP = rc.result[0, 1]
+    (a, bP), (c, d) = rc.result.entries
 
     f, u, p = unit_regular_witness(ring, ideal, bP)
-    lam = RMatrix(ring, 2, ((one, zero), (zero, ring.inverse(u))))
-    a4 = mat_mul(apply_elem_word(rc.result, sig_inv), lam)
-    t = a4[1, 0]                        # b'u^-1 = f sits at (2,2)
-    eps1 = right_op(2, 1, ring.neg(ring.mul(f, t)))
-    lhs = ring.mul(ring.sub(one, f), t)
+    uinv = ring.inverse(u)
+    # w(-1) * (a b'; c d) * diag(1, u^-1) = (-c -du^-1; t b'u^-1), t = a,
+    # with b'u^-1 = f at (2,2); the ops below update these four entries
+    a, b, t, d = neg(c), mul(neg(d), uinv), a, mul(bP, uinv)
+    eps1 = right_op(2, 1, neg(mul(f, t)))
+    lhs = mul(ring.sub(one, f), t)
     v = scans.pseudoinverse_scan(ring, lhs, ring.sub(one, f))
     if v is None:
         raise SearchExhausted("no v with (1-f)tv = 1-f", "v found")
     eps2 = right_op(1, 2, v)
-    a6 = apply_elem_word(a4, ElemWord(2, (eps1, eps2)))
-    z_prime = a6[0, 1]
-    mu1 = left_op(1, 2, ring.neg(z_prime))
-    mu2 = right_op(2, 1, ring.neg(lhs))
-    a_prime = apply_elem_word(a6, ElemWord(2, (mu1, mu2)))[0, 0]
+    a, c = add(a, mul(b, eps1.r)), add(t, mul(d, eps1.r))
+    z_prime, d = add(b, mul(a, v)), add(d, mul(c, v))
+    mu1 = left_op(1, 2, neg(z_prime))
+    mu2 = right_op(2, 1, neg(lhs))
+    a_prime = add(add(a, mul(mu1.r, c)),
+                  mul(add(z_prime, mul(mu1.r, d)), mu2.r))
     gamma = ElemWord(2, sigL.ops + rc.word.ops + sig_inv.ops + (mu1,))
     beta = ElemWord(2, rr.word.ops + sigR.ops)
     epsilon = ElemWord(2, (eps1, eps2, mu2))
@@ -431,18 +445,22 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
 
 
 def _find_w1(ring: FiniteRing, qmap, x: int, m: int):
-    """Search units y1 of R, ascending, whose image y1 + 1_{m-1} is
-    E_m(R/I)-equivalent to pi(x) + 1_{m-1}; returns (y1, lifted word,
-    w1)."""
-    S = qmap.target
-    target = direct_sum(matrix(S, [[qmap.pi(x)]]), identity(S, m - 1))
+    """The least unit y1 of R whose image y1 + 1_{m-1} is E_m(R/I)-equivalent
+    to pi(x) + 1_{m-1}; returns (y1, lifted word, w1).  Both are diagonal
+    with a unit corner, so by Vaserstein's injective stability (see
+    ``matrices``) they are iff pi(x) pi(y1)^-1 is in W(R/I), a key of
+    ``w_group``.  ``e_orbit_factor``, asked once for the word, pushes no
+    elimination op on them, so the word is W(R/I)'s at that key."""
+    S, xbar = qmap.target, qmap.pi(x)
+
+    def plus_one(R, a):                 # a + 1_{m-1} over R
+        return direct_sum(matrix(R, [[a]]), identity(R, m - 1))
+
     for u in ring.units():
-        base = direct_sum(matrix(S, [[qmap.pi(u)]]), identity(S, m - 1))
-        wbar = e_orbit_factor(S, m, target, base)
-        if wbar is None:
-            continue
-        z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
-                                   for op in wbar.ops))
-        return u, z_word, apply_elem_word(
-            direct_sum(matrix(ring, [[u]]), identity(ring, m - 1)), z_word)
+        ubar = qmap.pi(u)
+        if S.mul(xbar, S.inverse(ubar)) in w_group(S):
+            wbar = e_orbit_factor(S, m, plus_one(S, xbar), plus_one(S, ubar))
+            z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
+                                       for op in wbar.ops))
+            return u, z_word, apply_elem_word(plus_one(ring, u), z_word)
     return None

@@ -8,10 +8,12 @@ Whitehead's w(v) = e_ij(v) e_ji(-v^-1) e_ij(v) (``whitehead_word``): the
 signed swaps of the 2x2 diagonalization are w(1) and w(-1), and
 diag(v, v^-1) = w(v) w(-1) moves a unit along the diagonal.
 
-A word replays on one mutable copy of the matrix's rows: each op updates a
-row or a column in place, reading the ring's list mirrors of its tables when
-the ring keeps them (its scalar ops otherwise), as ``mat_mul`` does, and the
-rows, whose entries are already ints, become one RMatrix after the last op.
+A word replays (``apply_elem_word``: the orbit words, z_word, the
+verifier's identity replay; a 2x2 stage step applies its own ops) on one
+mutable copy of the matrix's rows: each op updates a row or a column in
+place, reading the ring's list mirrors of its tables when the ring keeps
+them (its scalar ops otherwise), as ``mat_mul`` does, and the rows become
+one RMatrix after the last op.
 
 RMatrix, ElemOp and ElemWord are tuples (``namedtuple`` subclasses): cheap
 to build, immutable, and compared and hashed field by field.  RMatrix and
@@ -124,8 +126,10 @@ def block_matrix(A: RMatrix, block_ring: FiniteRing, k: int) -> RMatrix:
     """Reinterpret a (b*k)x(b*k) matrix over R as bxb over M_k(R).
 
     block_ring must be build_ring(MatrixSpec(spec-of-A.ring, k)), or A.ring
-    itself when k = 1 (the block of a 1x1 block is its entry).
+    itself when k = 1, where A is returned (a 1x1 block is its entry).
     """
+    if k == 1 and block_ring is A.ring:
+        return A
     if A.n % k:
         raise DimensionMismatch(f"dimension {A.n} is not a multiple of {k}")
     b, B, a = A.n // k, A.ring.size, A.entries
@@ -137,7 +141,9 @@ def block_matrix(A: RMatrix, block_ring: FiniteRing, k: int) -> RMatrix:
 
 
 def unblock_matrix(A: RMatrix, base_ring: FiniteRing, k: int) -> RMatrix:
-    """Inverse of block_matrix."""
+    """Inverse of block_matrix; A itself when k = 1 over A.ring."""
+    if k == 1 and base_ring is A.ring:
+        return A
     b, B = A.n, base_ring.size
     blocks = [[unpack(code, B, k * k) for code in row] for row in A.entries]
     return RMatrix(base_ring, b * k, tuple(

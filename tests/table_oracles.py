@@ -9,6 +9,7 @@ over cosets, M_k(I) by a loop over the codes of M_k(R), the M_k(R) and
 T_k(R) tables by one full-size pass per free entry and per row, the units
 by a loop over the carrier, the unit-regular witness by a scan of all units,
 the inverse of a matrix by a search of every candidate column, the
+lift's first unit y1 by an orbit query per unit, the
 sorted sets aR and aR + bR by ``np.unique``, and the left ideal
 R*e_1 + ... + R*e_k by sums of sorted sets.
 The kernels and the theorem must give exactly what these give.
@@ -38,7 +39,8 @@ from typing import Optional
 import numpy as np
 
 from exlift.errors import PreconditionFailed
-from exlift.matrices import (LEFT, ElemWord, RMatrix, identity, mat_mul,
+from exlift.matrices import (LEFT, ElemWord, RMatrix, direct_sum,
+                             e_orbit_factor, identity, left_op, mat_mul,
                              matrix)
 from exlift.rings import (FiniteRing, Ideal, _positions, digits, distinct,
                           member_mask, pack, quotient_by)
@@ -355,6 +357,23 @@ def unit_regular_scan_full(ring: FiniteRing, d: int, units: tuple,
         return None
     w = int(ws[hits[0]])
     return int(ring.npmul[d, w]), inverse[w]
+
+
+def find_w1_per_candidate(ring: FiniteRing, qmap, x: int,
+                          m: int) -> Optional[tuple]:
+    """(y1, z_word) of ``lifting._find_w1`` by an orbit query per unit:
+    for each unit u of R, ascending, both matrices pi(x) + 1_{m-1} and
+    pi(u) + 1_{m-1} built and reduced by ``e_orbit_factor``, the first
+    word found lifted entry by entry.  The W(R/I) lookup replaced."""
+    S = qmap.target
+    target = direct_sum(matrix(S, [[qmap.pi(x)]]), identity(S, m - 1))
+    for u in ring.units():
+        base = direct_sum(matrix(S, [[qmap.pi(u)]]), identity(S, m - 1))
+        wbar = e_orbit_factor(S, m, target, base)
+        if wbar is not None:
+            return u, ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
+                                        for op in wbar.ops))
+    return None
 
 
 def grid_inverse(A: RMatrix) -> Optional[RMatrix]:

@@ -14,7 +14,7 @@ from exlift.errors import NotFredholm, PreconditionFailed
 from exlift.ktheory import fredholm_elements, index, k0_zero_test
 from witness_search import strict_zero_padding
 from ring_checks import decode_matrix
-from table_oracles import congruent_mod
+from table_oracles import congruent_mod, find_w1_per_candidate
 from reduction_contracts import (corpus_lifts,
                                  diagonalization_contract_failures,
                                  reduction_contract_failures,
@@ -103,23 +103,36 @@ def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
     # the lift does not assert the reduction contracts; a spy collects
     # every row reduction a lift makes (column reductions are row
     # reductions over R^op) on every default corpus pair, and on the pairs
-    # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R)
-    seen = []
-    real = L._reduce_row
+    # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R).  Each of
+    # the 224 diagonalizations has its row and its column reduction (which
+    # shares its trace with its row reduction over R^op) among them, so no
+    # other entry point reduces past the spy
+    seen, diags = [], []
+    real, real_diag = L._reduce_row, L._diagonalize
 
     def spy(ring, ideal, alpha, g=None):
         res = real(ring, ideal, alpha, g)
         seen.append(res)
         return res
 
+    def diag_spy(ring, ideal, alpha, **witnesses):
+        res = real_diag(ring, ideal, alpha, **witnesses)
+        diags.append(res)
+        return res
+
     monkeypatch.setattr(L, "_reduce_row", spy)
+    monkeypatch.setattr(L, "_diagonalize", diag_spy)
     for _ in corpus_lifts(corpus_pairs):
         pass
     bad = [(res.ring.describe(), failed) for res in seen
            if (failed := reduction_contract_failures(res))]
     assert bad == []
     specs = {type(res.ring.spec).__name__ for res in seen}
-    assert {"OppositeSpec", "MatrixSpec"} <= specs and len(seen) > 400
+    assert {"OppositeSpec", "MatrixSpec"} <= specs
+    assert len(diags) == 224 and len(seen) == 448
+    assert {id(res.trace) for res in seen} == {
+        id(red.trace) for dg in diags
+        for red in (dg.row_reduction, dg.col_reduction)}
 
 
 def _perturbed(res, part, key, change):
@@ -373,6 +386,23 @@ def test_forced_m4_path():
     z4, ideal = z4_pair()
     res2 = L.lift_unit(z4, ideal, 3, start_m=4)
     assert ideal.contains(z4.sub(3, res2.certificate.y))
+
+
+def test_find_w1_matches_the_per_candidate_scan(corpus_pairs):
+    # one W(R/I) lookup per unit tried gives the (y1, z_word) of an orbit
+    # query per unit: every Fredholm element of every default pair at
+    # m = 2, and of the pairs with |R/I| <= 2 at m = 4; at m = 2, 36 scans
+    # pass the least unit of R before their hit
+    checked = Counter()
+    for name, ring, ideal, _ in corpus_pairs:
+        qmap = R.quotient_by(ring, ideal)
+        for m in (2, 4) if qmap.target.size <= 2 else (2,):
+            for x in fredholm_elements(ring, ideal):
+                got = L._find_w1(ring, qmap, x, m)
+                assert got[:2] == find_w1_per_candidate(ring, qmap, x, m), \
+                    (name, x, m)
+                checked[m, got[0] != ring.units()[0]] += 1
+    assert checked == {(2, False): 156, (2, True): 36, (4, False): 115}
 
 
 def test_forced_m4_lift_over_larger_quotients():
