@@ -175,12 +175,10 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
                 g: Optional[int] = None) -> ReductionResult:
     """reduce_row on an alpha already checked by the caller.  A given join
     idempotent g is used as is; without one, ``join_idempotent`` picks it.
-    alpha's entries m = [a, b, c, d], row by row, take each right op
-    (i, j, r) as column j += column i * r and become one RMatrix, the
-    result."""
+    alpha's entries m = [a, b, c, d] take each right op (i, j, r) as
+    column j += column i * r and form one RMatrix, the result."""
     one, add, mul, trace = ring.one, ring.add, ring.mul, {}
     m = list(alpha.entries[0] + alpha.entries[1])
-    c_orig = m[2]
 
     def apply(ops):
         for _, i, j, r in ops:
@@ -206,9 +204,9 @@ def _reduce_row(ring: FiniteRing, ideal: Ideal, alpha: RMatrix,
     if wprime is None:
         raise SearchExhausted(f"join idempotent {g} not in wR",
                               "g idempotent in wR")
-    # beta_1 = (1, r*c; 0, 1) with the original c of this reduction
-    ops += apply((right_op(1, 2, mul(r, c_orig)),
-                  right_op(2, 1, ring.neg(mul(mul(wprime, e), c_orig)))))
+    # beta_1 = (1, r*c; 0, 1) with the original c = alpha[1, 0]
+    ops += apply((right_op(1, 2, mul(r, alpha[1, 0])),
+                  right_op(2, 1, ring.neg(mul(mul(wprime, e), alpha[1, 0])))))
     trace["corner"] = {"w": w, "f": f, "w1": w1, "w2": w2,
                        "f1": f1, "f2": f2, "g": g, "wprime": wprime}
 
@@ -334,8 +332,7 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
 
     f, u, p = unit_regular_witness(ring, ideal, bP)
     uinv = ring.inverse(u)
-    # w(-1) * (a b'; c d) * diag(1, u^-1) = (-c -du^-1; t b'u^-1), t = a,
-    # with b'u^-1 = f at (2,2); the ops below update these four entries
+    # w(-1) (a b'; c d) diag(1, u^-1) = (-c -du^-1; t b'u^-1), b'u^-1 = f
     a, b, t, d = neg(c), mul(neg(d), uinv), a, mul(bP, uinv)
     eps1 = right_op(2, 1, neg(mul(f, t)))
     lhs = mul(ring.sub(one, f), t)
@@ -345,8 +342,7 @@ def _diagonalize(ring: FiniteRing, ideal: Ideal, alpha: RMatrix, g_row=None,
     eps2 = right_op(1, 2, v)
     a, c = add(a, mul(b, eps1.r)), add(t, mul(d, eps1.r))
     z_prime, d = add(b, mul(a, v)), add(d, mul(c, v))
-    mu1 = left_op(1, 2, neg(z_prime))
-    mu2 = right_op(2, 1, neg(lhs))
+    mu1, mu2 = left_op(1, 2, neg(z_prime)), right_op(2, 1, neg(lhs))
     a_prime = add(add(a, mul(mu1.r, c)),
                   mul(add(z_prime, mul(mu1.r, d)), mu2.r))
     gamma = ElemWord(2, sigL.ops + rc.word.ops + sig_inv.ops + (mu1,))

@@ -8,12 +8,11 @@ Whitehead's w(v) = e_ij(v) e_ji(-v^-1) e_ij(v) (``whitehead_word``): the
 signed swaps of the 2x2 diagonalization are w(1) and w(-1), and
 diag(v, v^-1) = w(v) w(-1) moves a unit along the diagonal.
 
-A word replays (``apply_elem_word``: the orbit words, z_word, the
-verifier's identity replay; a 2x2 stage step applies its own ops) on one
-mutable copy of the matrix's rows: each op updates a row or a column in
-place, reading the ring's list mirrors of its tables when the ring keeps
-them (its scalar ops otherwise), as ``mat_mul`` does, and the rows become
-one RMatrix after the last op.
+``apply_elem_word`` replays the orbit words, z_word and the verifier's
+identity replay (a 2x2 stage step applies its own ops) on one mutable copy
+of the matrix's rows: each op updates a row or a column in place, reading
+the ring's list mirrors when the ring keeps them (its scalar ops
+otherwise), as ``mat_mul`` does; the rows become one RMatrix at the end.
 
 RMatrix, ElemOp and ElemWord are tuples (``namedtuple`` subclasses): cheap
 to build, immutable, and compared and hashed field by field.  RMatrix and
