@@ -61,9 +61,14 @@ def corpus_pairs(guards: Guards = DEFAULT, include_slow: bool = True):
             continue
         ring = build_ring(entry.spec, guards)
         if entry.ideal_mode == "all":
-            for ideal in all_ideals(ring):
-                out.append((f"{entry.name} |I|={len(ideal.members)}",
-                            ring, ideal, entry.tags))
+            ideals = all_ideals(ring)
+            sizes = [len(ideal.members) for ideal in ideals]
+            for ideal, n in zip(ideals, sizes):
+                # ideals of one size are told apart by their generators
+                gens = (f" gens={list(ideal.generators)}"
+                        if sizes.count(n) > 1 else "")
+                out.append((f"{entry.name} |I|={n}{gens}", ring, ideal,
+                            entry.tags))
         else:
             gens = [element_from_descriptor(ring, g) for g in entry.generators]
             ideal = ideal_closure(ring, gens)

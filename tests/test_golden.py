@@ -159,6 +159,14 @@ def test_corpus_report_is_golden(mode):
     assert res.output == json.dumps(golden, sort_keys=True, indent=1) + "\n"
 
 
+def test_corpus_pair_names_are_unique(corpus_pairs_full):
+    # a report line or a lookup by name finds one pair: the two ideals of
+    # size 2 of T_2(Z/2)/(e12) are named by their generators
+    names = [name for name, *_ in corpus_pairs_full]
+    assert len(set(names)) == len(names) == 38
+    assert "quotient(triangular(zmod(2),2),[e12]) |I|=2 gens=[2]" in names
+
+
 def test_writer_matches_json_on_golden_payloads(corpus_pairs):
     # json.dumps is the oracle of the certificate writer's bytes
     payloads = golden_payloads(corpus_pairs)
