@@ -442,11 +442,10 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
 
 def _find_w1(ring: FiniteRing, qmap, x: int, m: int):
     """The least unit y1 of R whose image y1 + 1_{m-1} is E_m(R/I)-equivalent
-    to pi(x) + 1_{m-1}; returns (y1, lifted word, w1).  Both are diagonal
-    with a unit corner, so by Vaserstein's injective stability (see
-    ``matrices``) they are iff pi(x) pi(y1)^-1 is in W(R/I), a key of
-    ``w_group``.  ``e_orbit_factor``, asked once for the word, pushes no
-    elimination op on them, so the word is W(R/I)'s at that key."""
+    to pi(x) + 1_{m-1}; returns (y1, lifted word, w1).  Both are diagonal with
+    a unit corner, so by Vaserstein's injective stability (see ``matrices``)
+    they are iff pi(x) pi(y1)^-1 is 1 or a key of ``w_group``, W(R/I); then
+    ``e_orbit_factor``, asked once, pushes no op on them: its word is W's."""
     S, xbar = qmap.target, qmap.pi(x)
 
     def plus_one(R, a):                 # a + 1_{m-1} over R
@@ -454,7 +453,7 @@ def _find_w1(ring: FiniteRing, qmap, x: int, m: int):
 
     for u in ring.units():
         ubar = qmap.pi(u)
-        if S.mul(xbar, S.inverse(ubar)) in w_group(S):
+        if ubar == xbar or S.mul(xbar, S.inverse(ubar)) in w_group(S):
             wbar = e_orbit_factor(S, m, plus_one(S, xbar), plus_one(S, ubar))
             z_word = ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
                                        for op in wbar.ops))
