@@ -78,10 +78,14 @@ def _class_key(ring: FiniteRing, g: int) -> tuple:
     g's k x k entry matrix over R (Morita: V(M_k(R)) = V(R)); on any other
     ring R, that of g itself (k = 1).  R^op reads from R.  Memoized per
     ring, shared with its opposite, and filled on first use for every
-    idempotent of the ring by one batch over R."""
+    idempotent: off ``_wedderburn_data`` on k = 1, else by a batch over R."""
     home, base, k = morita_base(ring)
     memo = home._cache.get("class_keys")
-    if memo is None:
+    if memo is None and k == 1:
+        components, ones = _wedderburn_data(home)
+        memo = home._cache["class_keys"] = {code: tuple(
+            s ** x for (s, _), x in zip(components, r)) for code, r in ones}
+    elif memo is None:
         idems = home.idempotents()
         ent = digits(idems, base.size, k * k).reshape(-1, k, k)
         memo = home._cache["class_keys"] = dict(

@@ -334,10 +334,10 @@ def whitehead_word(ring: FiniteRing, v: int, i: int = 1, j: int = 2,
 # pivot, and Whitehead words move every diagonal unit into slot 1.  By
 # Vaserstein's injective stability for stable rank 1, diag(d, 1, ..., 1) is
 # in E_n(R), n >= 2, iff d lies in the subgroup W(R) generated by the units
-# (1+ba)^-1 (1+ab).  W(R) is built once per ring with a fixed word for each
-# member, so E_n(R)-membership and the word both come without a search of
-# E_n(R).  A pivot that no op makes a unit would contradict stable rank 1,
-# so it raises SearchExhausted (a bug, never a routine negative).
+# (1+ba)^-1 (1+ab).  W(R) is built once per ring, in array blocks, with a
+# fixed word per member, so E_n(R)-membership and the word come without a
+# search of E_n(R).  A pivot that no op makes a unit would contradict stable
+# rank 1, so it raises SearchExhausted (a bug, never a routine negative).
 # ---------------------------------------------------------------------------
 
 def whitehead_ops(ring: FiniteRing, v: int, i: int, j: int) -> tuple:
@@ -347,34 +347,40 @@ def whitehead_ops(ring: FiniteRing, v: int, i: int, j: int) -> tuple:
             + whitehead_word(ring, v, i, j))
 
 
+_W_BLOCK = 1 << 16     # pairs (a, b) per block of ``w_group``
+
+
 def w_group(ring: FiniteRing) -> dict:
     """W(R) as a map unit d -> left ops taking the identity to diag(d, 1).
 
     For each unit value of (1+ba)^-1 (1+ab), the least pair (a, b) gives the
     word e21(b) e12(a) e21(-b(1+ab)^-1) e12(-a(1+ba)), which reaches
     diag(1+ab, (1+ba)^-1), followed by the Whitehead word that multiplies by
-    diag((1+ba)^-1, 1+ba).  Products are closed by a breadth-first search
-    over the unit group.  Cached per ring.
+    diag((1+ba)^-1, 1+ba).  Values come in blocks of at most ``_W_BLOCK``
+    pairs, so no temporary grows with |R|^2; the pairs run in order and
+    ``np.unique`` keeps each value's first: its least pair.  A breadth-first
+    search over the unit group closes products.  Cached per ring.
     """
     got = ring._cache.get("w_group")
     if got is not None:
         return got
-    one = ring.one
-    inv = np.full(ring.size, -1, dtype=np.int64)
+    one, n = ring.one, ring.size
+    inv = np.full(n, -1, dtype=np.int64)
     for u in ring.units():
         inv[u] = ring.inverse(u)
     first = {}                     # generator value -> least pair (a, b)
-    seen = np.zeros(ring.size, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     seen[one] = True
-    for a in range(ring.size):
-        alpha = ring.npadd[one, ring.npmul[a]]       # 1 + ab over all b
-        beta = ring.npadd[one, ring.npmul[:, a]]     # 1 + ba over all b
-        bs = np.flatnonzero(inv[alpha] >= 0)         # 1+ab a unit iff 1+ba is
-        values, pos = np.unique(ring.npmul[inv[beta[bs]], alpha[bs]],
+    step = max(1, _W_BLOCK // n)
+    for lo in range(0, n, step):
+        alpha = ring.npadd[one, ring.npmul[lo:lo + step]].ravel()   # 1 + ab
+        beta = ring.npadd[one, ring.npmul[:, lo:lo + step].T].ravel()  # 1+ba
+        pairs = np.flatnonzero(inv[alpha] >= 0)  # 1+ab a unit iff 1+ba is
+        values, pos = np.unique(ring.npmul[inv[beta[pairs]], alpha[pairs]],
                                 return_index=True)
         fresh = ~seen[values]
-        for g, p in zip(values[fresh], pos[fresh]):
-            first[int(g)] = (a, int(bs[p]))
+        for g, p in zip(values[fresh], pairs[pos[fresh]]):
+            first[int(g)] = (lo + int(p) // n, int(p) % n)
         seen[values] = True
     gens = []
     for g, (a, b) in sorted(first.items()):

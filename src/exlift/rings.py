@@ -337,8 +337,11 @@ class FiniteRing:
         return memo[u]
 
     def idempotents(self) -> tuple:
+        """All e with e*e = e, ascending; R^op shares R's tuple."""
         got = self._cache.get("idempotents")
-        if got is None:
+        if got is None and self.flip:           # e*e reads the same in R
+            got = self._cache["idempotents"] = self.op().idempotents()
+        elif got is None:
             x = np.arange(self.size)
             diag = sum(U[x // w % m, x] * w for w, m, U, _ in self._fmul)
             got = tuple(np.flatnonzero(diag == x).tolist())
@@ -383,8 +386,9 @@ class FiniteRing:
         """R^op: the same carrier, addition, zero and one, with a*b in R^op
         equal to b*a in R.  Every left-handed notion over R is the
         right-handed one over R^op (Ra is a*R^op).  It shares R's factors,
-        whole tables, add and neg mirrors and inverses (u*v = v*u = 1 reads
-        the same in both), reads mul transposed, and is cached both ways."""
+        whole tables, add and neg mirrors, inverses and idempotents (u*v =
+        v*u = 1 and e*e = e read the same in both), reads mul transposed,
+        and is cached both ways."""
         got = self._cache.get("op")
         if got is None:
             got = FiniteRing(self.size, *([f[2] for f in fs] for fs in (

@@ -9,8 +9,8 @@ over cosets, M_k(I) by a loop over the codes of M_k(R), the M_k(R) and
 T_k(R) tables by one full-size pass per free entry and per row, the units
 by a loop over the carrier, the unit-regular witness by a scan of all units,
 the inverse of a matrix by a search of every candidate column, the
-lift's first unit y1 by an orbit query per unit, the
-sorted sets aR and aR + bR by ``np.unique``, and the left ideal
+lift's first unit y1 by an orbit query per unit, the generators of W(R)
+by one row of pairs at a time, the sorted sets aR and aR + bR by ``np.unique``, and the left ideal
 R*e_1 + ... + R*e_k by sums of sorted sets.
 The kernels and the theorem must give exactly what these give.
 
@@ -41,7 +41,7 @@ import numpy as np
 from exlift.errors import PreconditionFailed
 from exlift.matrices import (LEFT, ElemWord, RMatrix, direct_sum,
                              e_orbit_factor, identity, left_op, mat_mul,
-                             matrix)
+                             matrix, whitehead_ops)
 from exlift.rings import (FiniteRing, Ideal, _positions, digits, distinct,
                           member_mask, pack, quotient_by)
 
@@ -374,6 +374,51 @@ def find_w1_per_candidate(ring: FiniteRing, qmap, x: int,
             return u, ElemWord(m, tuple(left_op(op.i, op.j, qmap.lift(op.r))
                                         for op in wbar.ops))
     return None
+
+
+def w_group_per_row(ring: FiniteRing) -> dict:
+    """``matrices.w_group`` with its generators found one row a at a time:
+    for each a, the values (1+ba)^-1 (1+ab) over every b with 1+ab a unit,
+    a value's pair the first (a, b) that gives it; then the same words and
+    the same breadth-first closure, in the same insertion order, uncached.
+    The blocked build of ``w_group`` replaced this loop."""
+    one = ring.one
+    inv = np.full(ring.size, -1, dtype=np.int64)
+    for u in ring.units():
+        inv[u] = ring.inverse(u)
+    first = {}                     # generator value -> least pair (a, b)
+    seen = np.zeros(ring.size, dtype=bool)
+    seen[one] = True
+    for a in range(ring.size):
+        alpha = ring.npadd[one, ring.npmul[a]]       # 1 + ab over all b
+        beta = ring.npadd[one, ring.npmul[:, a]]     # 1 + ba over all b
+        bs = np.flatnonzero(inv[alpha] >= 0)         # 1+ab a unit iff 1+ba is
+        values, pos = np.unique(ring.npmul[inv[beta[bs]], alpha[bs]],
+                                return_index=True)
+        fresh = ~seen[values]
+        for g, p in zip(values[fresh], pos[fresh]):
+            first[int(g)] = (a, int(bs[p]))
+        seen[values] = True
+    gens = []
+    for g, (a, b) in sorted(first.items()):
+        al, be = ring.add(one, ring.mul(a, b)), ring.add(one, ring.mul(b, a))
+        ops = (left_op(2, 1, b), left_op(1, 2, a),
+               left_op(2, 1, ring.neg(ring.mul(b, ring.inverse(al)))),
+               left_op(1, 2, ring.neg(ring.mul(a, be))),
+               *whitehead_ops(ring, ring.inverse(be), 1, 2))
+        gens.append((g, ops))
+    words = {one: ()}
+    frontier = [one]
+    while frontier:
+        new = []
+        for u in frontier:
+            for g, ops in gens:
+                v = ring.mul(g, u)      # diag(g, 1) diag(u, 1)
+                if v not in words:
+                    words[v] = words[u] + ops
+                    new.append(v)
+        frontier = new
+    return words
 
 
 def grid_inverse(A: RMatrix) -> Optional[RMatrix]:

@@ -148,6 +148,29 @@ def test_golden_forced_m4_digests():
     assert all(C.verify_payload(p)[0] for p in payloads.values())
 
 
+def test_golden_digests_from_lifts_in_a_fresh_process(cold_python):
+    # a lift builds the class keys and W(R/I) of its rings itself when no
+    # theorem check ran first; in-process tests share the rings' memos, so
+    # a fresh interpreter lifts every version 3 and forced m=4 golden pair
+    out = cold_python(
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_golden as G\n"
+        "from exlift import rings as R\n"
+        "from exlift.corpus import corpus_pairs\n"
+        "pairs = corpus_pairs(include_slow=False)\n"
+        "assert not [r for r in R._BUILD_CACHE.values()\n"
+        "            if 'wedderburn' in r._cache or 'class_keys' in r._cache]\n"
+        "print(json.dumps([{n: G._digest(p) for n, p in payloads.items()}\n"
+        "                  for payloads in (G.forced_m4_payloads(),\n"
+        "                                   G.golden_payloads_v2(pairs))]))\n",
+        os.path.dirname(__file__))
+    m4, v2 = json.loads(out)
+    for got, path in ((v2, GOLDEN_V2), (m4, GOLDEN_M4)):
+        with open(path, encoding="utf-8") as fh:
+            assert got == json.load(fh), path
+
+
 @pytest.mark.parametrize("mode", ["default", "full"])
 def test_corpus_report_is_golden(mode):
     with open(GOLDEN_CORPUS, encoding="utf-8") as fh:

@@ -579,7 +579,9 @@ def test_stage_class_keys_order_like_the_stage_ring(corpus_rings):
 
 
 def test_class_key_batch_matches_per_idempotent_keys(scan_rings):
-    # _class_key fills its memo for all idempotents by one batch over R
+    # _class_key fills its memo for all idempotents at once: on k = 1 off
+    # _wedderburn_data, on M_k(R) by one batch over R.  Each key is the one
+    # computed anew over R, and on k = 1 also the one over R^op itself
     count = 0
     for ring in scan_rings:
         home, base, k = R.morita_base(ring)
@@ -591,8 +593,42 @@ def test_class_key_batch_matches_per_idempotent_keys(scan_rings):
             assert (L._class_key(ring, g)
                     == V.class_key(base, decode_matrix(base, k, g))), \
                 (ring.describe(), g)
+            if k == 1:
+                assert (L._class_key(ring, g)
+                        == V.class_key(ring, decode_matrix(ring, 1, g)))
             count += 1
     assert count > 1000
+
+
+def test_one_class_key_batch_per_ring(monkeypatch):
+    # the theorem check and the lifts share the 1x1 class keys of a ring:
+    # over the default corpus, from fresh rings, each ring's idempotents go
+    # through one 1x1 batch, whichever asks first
+    batches = []
+    real = V._class_keys
+
+    def spy(ring, ent):
+        if ent.shape[1:] == (1, 1):
+            batches.append(ring)
+        return real(ring, ent)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "exlift" or name.startswith("exlift."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    from exlift.corpus import corpus_pairs
+    pairs = corpus_pairs(include_slow=False)
+    lifts = 0
+    for name, ring, ideal, tags in pairs:
+        assert L.separative_exchange_status(ring, ideal)["ok"]
+        for x in fredholm_elements(ring, ideal)[:3]:
+            L.lift_unit(ring, ideal, x)
+            lifts += 1
+    rings = {id(ring): ring for _, ring, _, _ in pairs}
+    assert lifts == 94 and len(rings) == 13
+    assert Counter(map(id, batches)) == {r: 1 for r in rings}
 
 
 def _matrix_degree(ring):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from exlift import matrices as M, rings as R
 from exlift.errors import (DimensionMismatch, PreconditionFailed,
                            RingMismatch)
 
+import table_oracles as O
 from ring_checks import (decode_matrix, encode_matrix, mat_add,
                          verify_ideal, word, zero_matrix)
 
@@ -224,6 +227,44 @@ def test_w_group_is_diagonal_of_e2(corpus_pairs_full):
                               if encode_matrix(_diag(S, 2, u)) in group}
         for u, ops in words.items():
             assert M.evaluate_word(S, word(2, ops)) == _diag(S, 2, u)
+
+
+@pytest.mark.parametrize("block", ["2**16 pairs", "one row"])
+def test_w_group_matches_the_per_row_loop(corpus_pairs_full, monkeypatch,
+                                          block):
+    # the blocked build keeps each generator's least pair, so W(S), its
+    # words and their insertion order are those of the per-row loop; one-row
+    # blocks run each quotient over |S| blocks
+    if block == "one row":
+        monkeypatch.setattr(M, "_W_BLOCK", 1)
+    quotients = {}
+    for name, ring, ideal, tags in corpus_pairs_full:
+        S = R.quotient_by(ring, ideal).target
+        quotients.setdefault(_table_key(S), S)
+    assert len(quotients) == 11
+    sizes = []
+    for S in quotients.values():
+        monkeypatch.delitem(S._cache, "w_group", raising=False)
+        got = list(M.w_group(S).items())
+        assert got == list(O.w_group_per_row(S).items()), S.describe()
+        sizes.append(len(got))
+    assert sorted(sizes) == [1] * 10 + [6]       # W(M_2(Z/2)) has 6 members
+
+
+def test_w_group_temporaries_are_bounded(monkeypatch):
+    # with the tables of Z/1024 formed, the build's arrays hold at most one
+    # block of 2**16 pairs: nothing of |R|^2 = 2**20 entries
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    ring = z(1024)
+    ring.npadd, ring.npmul, ring.units()
+    tracemalloc.start()
+    try:
+        words = M.w_group(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == {ring.one: ()}   # W is trivial on a commutative ring
+    assert peak < 4 * 2**20, peak
 
 
 def test_e_orbit_factor_agrees_with_oracle():

@@ -230,6 +230,22 @@ def test_opposite_ring(corpus_rings):
             assert op.right_span(a, b) == _brute_span(op, a, b)
 
 
+def test_opposite_ring_shares_the_idempotents(scan_rings, monkeypatch):
+    # e*e = e reads the same in R^op: R^op returns R's tuple, whichever of
+    # the two asks first, and it is R^op's own brute-force scan
+    for ring in scan_rings:
+        op = ring.op()
+        assert op.idempotents() is ring.idempotents()
+        assert op.idempotents() == tuple(e for e in op.elements()
+                                         if op.mul(e, e) == e)
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    for spec in {ring.spec for ring in scan_rings
+                 if not isinstance(ring.spec, R.OppositeSpec)}:
+        ring = R.build_ring(spec)
+        first = ring.op().idempotents()
+        assert ring.idempotents() is first
+
+
 def test_quotient_of_opposite_ring(corpus_pairs):
     # R^op/I is (R/I)^op on R's cosets, and V(R^op) has V(R)'s components
     assert len(corpus_pairs) == 37

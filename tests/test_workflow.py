@@ -67,12 +67,13 @@ def test_a_syntax_slip_fails_to_compile():
 
 
 def test_pinned_check_count_is_the_tests_count():
-    # the CLI round trip pins how many checks `exlift verify` runs on the
-    # zmod(4) lift at m = 2; the certificate tests list those checks
+    # the CLI round trip and the cold M_2(Z/2) lift pin how many checks
+    # `exlift verify` runs on a lift at m = 2; the certificate tests list
+    # those checks
     from test_certificates import lift_checks
     pins = re.findall(r'report\["checks_total"\] == (\d+)',
                       WORKFLOW.read_text(encoding="utf-8"))
-    assert [int(n) for n in pins] == [sum(lift_checks(2).values())]
+    assert [int(n) for n in pins] == [sum(lift_checks(2).values())] * 2
 
 
 def run_blocks(text: str) -> list:
