@@ -1,14 +1,15 @@
 """Certificate-producing reduction, diagonalization and unit lifting.
 
 Every operation here follows a constructive proof step by step and records
-the witnesses it finds.  The lift searches for each witness; the
-certificate verifier runs the same construction on a certificate's
-recorded join idempotents (``_reduce_row``'s g; ``_diagonalize``'s g_row
-and g_col), which derives every other witness by the same scans, and
-checks what those and the claim can change; the tests hold the scans'
-contracts (``tests/reduction_contracts.py``) and each lift to
-``oracle_lift``.  So the construction re-checks nothing: "y is a unit" and
-"x - y in I" are checks of the verifier, run on every ``--full`` corpus
+the witnesses it finds.  The lift searches for each witness, once per unit
+pi(x) of R/I, since the construction is a function of (I, m, pi(x))
+(``lift_unit``); the certificate verifier runs the same construction on a
+certificate's recorded join idempotents (``_reduce_row``'s g;
+``_diagonalize``'s g_row and g_col), which derives every other witness by
+the same scans, and checks what those and the claim can change; the tests
+hold the scans' contracts (``tests/reduction_contracts.py``) and each lift
+to ``oracle_lift``.  So the construction re-checks nothing: "y is a unit"
+and "x - y in I" are checks of the verifier, run on every ``--full`` corpus
 lift by ``test_every_fredholm_element_lifts``.  The 2x2 step applies its
 ops to its four entries itself, and the verifier's "diagonalization
 identity" replays its words by ``apply_elem_word``, coded apart.  Searches
@@ -412,7 +413,11 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
     rank 1, so every unit of R/I lifts, and the certificate itself proves
     index(x) = 0, since y is a unit with x - y in I (the easy direction of
     the lifting theorem).  The theorem's hypothesis holds on every finite
-    ring (``separative_exchange_status``), so it is not checked here."""
+    ring (``separative_exchange_status``), so it is not checked here.  It
+    is a function of (I, m, pi(x)), kept in ``ring._cache`` by I's members
+    and generators (stage ideals are the caller's), the guards (a tighter
+    one still raises), m and pi(x); the certificates of one coset share
+    their stages, which nothing changes."""
     qmap = quotient_by(ring, ideal, guards)
     S = qmap.target
     xbar = qmap.pi(x)
@@ -420,6 +425,17 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
         raise NotFredholm(f"pi({x}) is not a unit of R/I")
 
     m = 2 if start_m <= 2 else 4
+    key = ("lift", ideal.members, ideal.generators, guards, m, xbar)
+    got = ring._cache.get(key)
+    if got is None:
+        got = ring._cache[key] = _build_lift(ring, ideal, qmap, x, m, guards)
+    y, y1, z_word, stages = got
+    return LiftResult(LiftCertificate(ring, ideal, x, y, m, y1, z_word,
+                                      list(stages)))
+
+
+def _build_lift(ring: FiniteRing, ideal: Ideal, qmap, x, m, guards):
+    """(y, y1, z_word, stages) of the lift of pi(x) at level m."""
     attempt = _find_w1(ring, qmap, x, m)
     if attempt is None:
         # some unit y has pi(y) = pi(x), so the scan cannot miss
@@ -440,8 +456,7 @@ def lift_unit(ring: FiniteRing, ideal: Ideal, x: int,
         stages.append(LiftStage(current.n, "base" if k == 1 else "blocked",
                                 sring, sideal, current, dg, w_next))
         current = w_next
-    return LiftResult(LiftCertificate(ring, ideal, x, current[0, 0], m, y1,
-                                      z_word, stages))
+    return current[0, 0], y1, z_word, tuple(stages)
 
 
 def _find_w1(ring: FiniteRing, qmap, x: int, m: int):

@@ -452,15 +452,15 @@ def has_refinement_wrt(m: FinMonoid, s: OrderIdeal) -> CheckOutcome:
             for (y1, y2) in pairs:
                 if not (x1 in s or x2 in s or y1 in s or y2 in s):
                     continue
-                if _refines(m, solve, x1, x2, y1, y2):
+                if _refines(m, proper, solve, x1, x2, y1, y2):
                     continue
                 return CheckOutcome(False, (x1, x2, y1, y2))
     return CheckOutcome(True, None)
 
 
-def _refines(m: FinMonoid, solve, x1, x2, y1, y2) -> bool:
+def _refines(m: FinMonoid, proper: list, solve, x1, x2, y1, y2) -> bool:
     t = m.table
-    for z11 in m.proper():
+    for z11 in proper:
         for z12 in solve[z11].get(x1, ()):
             for z21 in solve[z11].get(y1, ()):
                 for z22 in solve[z21].get(x2, ()):

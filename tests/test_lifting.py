@@ -10,7 +10,8 @@ import pytest
 
 from exlift import (certificates as C, lifting as L, matrices as M,
                     rings as R, scans, vmonoid as V)
-from exlift.errors import NotFredholm, PreconditionFailed
+from exlift.config import Guards
+from exlift.errors import GuardExceeded, NotFredholm, PreconditionFailed
 from exlift.ktheory import fredholm_elements, index, k0_zero_test
 from witness_search import strict_zero_padding
 from ring_checks import decode_matrix
@@ -99,14 +100,25 @@ def test_reduction_contracts_random_sample(corpus_pairs):
             assert reduction_contract_failures(rc) == [], (name, alpha)
 
 
-def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
+def _fresh_corpus_pairs(monkeypatch):
+    """The default corpus pairs over freshly built rings: ``lift_unit``
+    keeps each construction on its ring, so over the session's rings a
+    spy would see only the cosets no earlier test lifted."""
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    from exlift.corpus import corpus_pairs
+    return corpus_pairs(include_slow=False)
+
+
+def test_every_reduction_meets_its_contracts(monkeypatch):
     # the lift does not assert the reduction contracts; a spy collects
     # every row reduction a lift makes (column reductions are row
     # reductions over R^op) on every default corpus pair, and on the pairs
-    # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R).  Each of
-    # the 224 diagonalizations has its row and its column reduction (which
-    # shares its trace with its row reduction over R^op) among them, so no
-    # other entry point reduces past the spy
+    # with |R/I| <= 2 at m = 4, whose stage 0 runs over M_2(R), from fresh
+    # rings.  The 208 lifts hold 224 stages, made by 105 diagonalizations
+    # (the lifts of one unit of R/I at one level m share theirs); each has
+    # its row and its column reduction (which shares its trace with its
+    # row reduction over R^op) among them, so no other entry point reduces
+    # past the spy
     seen, diags = [], []
     real, real_diag = L._reduce_row, L._diagonalize
 
@@ -122,14 +134,17 @@ def test_every_reduction_meets_its_contracts(corpus_pairs, monkeypatch):
 
     monkeypatch.setattr(L, "_reduce_row", spy)
     monkeypatch.setattr(L, "_diagonalize", diag_spy)
-    for _ in corpus_lifts(corpus_pairs):
-        pass
+    certs = [cert for *_, cert in
+             corpus_lifts(_fresh_corpus_pairs(monkeypatch))]
     bad = [(res.ring.describe(), failed) for res in seen
            if (failed := reduction_contract_failures(res))]
     assert bad == []
     specs = {type(res.ring.spec).__name__ for res in seen}
     assert {"OppositeSpec", "MatrixSpec"} <= specs
-    assert len(diags) == 224 and len(seen) == 448
+    assert len(certs) == 208 and sum(len(c.stages) for c in certs) == 224
+    assert len(diags) == 105 and len(seen) == 210
+    assert {id(st.diag) for c in certs for st in c.stages} == set(
+        map(id, diags))
     assert {id(res.trace) for res in seen} == {
         id(red.trace) for dg in diags
         for red in (dg.row_reduction, dg.col_reduction)}
@@ -173,11 +188,11 @@ def test_reduction_contracts_catch_a_perturbed_reduction(side):
         dataclasses.replace(res, word=dropped))
 
 
-def test_every_diagonalization_meets_its_contracts(corpus_pairs,
-                                                   monkeypatch):
+def test_every_diagonalization_meets_its_contracts(monkeypatch):
     # nor does it assert the diagonalization's: a spy collects every
-    # diagonalization of the same lifts, and each lift's w1 is congruent
-    # to x + 1 modulo I
+    # diagonalization of the same lifts, from fresh rings, and each lift's
+    # w1 is congruent to x + 1 modulo I.  The 224 stages of the 208 lifts
+    # are the 105 diagonalizations the spy saw, shared within each coset
     seen = []
     real = L._diagonalize
 
@@ -187,14 +202,15 @@ def test_every_diagonalization_meets_its_contracts(corpus_pairs,
         return res
 
     monkeypatch.setattr(L, "_diagonalize", spy)
-    stages = 0
-    for name, x, m, cert in corpus_lifts(corpus_pairs):
+    stages = []
+    for name, x, m, cert in corpus_lifts(_fresh_corpus_pairs(monkeypatch)):
         assert w1_congruent(cert), (name, x, m)
-        stages += len(cert.stages)
+        stages += cert.stages
     bad = [(res.ring.describe(), failed) for res in seen
            if (failed := diagonalization_contract_failures(res))]
     assert bad == []
-    assert len(seen) == stages == 224
+    assert len(stages) == 224 and len(seen) == 105
+    assert {id(st.diag) for st in stages} == set(map(id, seen))
 
 
 def test_diagonalization_contracts_catch_a_perturbed_step():
@@ -298,6 +314,7 @@ def test_diagonalization_checks_invertibility_once(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(L, "try_inverse", counting)
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})  # no lift memo answers
     z4, ideal = z4_pair()
     alpha = M.matrix(z4, [[1, 2], [2, 1]])
     L.diagonalize_2x2(z4, ideal, alpha)
@@ -478,6 +495,92 @@ def test_every_fredholm_element_lifts(corpus_pairs_full):
             assert strict_zero_padding(ix, stab=0) == 0, (name, x)
             lifted += 1
     assert lifted == 208
+
+
+def test_a_memo_hit_equals_a_fresh_construction(corpus_pairs_full,
+                                               monkeypatch):
+    # the lift is a function of (I, m, pi(x)): every Fredholm element of
+    # every --full pair is lifted over the shared rings, and each that
+    # repeats the coset of an earlier one, so is answered by the memo,
+    # gives the payload of its lift over rings built afresh
+    lifted, repeats = 0, 0
+    for name, ring, ideal, tags in corpus_pairs_full:
+        qmap = R.quotient_by(ring, ideal)
+        first = {}
+        for x in fredholm_elements(ring, ideal):
+            cert = L.lift_unit(ring, ideal, x).certificate
+            lifted += 1
+            if first.setdefault(qmap.pi(x), cert) is cert:
+                continue
+            assert cert.stages[0] is first[qmap.pi(x)].stages[0]
+            repeats += 1
+            monkeypatch.setattr(R, "_BUILD_CACHE", {})
+            fresh = R.build_ring(ring.spec)
+            assert fresh is not ring
+            fresh_ideal = R.ideal_closure(fresh, list(ideal.generators))
+            assert (C.dumps_certificate(cert.to_payload())
+                    == C.dumps_certificate(L.lift_unit(
+                        fresh, fresh_ideal, x).certificate.to_payload())), \
+                (name, x)
+    assert (lifted, repeats) == (208, 131)
+
+
+def test_a_congruent_element_reuses_the_construction(monkeypatch):
+    # after x, an x' = x mod I is lifted with no orbit or stage search: its
+    # certificate shares x's stages, and its payload differs only in "x"
+    calls = Counter()
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for fn in ("_find_w1", "_diagonalize", "e_orbit_factor"):
+        monkeypatch.setattr(L, fn, spy(getattr(L, fn)))
+    monkeypatch.setattr(R, "_BUILD_CACHE", {})
+    ring = z(8)
+    ideal = R.ideal_closure(ring, [2])
+    for start_m, diagonalizations in ((2, 1), (4, 2)):
+        calls.clear()
+        first = L.lift_unit(ring, ideal, 1, start_m=start_m).certificate
+        assert calls == {"_find_w1": 1, "_diagonalize": diagonalizations,
+                         "e_orbit_factor": 1}
+        calls.clear()
+        for x in (3, 5, 7):
+            cert = L.lift_unit(ring, ideal, x, start_m=start_m).certificate
+            assert list(map(id, cert.stages)) == list(map(id, first.stages))
+            assert cert.stages is not first.stages
+            payload, before = cert.to_payload(), first.to_payload()
+            assert payload["x"] != before["x"]
+            assert dict(payload, x=None) == dict(before, x=None)
+        assert calls == {}
+
+
+def test_a_tighter_guard_still_refuses_a_remembered_lift():
+    # the guards are part of the memo key: after a forced m=4 lift has
+    # been kept, the same lift under a carrier guard below |M_2(Z/4)| = 256
+    # builds M_2(Z/4) again and is refused, for x and for an x' = x mod I
+    z4, ideal = z4_pair()
+    assert L.lift_unit(z4, ideal, 3, start_m=4).certificate.m == 4
+    for x in (3, 1):
+        with pytest.raises(GuardExceeded):
+            L.lift_unit(z4, ideal, x, Guards(carrier=255), start_m=4)
+
+
+def test_an_ideal_with_other_generators_keeps_its_own():
+    # (2) = (4) in Z/6: the same members under other generators.  The
+    # generators are part of the memo key, so each certificate names its
+    # own ideal, down to its stage ideal, and each verifies
+    z6 = z(6)
+    by_two, by_four = (R.ideal_closure(z6, [g]) for g in (2, 4))
+    assert by_two.members == by_four.members
+    for ideal, gens in ((by_two, [2]), (by_four, [4]), (by_two, [2])):
+        cert = L.lift_unit(z6, ideal, 5).certificate
+        assert cert.stages[0].stage_ideal is ideal
+        payload = json.loads(C.dumps_certificate(cert.to_payload()))
+        assert payload["ideal_generators"] == gens
+        assert C.verify_payload(payload)[0]
 
 
 def test_lift_requires_separative_exchange_hypotheses():

@@ -3,10 +3,13 @@
 A verifier that runs after many lifts and verifies reads per-ring memos
 (``rings.ideal_closure``'s ideals, the stage rings and their M_k(I), the
 signed swaps of ``lifting._diagonalize``, inverses, element codecs) that a
-fresh interpreter builds again.  ``agree`` verifies each certificate in
-this process with ``verify_claim``, writes it to a file, verifies every file
-again in one fresh interpreter, and names each certificate whose
-(ok, checks, claim) differ between the two.
+fresh interpreter builds again.  ``lifting.lift_unit``'s memo of each
+lift's construction, kept under ("lift", ...) on the ring, is no verifier
+memo: the verifier never reads it and replays every certificate in full.
+``agree`` verifies each certificate in this process with ``verify_claim``,
+writes it to a file, verifies every file again in one fresh interpreter,
+and names each certificate whose (ok, checks, claim) differ between the
+two.
 
 Run as a script, it replays every Fredholm element of every ``--full``
 corpus pair lifted at m=2 (208 lifts) and the forced m=4 certificates of
